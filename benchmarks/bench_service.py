@@ -1,32 +1,23 @@
-"""Service benchmarks: ingest throughput, batch-query QPS, shard scaling.
+"""Service benchmarks: ingest throughput, batch-query QPS, worker scaling.
 
-Measures the provenance query service end to end (in process, so the
-numbers isolate engine cost from socket cost): events/sec through the
-session ingest path, durable-ingest events/sec across the write-ahead
-log's fsync policies (``always``/``batch``/``never``, against a no-WAL
-baseline -- what acknowledged durability costs), batch-query QPS with
-a cold versus warm cache -- each with and without the engine's
-``query_many`` batch-kernel fast path (``use_batch_kernels=False``
-reproduces the pre-kernel per-pair loop, so ``BENCH_service.json``
-records exactly what the kernel buys on the miss path), query
-throughput spread across many
-concurrent sessions, and -- the scaling story -- warm-cache QPS under
-a closed-loop
-:mod:`repro.loadgen` worker pool as the engine's lock striping grows
-across 1/2/4/8 shards.  Contention on the classic single lock is what
-the striping removes, so the shard sweep is run with every worker
-hammering its own session concurrently; on a multi-core runner the
-striped engines pull ahead, on one core the GIL flattens the curve
-(the report records ``cpu_count`` so the numbers stay interpretable).
+Measures the provenance query service in process, so the numbers
+isolate engine cost from socket cost: events/sec through the session
+ingest path, durable-ingest events/sec across the write-ahead log's
+fsync policies (``always``/``batch``/``never``, against a no-WAL
+baseline -- what acknowledged durability costs), batch-query QPS (every
+pair answered by the scheme's ``query_many`` kernel straight from the
+labels), query throughput spread across many concurrent sessions, and
+the instrumented-versus-bare query QPS ratio that gates the
+observability overhead.
 
-The worker sweep is the cross-process counterpart: warm QPS through a
-real :class:`~repro.service.cluster.ClusterSupervisor` (TCP, hash
-routing, N worker *processes*) across 1/2/4 workers.  Unlike shards,
-workers escape the GIL entirely -- on a multi-core runner the sweep is
-the paper system's actual parallel speedup.  Every section of
-``BENCH_service.json`` records ``cpu_count`` and an explicit
-``single_core`` flag so numbers collected on one core are never
-misread as parallel speedups.
+The worker sweep drives a real
+:class:`~repro.service.cluster.ClusterSupervisor` (TCP, hash routing, N
+worker *processes*) across 1/2/4 workers with a closed-loop
+:mod:`repro.loadgen` pool.  Workers escape the GIL entirely -- on a
+multi-core runner the sweep is the paper system's actual parallel
+speedup.  Every section of ``BENCH_service.json`` records
+``cpu_count`` and an explicit ``single_core`` flag so numbers collected
+on one core are never misread as parallel speedups.
 
 Run under pytest-benchmark::
 
@@ -54,7 +45,6 @@ from repro.workflow.execution import execution_from_derivation
 
 RUN_SIZE = 2000
 BATCH = 2000
-SHARD_COUNTS = (1, 2, 4, 8)
 WORKER_COUNTS = (1, 2, 4)  # cluster worker processes, 0 = in-process
 SCALING_WORKERS = 8
 SCALING_DURATION = float(os.environ.get("BENCH_SCALING_SECONDS", "1.0"))
@@ -62,12 +52,11 @@ DURABLE_CHUNK = 64  # events per acknowledged ingest on the durable path
 DURABLE_POLICIES = (None, "always", "batch", "never")  # None = no WAL
 OUTPUT = "BENCH_service.json"
 
-# pure warm-cache read load: everything ingested at prefill (no version
-# bumps afterwards), every query drawn from a small hot set so the
-# working set is fully cached after the first few batches
-WARM_SCENARIO = Scenario(
-    name="warm-shard-scaling",
-    summary="pure warm-cache reads, one hot session per worker",
+# pure read load: everything ingested at prefill, every query drawn
+# from a small hot set of each session's vertices
+READ_SCENARIO = Scenario(
+    name="read-scaling",
+    summary="pure reads, one hot session per worker",
     spec="running-example",
     sessions=SCALING_WORKERS,
     run_size=400,
@@ -91,34 +80,25 @@ def _pairs(run, count, seed=1):
     return [(rng.choice(vids), rng.choice(vids)) for _ in range(count)]
 
 
-def _loaded_engine(cache_size=65536, shards=1, use_batch_kernels=True,
-                   metrics=None):
+def _loaded_engine(metrics=None):
     spec, run, execution = _prepared_run()
     manager = SessionManager()
-    engine = QueryEngine(
-        manager,
-        cache_size=cache_size,
-        shards=shards,
-        use_batch_kernels=use_batch_kernels,
-        metrics=metrics,
-    )
+    engine = QueryEngine(manager, metrics=metrics)
     manager.create("bench", spec)
     engine.ingest("bench", execution.insertions)
     return engine, run, execution
 
 
 def observability_overhead(repeat=9):
-    """Warm-cache QPS with default instrumentation vs ``metrics=NULL``.
+    """Batch-query QPS with default instrumentation vs ``metrics=NULL``.
 
     The two engines are timed interleaved (one round each, best-of-N),
     so clock drift and thermal throttling hit both alike; the ratio is
-    what the per-batch histogram records cost on the hottest read path.
+    what the per-batch histogram records cost on the read path.
     """
     instrumented, run, _ = _loaded_engine()
     bare, _, _ = _loaded_engine(metrics=NULL)
     pairs = _pairs(run, BATCH)
-    instrumented.query_many("bench", pairs)  # populate both caches
-    bare.query_many("bench", pairs)
     best_on = best_off = float("inf")
     for _ in range(repeat):
         started = time.perf_counter()
@@ -127,44 +107,13 @@ def observability_overhead(repeat=9):
         started = time.perf_counter()
         bare.query_many("bench", pairs)
         best_off = min(best_off, time.perf_counter() - started)
-    warm_qps = BATCH / best_on
-    warm_qps_no_obs = BATCH / best_off
-    return {
-        "warm_qps": warm_qps,
-        "warm_qps_no_obs": warm_qps_no_obs,
-        "ratio": warm_qps / warm_qps_no_obs,
-    }
-
-
-def _warm_scaling_row(shards, duration=SCALING_DURATION, seed=0):
-    """Warm-cache QPS of one shard count under the closed-loop pool."""
-    manager = SessionManager()
-    engine = QueryEngine(manager, cache_size=1 << 17, shards=shards)
-    report = run_scenario(
-        WARM_SCENARIO,
-        engine_driver_factory(engine),
-        duration=duration,
-        workers=SCALING_WORKERS,
-        seed=seed,
-    )
-    stats = report.stats
-    return {
-        "shards": shards,
-        "workers": report.workers,
-        "qps": report.qps,
-        "queries": report.queries,
-        "hit_rate": stats.get("hit_rate"),
-        "errors": list(report.errors),
-    }
-
-
-def shard_scaling(duration=SCALING_DURATION):
-    """One warm-QPS row per shard count in :data:`SHARD_COUNTS`."""
-    return [_warm_scaling_row(shards, duration) for shards in SHARD_COUNTS]
+    qps = BATCH / best_on
+    qps_no_obs = BATCH / best_off
+    return {"qps": qps, "qps_no_obs": qps_no_obs, "ratio": qps / qps_no_obs}
 
 
 def _worker_scaling_row(workers, duration=SCALING_DURATION, seed=0):
-    """Warm-cache QPS through a real ``workers``-process cluster.
+    """Read QPS through a real ``workers``-process cluster.
 
     The closed-loop pool drives the cluster over TCP (the router's
     hash partitioning spreads the scenario's sessions across worker
@@ -176,15 +125,13 @@ def _worker_scaling_row(workers, duration=SCALING_DURATION, seed=0):
     from repro.loadgen import client_driver_factory
     from repro.service.cluster import ClusterSupervisor
 
-    supervisor = ClusterSupervisor(
-        workers=workers, port=0, shards=4, cache_size=1 << 17
-    ).start()
+    supervisor = ClusterSupervisor(workers=workers, port=0).start()
     thread = threading.Thread(target=supervisor.serve_forever,
                               daemon=True)
     thread.start()
     try:
         report = run_scenario(
-            WARM_SCENARIO,
+            READ_SCENARIO,
             client_driver_factory("127.0.0.1", supervisor.port),
             duration=duration,
             workers=SCALING_WORKERS,
@@ -193,19 +140,17 @@ def _worker_scaling_row(workers, duration=SCALING_DURATION, seed=0):
     finally:
         supervisor.stop()
         thread.join(timeout=30)
-    stats = report.stats
     return {
         "workers": workers,
         "qps": report.qps,
         "qps_per_worker": report.qps / workers,
         "queries": report.queries,
-        "hit_rate": stats.get("hit_rate"),
         "errors": list(report.errors),
     }
 
 
 def worker_scaling(duration=SCALING_DURATION):
-    """One warm-QPS row per cluster size in :data:`WORKER_COUNTS`."""
+    """One read-QPS row per cluster size in :data:`WORKER_COUNTS`."""
     return [
         _worker_scaling_row(workers, duration)
         for workers in WORKER_COUNTS
@@ -279,45 +224,17 @@ def test_service_ingest_throughput(benchmark):
     benchmark.extra_info["events_per_sec"] = events / benchmark.stats["mean"]
 
 
-def test_service_batch_query_cold(benchmark):
-    engine, run, _ = _loaded_engine(cache_size=0)  # no cache: always cold
-    pairs = _pairs(run, BATCH)
-    benchmark(lambda: engine.query_many("bench", pairs))
-    benchmark.extra_info["qps"] = BATCH / benchmark.stats["mean"]
-
-
-def test_service_batch_query_cold_no_kernel(benchmark):
-    """The per-pair fallback path: what the batch kernel is saving."""
-    engine, run, _ = _loaded_engine(cache_size=0, use_batch_kernels=False)
-    pairs = _pairs(run, BATCH)
-    benchmark(lambda: engine.query_many("bench", pairs))
-    benchmark.extra_info["qps"] = BATCH / benchmark.stats["mean"]
-    benchmark.extra_info["use_batch_kernels"] = False
-
-
-def test_service_batch_query_warm(benchmark):
+def test_service_batch_query(benchmark):
     engine, run, _ = _loaded_engine()
     pairs = _pairs(run, BATCH)
-    engine.query_many("bench", pairs)  # populate the cache
     benchmark(lambda: engine.query_many("bench", pairs))
     benchmark.extra_info["qps"] = BATCH / benchmark.stats["mean"]
-    benchmark.extra_info["hit_rate"] = engine.stats().hit_rate
-
-
-def test_service_batch_query_warm_striped(benchmark):
-    """The striped engine must not tax the single-caller warm path."""
-    engine, run, _ = _loaded_engine(shards=4)
-    pairs = _pairs(run, BATCH)
-    engine.query_many("bench", pairs)
-    benchmark(lambda: engine.query_many("bench", pairs))
-    benchmark.extra_info["qps"] = BATCH / benchmark.stats["mean"]
-    benchmark.extra_info["shards"] = 4
 
 
 def test_service_multi_session_queries(benchmark):
     spec, run, execution = _prepared_run(size=500)
     manager = SessionManager()
-    engine = QueryEngine(manager, shards=4)
+    engine = QueryEngine(manager)
     names = [f"s{i}" for i in range(8)]
     for name in names:
         manager.create(name, spec)
@@ -345,20 +262,6 @@ def test_durable_ingest_rows(benchmark):
     ]
     for row in rows:
         assert row["events_per_sec"] > 0
-
-
-def test_shard_scaling_rows(benchmark):
-    rows = benchmark.pedantic(
-        lambda: shard_scaling(duration=0.3), rounds=1, iterations=1
-    )
-    benchmark.extra_info["rows"] = [
-        {k: str(v) for k, v in row.items()} for row in rows
-    ]
-    assert [row["shards"] for row in rows] == list(SHARD_COUNTS)
-    for row in rows:
-        assert not row["errors"]
-        assert row["qps"] > 0
-        assert row["hit_rate"] > 0.5  # the scaling load is warm
 
 
 def test_worker_scaling_rows(benchmark):
@@ -411,38 +314,11 @@ def main() -> int:
     )
 
     pairs = _pairs(run, BATCH)
-    cold_engine, _, _ = _loaded_engine(cache_size=0)
-    cold = _timed(lambda: cold_engine.query_many("bench", pairs))
+    query_engine, _, _ = _loaded_engine()
+    query = _timed(lambda: query_engine.query_many("bench", pairs))
     print(
-        f"batch query cold:  {BATCH} pairs in {cold * 1e3:.1f} ms "
-        f"-> {BATCH / cold:,.0f} QPS"
-    )
-
-    # the same uncached batch without the scheme's query_many kernel:
-    # every miss goes through the per-pair reaches_labels loop, which
-    # is what the engine did before batch kernels existed
-    plain_engine, _, _ = _loaded_engine(cache_size=0, use_batch_kernels=False)
-    cold_plain = _timed(lambda: plain_engine.query_many("bench", pairs))
-    print(
-        f"  without kernel:  {BATCH} pairs in {cold_plain * 1e3:.1f} ms "
-        f"-> {BATCH / cold_plain:,.0f} QPS "
-        f"(kernel is {cold_plain / cold:.2f}x)"
-    )
-
-    warm_engine, _, _ = _loaded_engine()
-    warm_engine.query_many("bench", pairs)
-    warm = _timed(lambda: warm_engine.query_many("bench", pairs))
-    print(
-        f"batch query warm:  {BATCH} pairs in {warm * 1e3:.1f} ms "
-        f"-> {BATCH / warm:,.0f} QPS ({cold / warm:.1f}x cold)"
-    )
-
-    warm_plain_engine, _, _ = _loaded_engine(use_batch_kernels=False)
-    warm_plain_engine.query_many("bench", pairs)
-    warm_plain = _timed(lambda: warm_plain_engine.query_many("bench", pairs))
-    print(
-        f"  without kernel:  {BATCH} pairs in {warm_plain * 1e3:.1f} ms "
-        f"-> {BATCH / warm_plain:,.0f} QPS (all hits either way)"
+        f"batch query:       {BATCH} pairs in {query * 1e3:.1f} ms "
+        f"-> {BATCH / query:,.0f} QPS"
     )
 
     durable_rows = durable_ingest_rows()
@@ -459,22 +335,7 @@ def main() -> int:
         )
 
     print(
-        f"shard scaling:     {SCALING_WORKERS} workers, warm cache, "
-        f"{SCALING_DURATION:.1f}s per shard count"
-    )
-    scaling_rows = shard_scaling()
-    baseline = scaling_rows[0]["qps"]
-    for row in scaling_rows:
-        ratio = row["qps"] / baseline if baseline else 0.0
-        print(
-            f"  {row['shards']} shard(s):   {row['qps']:>12,.0f} QPS "
-            f"({ratio:.2f}x 1-shard, hit rate {row['hit_rate']:.2f})"
-        )
-        for error in row["errors"]:
-            print(f"  ERROR: {error}")
-
-    print(
-        f"worker scaling:    cluster warm QPS over TCP, "
+        f"worker scaling:    cluster read QPS over TCP, "
         f"{SCALING_DURATION:.1f}s per worker count"
     )
     worker_rows = worker_scaling()
@@ -491,15 +352,11 @@ def main() -> int:
 
     obs = observability_overhead()
     print(
-        f"observability:     warm {obs['warm_qps']:,.0f} QPS instrumented "
-        f"vs {obs['warm_qps_no_obs']:,.0f} bare "
+        f"observability:     {obs['qps']:,.0f} QPS instrumented "
+        f"vs {obs['qps_no_obs']:,.0f} bare "
         f"({obs['ratio']:.3f}x; floor 0.95)"
     )
 
-    by_shards = {row["shards"]: row["qps"] for row in scaling_rows}
-    scaling_4x = (
-        by_shards.get(4, 0.0) / by_shards[1] if by_shards.get(1) else 0.0
-    )
     by_workers = {row["workers"]: row["qps"] for row in worker_rows}
     worker_4x = (
         by_workers.get(4, 0.0) / by_workers[1]
@@ -527,34 +384,21 @@ def main() -> int:
         },
         "batch_query": {
             **provenance,
-            "cold_qps": BATCH / cold,
-            "cold_qps_no_kernel": BATCH / cold_plain,
-            "kernel_cold_speedup": cold_plain / cold,
-            "warm_qps": BATCH / warm,
-            "warm_qps_no_kernel": BATCH / warm_plain,
-            "warm_speedup": cold / warm,
+            "seconds": query,
+            "qps": BATCH / query,
         },
         "durable_ingest": {
             **provenance,
             "chunk": DURABLE_CHUNK,
             "rows": durable_rows,
         },
-        "shard_scaling": {
-            **provenance,
-            "workers": SCALING_WORKERS,
-            "batch_pairs": WARM_SCENARIO.batch_pairs,
-            "duration": SCALING_DURATION,
-            "scenario": WARM_SCENARIO.to_dict(),
-            "rows": scaling_rows,
-            "qps_4_shards_over_1": scaling_4x,
-        },
         "worker_scaling": {
             **provenance,
             "worker_counts": list(WORKER_COUNTS),
             "driver_threads": SCALING_WORKERS,
-            "batch_pairs": WARM_SCENARIO.batch_pairs,
+            "batch_pairs": READ_SCENARIO.batch_pairs,
             "duration": SCALING_DURATION,
-            "scenario": WARM_SCENARIO.to_dict(),
+            "scenario": READ_SCENARIO.to_dict(),
             "rows": worker_rows,
             "qps_4_workers_over_1": worker_4x,
         },
@@ -567,12 +411,6 @@ def main() -> int:
         json.dump(document, handle, indent=2)
     print(f"wrote {OUTPUT}")
 
-    if warm >= cold:
-        print("WARNING: warm cache was not faster than cold")
-        return 1
-    if any(row["errors"] for row in scaling_rows):
-        print("ERROR: shard scaling rows reported failures")
-        return 1
     if any(row["errors"] for row in worker_rows):
         print("ERROR: worker scaling rows reported failures")
         return 1
@@ -580,7 +418,7 @@ def main() -> int:
 
 
 def check_obs_overhead(floor=0.95, attempts=3) -> int:
-    """CI gate: instrumented warm QPS must stay within ``floor`` of bare.
+    """CI gate: instrumented query QPS must stay within ``floor`` of bare.
 
     Retried a few times before failing -- a shared CI runner's noise on
     a sub-10ms measurement would otherwise flake the gate; a *real*
@@ -591,8 +429,8 @@ def check_obs_overhead(floor=0.95, attempts=3) -> int:
         obs = observability_overhead()
         print(
             f"obs-overhead attempt {attempt}: "
-            f"{obs['warm_qps']:,.0f} instrumented vs "
-            f"{obs['warm_qps_no_obs']:,.0f} bare QPS "
+            f"{obs['qps']:,.0f} instrumented vs "
+            f"{obs['qps_no_obs']:,.0f} bare QPS "
             f"({obs['ratio']:.3f}x, floor {floor})"
         )
         if obs["ratio"] >= floor:
@@ -600,7 +438,7 @@ def check_obs_overhead(floor=0.95, attempts=3) -> int:
             return 0
         worst = obs
     print(
-        f"obs-overhead FAILED: instrumentation holds warm QPS at "
+        f"obs-overhead FAILED: instrumentation holds query QPS at "
         f"{worst['ratio']:.3f}x of the uninstrumented engine "
         f"(floor {floor})"
     )
@@ -611,7 +449,7 @@ def check_worker_scaling(floor=1.05, attempts=3) -> int:
     """CI gate: 4 cluster workers must beat 1 by ``floor`` on >= 2 cores.
 
     The whole point of the process-per-shard tier is multi-core
-    speedup, so on a multi-core runner warm QPS through a 4-worker
+    speedup, so on a multi-core runner read QPS through a 4-worker
     cluster must be at least ``floor`` times the 1-worker baseline.
     On a single core the comparison is meaningless -- four processes
     time-slice one core and the router adds a hop -- so the gate
@@ -648,7 +486,7 @@ def check_worker_scaling(floor=1.05, attempts=3) -> int:
             return 0
         worst = ratio
     print(
-        f"worker-scaling FAILED: 4 workers hold warm QPS at "
+        f"worker-scaling FAILED: 4 workers hold read QPS at "
         f"{worst:.3f}x of 1 worker (floor {floor} on "
         f"{cpu_count} cores)"
     )

@@ -59,8 +59,8 @@ def main() -> int:
         )
         stats = client.stats()
         print(
-            f"engine stats: {stats['queries']} queries, "
-            f"cache hit rate {stats['hit_rate']:.0%}"
+            f"engine stats: {stats['queries']} queries in "
+            f"{stats['query_seconds'] * 1e3:.1f} ms"
         )
 
         with tempfile.TemporaryDirectory() as tmp:

@@ -14,7 +14,7 @@ time -- plus the baselines the paper evaluates against.
 
 Includes a concurrent provenance query service (`repro serve`):
 many labeled runs hosted as sessions, batched reachability queries
-through a version-aware LRU cache, a JSON-lines TCP/stdio protocol,
+answered straight from the labels, a JSON-lines TCP/stdio protocol,
 and checkpoint/recovery of live sessions (see `docs/SERVICE.md`).
 """
 

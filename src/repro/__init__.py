@@ -27,7 +27,7 @@ Quickstart::
     v, w = execution.insertions[0].vid, execution.insertions[-1].vid
     scheme.query(labeler.label(v), labeler.label(w))   # v ~> w ?
 
-As a service (many concurrent runs, batch queries, caching)::
+As a service (many concurrent runs, batch queries)::
 
     from repro import QueryEngine, SessionManager
 
@@ -35,7 +35,7 @@ As a service (many concurrent runs, batch queries, caching)::
     engine = QueryEngine(manager)
     manager.create("run-1", "bioaid")            # any builtin or spec file
     engine.ingest("run-1", execution.insertions)
-    engine.query_many("run-1", [(v, w), (w, v)])  # cached batch answers
+    engine.query_many("run-1", [(v, w), (w, v)])  # batch answers
 
 or over the wire: ``python -m repro serve --port 7464`` hosts the same
 engine behind a JSON-lines TCP protocol (see :mod:`repro.service` and

@@ -48,8 +48,8 @@ __all__ = ["FLOW_RULES"]
 def _is_stripe_or_session(token: str) -> bool:
     """Is this lock token a stripe lock or a session lock?
 
-    Stripe locks guard the hot path (engine shards, session-manager
-    slots); a session lock is held across whole ingest batches.
+    Stripe locks guard the hot path (session-manager slots); a session
+    lock is held across whole ingest batches.
     Matched: ``Session.lock`` (or any ``*session*.lock``), any
     ``*Shard*.lock``, and locks drawn from striped collections
     (``..._locks`` / ``..._slot[i]``).

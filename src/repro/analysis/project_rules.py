@@ -342,7 +342,7 @@ _MUTATION_MARKERS = frozenset({
     "adopt", "close", "close_session", "checkpoint",
     "checkpoint_session", "checkpoint_pending", "restore_session",
     "finalize", "register", "truncate_to_base", "sync", "set",
-    "shutdown", "drop_session_entries", "write", "append", "clear",
+    "shutdown", "write", "append", "clear",
     "pop",
 })
 

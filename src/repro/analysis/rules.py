@@ -364,7 +364,7 @@ class _LockScan:
                     inner = True
                 if _is_exitstack(item.context_expr):
                     # ``stack.enter_context(x.lock)`` in the body is the
-                    # frozen-order all-stripes idiom (engine.stats)
+                    # frozen-order all-stripes idiom
                     stack_lock = any(
                         isinstance(node, ast.Call)
                         and _call_name(node) == "enter_context"
@@ -417,7 +417,7 @@ class LockDisciplineRule(Checker):
     summary = "mutation of striped shared state outside its lock"
     hint = (
         "wrap the mutation in 'with <stripe>.lock:' (or enter_context "
-        "over all stripes in frozen order, as engine.stats does)"
+        "over all stripes in frozen index order)"
     )
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
@@ -440,7 +440,7 @@ class LockOrderRule(Checker):
     summary = "nested stripe-lock acquisition in non-frozen order"
     hint = (
         "hold one stripe at a time, or take every stripe in index "
-        "order via ExitStack (engine.stats) so all holders agree"
+        "order via ExitStack so all holders agree"
     )
 
     @staticmethod

@@ -18,7 +18,7 @@ Subcommands::
 *dynamic* labeling backend (``drl`` by default; see ``repro schemes``);
 ``query`` reads the scheme back from the label store, which records it.
 ``serve`` and ``loadgen`` take ``--shards`` to stripe the session
-registry and query cache across independent locks; ``loadgen`` replays
+registry across independent locks; ``loadgen`` replays
 a named scenario (``repro loadgen --list``) against an in-process
 engine or, with ``--port``, a live server over TCP.  ``serve
 --data-dir`` makes the service durable -- sessions recovered on boot,
@@ -277,7 +277,6 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            cache_size=args.cache_size,
             shards=args.shards,
             data_dir=args.data_dir,
             fsync=args.fsync,
@@ -300,7 +299,6 @@ def cmd_serve(args) -> int:
             supervisor.stop()
         return 0
     service = ReproService(
-        cache_size=args.cache_size,
         shards=args.shards,
         data_dir=args.data_dir,
         fsync=args.fsync,
@@ -390,9 +388,8 @@ def cmd_stats(args) -> int:
                 f"worker {row.get('worker')}: "
                 f"sessions={row.get('sessions')} "
                 f"queries={row.get('queries')} "
-                f"hits={row.get('cache_hits')} "
-                f"ingested={row.get('ingested')} "
-                f"hit_rate={row.get('hit_rate', 0.0):.3f}"
+                f"errors={row.get('query_errors')} "
+                f"ingested={row.get('ingested')}"
             )
         total_tag = (
             f"total ({stats.get('workers')} workers): "
@@ -402,12 +399,8 @@ def cmd_stats(args) -> int:
             f"{total_tag}"
             f"sessions={stats.get('sessions')} "
             f"queries={stats.get('queries')} "
-            f"hits={stats.get('cache_hits')} "
-            f"misses={stats.get('cache_misses')} "
             f"errors={stats.get('query_errors')} "
-            f"ingested={stats.get('ingested')} "
-            f"cache={stats.get('cache_entries')}/"
-            f"{stats.get('cache_capacity')}"
+            f"ingested={stats.get('ingested')}"
         )
         traces = metrics.get("traces", {})
         print(
@@ -653,10 +646,7 @@ def cmd_loadgen(args) -> int:
     else:
         from repro.service import QueryEngine, SessionManager
 
-        manager = SessionManager(shards=args.shards)
-        engine = QueryEngine(
-            manager, cache_size=args.cache_size, shards=args.shards
-        )
+        engine = QueryEngine(SessionManager(shards=args.shards))
         factory = engine_driver_factory(engine)
         where = f"in-process ({args.shards} shards)"
     if not args.json:
@@ -757,11 +747,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--stdio", action="store_true",
                    help="speak the protocol over stdin/stdout instead")
-    p.add_argument("--cache-size", type=int, default=65536,
-                   help="query cache capacity, in entries")
     p.add_argument("--shards", type=int, default=4,
-                   help="lock stripes for the session registry and "
-                        "query cache (1 = the classic single lock)")
+                   help="lock stripes for the session registry "
+                        "(1 = the classic single lock)")
     p.add_argument("--workers", type=int, default=0,
                    help="fork this many worker processes, each owning "
                         "a disjoint slice of sessions by stable name "
@@ -845,9 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads (default: the scenario's "
                         "session count)")
     p.add_argument("--shards", type=int, default=4,
-                   help="in-process only: engine lock stripes")
-    p.add_argument("--cache-size", type=int, default=65536,
-                   help="in-process only: query cache capacity")
+                   help="in-process only: session registry lock stripes")
     p.add_argument("--host", default="127.0.0.1",
                    help="drive a live server at this host (with --port)")
     p.add_argument("--port", type=int, default=0,

@@ -10,7 +10,7 @@ closed-loop worker pool against either an in-process
 and every error the service returned.
 
 Entry points: ``repro loadgen`` on the command line, and
-:func:`run_scenario` / :func:`scenarios` from code (the shard-scaling
+:func:`run_scenario` / :func:`scenarios` from code (the worker-scaling
 section of ``benchmarks/bench_service.py`` is built on them).
 """
 

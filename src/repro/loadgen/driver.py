@@ -4,8 +4,9 @@ A *driver* is the thin facade a load worker talks to -- create/ingest/
 query/close plus a stats snapshot -- with two implementations:
 
 * :class:`EngineDriver` calls a shared :class:`QueryEngine` directly,
-  isolating engine cost (lock striping, cache behavior) from transport
-  cost; the engine is thread-safe, so every worker shares one driver.
+  isolating engine cost (the labels and the session registry) from
+  transport cost; the engine is thread-safe, so every worker shares
+  one driver.
 * :class:`ClientDriver` speaks the JSON-lines protocol to a live
   server through a :class:`ServiceClient`, one connection per worker
   (the client is deliberately not thread-safe), using the pipelined
@@ -48,8 +49,7 @@ class EngineDriver:
         return self.engine.query_many(name, pairs)
 
     def close_session(self, name: str) -> None:
-        session = self.manager.close(name)
-        self.engine.drop_session_entries(session)
+        self.manager.close(name)
 
     def stats(self) -> Dict[str, Any]:
         return self.engine.stats().to_dict()

@@ -8,12 +8,11 @@ closed-loop workload against a live engine or server.
 The builtin catalog covers the service's interesting regimes:
 
 * ``mixed`` -- the default 70/30 query/ingest blend;
-* ``query-heavy`` -- warm-cache read throughput (the shard-scaling
-  benchmark's workload);
+* ``query-heavy`` -- read throughput with rare ingests;
 * ``ingest-heavy`` -- write-dominated, with sessions churning as their
   runs complete;
-* ``hot-key`` -- Zipf-ish skew: most queries hammer a small hot set,
-  stressing one cache shard's LRU;
+* ``hot-key`` -- Zipf-ish skew: most queries hammer a small hot set
+  of one session's vertices;
 * ``many-small-sessions`` -- lots of short-lived runs, stressing the
   session registry's create/close path;
 * ``scheme-<name>`` -- one sweep per registered *dynamic* labeling
@@ -62,7 +61,7 @@ def _builtin() -> List[Scenario]:
         replace(
             base,
             name="query-heavy",
-            summary="warm-cache read throughput; rare ingests",
+            summary="read throughput; rare ingests",
             query_fraction=0.97,
             batch_pairs=128,
         ),

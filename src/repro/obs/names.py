@@ -69,11 +69,8 @@ ENGINE_ERRORS_TOTAL = "repro_engine_errors_total"
 
 # --- stage label values (each doubles as the span name) ---------------
 
-#: engine phase 1: the whole-batch cache probe under the shard lock
-STAGE_CACHE_PROBE = "cache_probe"
-
-#: engine phase 2: batch-kernel / fallback compute of distinct misses
-STAGE_MISS_FILL = "miss_fill"
+#: engine: one query batch through the scheme's query_many kernel
+STAGE_KERNEL = "kernel"
 
 #: session ingest: time spent inside the labeler assigning labels
 STAGE_LABEL_BUILD = "label_build"
@@ -112,8 +109,7 @@ COUNTER_NAMES = (
 
 #: every span name a trace can carry (stage names double as spans)
 SPAN_NAMES = (
-    STAGE_CACHE_PROBE,
-    STAGE_MISS_FILL,
+    STAGE_KERNEL,
     STAGE_LABEL_BUILD,
     SPAN_WAL_APPEND,
     SPAN_WAL_FSYNC,

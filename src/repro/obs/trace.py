@@ -3,12 +3,12 @@
 Every protocol request gets a *trace*: a client-chosen (or
 server-generated) ``trace_id``, the op, and a timeline of named spans
 recorded by whichever layers the request flows through -- the engine's
-cache probe and miss fill, the session's label build, the WAL's append
-and fsync.  Traces land in a bounded in-memory ring
-(:meth:`Tracer.recent`); traces slower than the tracer's threshold
-additionally go to the slow ring and are dumped -- full span timeline
-included -- as one structured log record on the ``repro.obs.slow``
-logger (the slow-query log).
+query kernel, the session's label build, the WAL's append and fsync.
+Traces land in a bounded in-memory ring (:meth:`Tracer.recent`);
+traces slower than the tracer's threshold additionally go to the slow
+ring and are dumped -- full span timeline included -- as one
+structured log record on the ``repro.obs.slow`` logger (the slow-query
+log).
 
 Propagation is by ambient context, not parameter plumbing: the server
 activates the request's trace on the handling thread

@@ -24,14 +24,12 @@ Capability typing
 * ``needs_spec`` -- the scheme exploits the workflow specification
   (DRL, SKL, path positions); spec-free schemes index any DAG.
 
-The one protocol query method is :meth:`Scheme.reaches`; the drifted
-historical names (``query`` over vertex ids, ``may_reach``) survive as
-deprecation shims on the base class.
+The one protocol query method is :meth:`Scheme.reaches` (batched:
+:meth:`Scheme.query_many`).
 """
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
@@ -210,31 +208,6 @@ class Scheme(ABC):
     def total_bits(self) -> int:
         """Total accounted label storage, in bits."""
         return sum(self.label_bits_of(v) for v in self.labeled_vertices())
-
-    # -- deprecation shims for the historical naming drift ---------------
-    def query(self, u: int, v: int) -> bool:
-        """Deprecated vertex-id alias of :meth:`reaches`."""
-        warnings.warn(
-            f"{type(self).__name__}.query(u, v) is deprecated; "
-            "use reaches(u, v)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.reaches(u, v)
-
-    def may_reach(self, u: int, v: int) -> bool:
-        """Deprecated alias of :meth:`reaches` (GRAIL's historical name).
-
-        Despite the name this answers *exactly*: inexact filters fall
-        back internally, as :meth:`reaches` always has.
-        """
-        warnings.warn(
-            f"{type(self).__name__}.may_reach(u, v) is deprecated; "
-            "use reaches(u, v)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.reaches(u, v)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"

@@ -3,7 +3,7 @@
 The library labels one execution at a time, in process.  This package
 turns that capability into a long-lived *service*: many named runs
 hosted concurrently (:mod:`repro.service.sessions`), single and batch
-reachability queries answered through a version-aware LRU cache
+reachability queries answered straight from the labels
 (:mod:`repro.service.engine`), a JSON-lines wire protocol
 (:mod:`repro.service.protocol`) served over TCP or stdio
 (:mod:`repro.service.server`, :mod:`repro.service.client`),

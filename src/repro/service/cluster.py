@@ -1,11 +1,10 @@
 """The process-per-shard serving tier: supervisor + hash router.
 
-One Python process serves every request under one GIL, so the engine's
-lock-striped shards and the packed batch kernels can never use more
-than one core.  Sessions, however, are *embarrassingly partitionable*:
-a session's graph, labels, cache entries and WAL are touched only by
-requests naming that session.  :class:`ClusterSupervisor` exploits
-that:
+One Python process serves every request under one GIL, so the packed
+batch kernels can never use more than one core.  Sessions, however,
+are *embarrassingly partitionable*: a session's labels and WAL are
+touched only by requests naming that session.
+:class:`ClusterSupervisor` exploits that:
 
 * it forks ``N`` **worker processes** (``multiprocessing`` spawn
   context), each a complete, unmodified single-process server --
@@ -34,9 +33,9 @@ matches them positionally, with no id table.
 
 Fan-out ops (``schemes``/``stats``/``metrics``/``list_sessions``/
 ``recover_info``/``sync``/``ping``/``shutdown``) broadcast to every
-worker and merge: ``stats`` sums the integer counters and recomputes
-the hit rate (plus ``per_worker`` rows), ``metrics`` asks workers for
-their **raw all-integer histogram state** and merges it *exactly*
+worker and merge: ``stats`` sums the counters (plus ``per_worker``
+rows), ``metrics`` asks workers for their **raw all-integer
+histogram state** and merges it *exactly*
 (:meth:`~repro.obs.histogram.HistogramSnapshot.merge` is associative),
 then summarizes.  A request naming sessions owned by different workers
 is rejected with a structured ``protocol`` error -- cross-worker
@@ -158,7 +157,6 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
 
     try:
         service = ReproService(
-            cache_size=config["cache_size"],
             shards=config["shards"],
             max_batch=config["max_batch"],
             data_dir=config["data_dir"],
@@ -280,7 +278,6 @@ class ClusterSupervisor:
         workers: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        cache_size: int = 65536,
         shards: int = 4,
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
@@ -296,7 +293,6 @@ class ClusterSupervisor:
         self._requested_port = port
         self.data_dir = data_dir
         self._config = {
-            "cache_size": cache_size,
             "shards": shards,
             "max_batch": max_batch,
             "data_dir": None,  # per-worker, filled at spawn
@@ -979,29 +975,15 @@ class _ClosedClient:
 def merge_stats(results: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Combine per-worker ``stats`` payloads into the cluster view.
 
-    Integer and float counters sum, list fields concatenate, the hit
-    rate is recomputed from the summed hit/miss counts (a mean of
-    ratios would be wrong), and the per-worker payloads ride along
-    under ``per_worker`` so dashboards can show both.
+    Every stats field is a counter, so each sums across workers; the
+    per-worker payloads ride along under ``per_worker`` so dashboards
+    can show both.
     """
     if not results:
         return {"workers": 0, "per_worker": []}
-    merged: Dict[str, Any] = {}
-    for key, value in results[0].items():
-        if key == "hit_rate":
-            continue
-        if isinstance(value, bool):  # pragma: no cover - none today
-            merged[key] = value
-        elif isinstance(value, (int, float)):
-            merged[key] = sum(r.get(key, 0) for r in results)
-        elif isinstance(value, list):
-            merged[key] = [item for r in results
-                           for item in r.get(key, [])]
-        else:
-            merged[key] = value
-    hits = merged.get("cache_hits", 0)
-    misses = merged.get("cache_misses", 0)
-    merged["hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
+    merged: Dict[str, Any] = {
+        key: sum(r.get(key, 0) for r in results) for key in results[0]
+    }
     merged["workers"] = len(results)
     merged["per_worker"] = [
         {"worker": i, **result} for i, result in enumerate(results)

@@ -1,72 +1,38 @@
-"""The query engine: batch reachability over lock-striped LRU shards.
+"""The query engine: batch reachability straight from the labels.
 
-Queries are answered from two decoded labels in O(1) (Algorithm 4), so
-the per-query cost is dominated by dispatch overhead; the engine
-amortizes it three ways:
+Queries are answered from two labels in O(1) (Algorithm 4), and the
+labels a session maintains on the fly *are* the index: they are
+write-once (Theorem 3), so an answer never goes stale and there is
+nothing to cache or invalidate.  :meth:`QueryEngine.query_many` is one
+pass -- resolve the session, hand the whole batch to the scheme's
+``query_many`` kernel (for packed DRL a tight integer loop with the
+bitset tables bound to locals; schemes without a specialized kernel
+inherit the per-pair loop from the scheme base class), and account the
+batch.
 
-* **batching** -- :meth:`QueryEngine.query_many` answers thousands of
-  ``(source, target)`` pairs per call, resolving the session and its
-  version once for the whole batch and computing each *distinct* miss
-  exactly once (duplicate pairs in one batch share one label probe).
-  Misses are handed to the scheme's ``query_many`` batch kernel in one
-  call -- for packed DRL that is a tight integer loop with the bitset
-  tables bound to locals -- with the per-pair ``reaches_labels`` loop
-  kept as the fallback (``use_batch_kernels=False``, or a scheme
-  without a kernel, whose base-class ``query_many`` *is* that loop);
-* **caching** -- results are memoized in an LRU cache keyed by
-  ``(session uid, version, source, target)``.  The uid is unique per
-  session *instance* (a name reused after a close gets a fresh uid, so
-  it can never hit its predecessor's entries); the version counter is
-  bumped on every ingest, so an insert invalidates all of a session's
-  cached answers *implicitly*: their keys simply stop being
-  generated.  Stale entries age out of the LRU tail.  No per-entry
-  invalidation work is ever done on the write path, keeping ingest as
-  fast as the labeler allows.  (Labels are write-once and insertions
-  never add edges between existing vertices, so today's answers could
-  outlive the version; keying by version is the conservative choice
-  that stays correct if a future scheme ever relabels or rewires.)
-* **striping** -- the cache and its counters are split across
-  ``shards`` independent lock-striped shards keyed by
-  ``session uid % shards`` (uids are dense ints; the salted builtin
-  ``hash()`` is banned from routing), so batches against different
-  sessions never
-  contend on a lock.  A session's entries all live in one shard
-  (its uid picks it), which keeps per-session LRU behavior intact.
+Failure atomicity: a batch naming an unlabeled vertex makes the kernel
+raise :class:`LabelingError` before any counter is touched, so the
+stats snapshot never drifts on a poisoned batch -- either the whole
+batch is accounted or none of it is.  Its elapsed time is still
+accounted, under the separate ``query_errors``/``query_error_seconds``
+counters and the ``repro_engine_errored_seconds`` histogram, so error
+storms stay visible in the latency story.
 
-Failure atomicity: a batch naming an unlabeled vertex raises
-:class:`LabelingError` before any answer is computed and before any
-counter or cache write, so the stats snapshot never drifts on a
-poisoned batch -- either the whole batch is accounted or none of it
-is.  (Only cache misses need the check: a hit proves both vertices
-were labeled, so the fully warm fast path pays nothing for it.)
-
-Hit/miss/latency counters are kept per shard and aggregated into a
-:class:`ServiceStats` snapshot for monitoring and benchmarks.
-
-Observability (:mod:`repro.obs`): the engine records per-stage latency
-histograms -- ``cache_probe`` (phase 1 under the shard lock) and
-``miss_fill`` (the batch-kernel / fallback compute of phase 2) -- into
-its metrics registry (the process default unless one is injected;
-``metrics=repro.obs.NULL`` disables instrumentation entirely, which is
-the benchmark's uninstrumented baseline).  A batch that *fails*
-mid-flight (``LabelingError`` on an unlabeled vertex) keeps the
-hits/misses/queries counters untouched, exactly as before, but its
-elapsed time is no longer dropped on the floor: it is accounted under
-the separate ``errors``/``error_seconds`` shard counters (aggregated
-into ``ServiceStats.query_errors``/``query_error_seconds``) and the
-``repro_engine_errored_seconds`` histogram.  When a request trace is
-active on the thread (:func:`repro.obs.trace.current_trace`), the
-engine attaches its stage timings as spans to that trace.
+Observability (:mod:`repro.obs`): each answered batch records its
+kernel time under the ``kernel`` stage histogram of the engine's
+metrics registry (the process default unless one is injected;
+``metrics=repro.obs.NULL`` disables the record, which is the
+benchmark's uninstrumented baseline), and attaches the same interval
+as a span to the request trace active on the thread, if any
+(:func:`repro.obs.trace.current_trace`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import LabelingError
 from repro.obs.metrics import default_registry
@@ -74,149 +40,55 @@ from repro.obs.names import (
     ENGINE_ERRORED_SECONDS,
     ENGINE_ERRORS_TOTAL,
     ENGINE_STAGE_SECONDS,
-    STAGE_CACHE_PROBE,
-    STAGE_MISS_FILL,
+    STAGE_KERNEL,
 )
 from repro.obs.trace import current_trace
-from repro.service.sessions import Session, SessionManager
-
-QueryKey = Tuple[int, int, int, int]  # (session uid, version, source, target)
+from repro.service.sessions import SessionManager
 
 
 @dataclass(frozen=True)
 class ServiceStats:
-    """A point-in-time snapshot of the engine's aggregated counters."""
+    """A point-in-time snapshot of the engine's counters."""
 
     sessions: int
-    shards: int
     ingested: int
     queries: int
-    cache_hits: int
-    cache_misses: int
-    cache_entries: int
-    cache_capacity: int
-    cache_shard_capacities: Tuple[int, ...]
     query_seconds: float
     ingest_seconds: float
     query_errors: int = 0
     query_error_seconds: float = 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
     def to_dict(self) -> Dict[str, float]:
-        doc = asdict(self)
-        doc["cache_shard_capacities"] = list(self.cache_shard_capacities)
-        doc["hit_rate"] = self.hit_rate
-        return doc
-
-
-class _Shard:
-    """One lock stripe: an LRU slice of the cache plus its counters."""
-
-    __slots__ = (
-        "lock",
-        "cache",
-        "capacity",
-        "queries",
-        "hits",
-        "misses",
-        "query_seconds",
-        "ingested",
-        "ingest_seconds",
-        "errors",
-        "error_seconds",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        self.lock = threading.Lock()
-        self.cache: "OrderedDict[QueryKey, bool]" = OrderedDict()
-        self.capacity = capacity
-        self.queries = 0
-        self.hits = 0
-        self.misses = 0
-        self.query_seconds = 0.0
-        self.ingested = 0
-        self.ingest_seconds = 0.0
-        self.errors = 0
-        self.error_seconds = 0.0
+        return asdict(self)
 
 
 class QueryEngine:
-    """Answers reachability queries over a :class:`SessionManager`.
+    """Answers reachability queries over a :class:`SessionManager`."""
 
-    ``cache_size`` is the *total* capacity, divided evenly across
-    ``shards`` lock stripes (never below one entry per shard while the
-    budget is nonzero, so no shard is silently uncached; ``stats``
-    reports the per-shard capacities).  All of one session's entries
-    live in the shard its uid hashes to, so a single hot session is
-    bounded by its shard's slice; spread sessions use the whole budget.
-    ``shards=1`` reproduces the classic single-lock engine exactly.
-    """
-
-    def __init__(
-        self,
-        manager: SessionManager,
-        cache_size: int = 65536,
-        shards: int = 1,
-        use_batch_kernels: bool = True,
-        metrics=None,
-    ) -> None:
-        if cache_size < 0:
-            raise ValueError("cache_size must be >= 0")
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
+    def __init__(self, manager: SessionManager, metrics=None) -> None:
         self.manager = manager
-        self.cache_size = cache_size
-        # observability: stage histograms live in the injected registry
-        # (default: the process-wide one); repro.obs.NULL disables the
-        # extra clock reads entirely for an uninstrumented baseline
         self.metrics = metrics if metrics is not None else default_registry()
         self._observe = bool(getattr(self.metrics, "enabled", True))
-        self._stage_probe = self.metrics.histogram(
-            ENGINE_STAGE_SECONDS, stage=STAGE_CACHE_PROBE
+        self._stage_kernel = self.metrics.histogram(
+            ENGINE_STAGE_SECONDS, stage=STAGE_KERNEL
         )
-        self._stage_fill = self.metrics.histogram(
-            ENGINE_STAGE_SECONDS, stage=STAGE_MISS_FILL
-        )
-        self._errored_hist = self.metrics.histogram(
-            ENGINE_ERRORED_SECONDS
-        )
-        self._errored_total = self.metrics.counter(
-            ENGINE_ERRORS_TOTAL
-        )
-        # route cache misses through the scheme's query_many batch
-        # kernel; False forces the per-pair reaches_labels loop (the
-        # service benchmark measures both to report the kernel's win)
-        self.use_batch_kernels = use_batch_kernels
-        # a nonzero budget smaller than the stripe count would starve
-        # some shards at zero capacity -- sessions hashing there would
-        # never cache and warm numbers would lie -- so every shard gets
-        # at least one entry (the effective total may exceed the
-        # requested budget; stats expose the per-shard truth)
-        base, extra = divmod(cache_size, shards)
-        self._shards = [
-            _Shard(max(base + (1 if index < extra else 0), 1)
-                   if cache_size else 0)
-            for index in range(shards)
-        ]
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def _shard_for(self, uid: int) -> _Shard:
-        # uids are small positive ints, so plain modulo spreads them
-        # evenly; the salted builtin hash() is banned (nondet-hash)
-        return self._shards[uid % len(self._shards)]
+        self._errored_hist = self.metrics.histogram(ENGINE_ERRORED_SECONDS)
+        self._errored_total = self.metrics.counter(ENGINE_ERRORS_TOTAL)
+        # one lock guards the counters below; it is held for a few
+        # additions per batch, never across a kernel call
+        self._lock = threading.Lock()
+        self._queries = 0
+        self._query_seconds = 0.0
+        self._ingested = 0
+        self._ingest_seconds = 0.0
+        self._errors = 0
+        self._error_seconds = 0.0
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def query(self, session_name: str, source: int, target: int) -> bool:
-        """Cached reachability ``source ~> target`` in one session."""
+        """Reachability ``source ~> target`` in one session."""
         return self.query_many(session_name, [(source, target)])[0]
 
     def query_many(
@@ -224,112 +96,33 @@ class QueryEngine:
     ) -> List[bool]:
         """Answer a batch of ``(source, target)`` pairs.
 
-        The session version is read once, so the whole batch is answered
-        against one consistent snapshot; concurrent inserts make future
-        batches miss the cache but never corrupt this one (labels are
-        write-once).  Raises :class:`LabelingError` when a pair names a
-        vertex that has not been inserted yet -- before any computation
-        or counter/cache update, so a poisoned batch leaves the stats
-        untouched.  Duplicate pairs in one batch cost a single probe.
+        Runs without the session lock: labels are write-once, so a
+        batch racing an ingest sees every vertex acknowledged before it
+        started.  Raises :class:`LabelingError` when a pair names a
+        vertex that has not been inserted yet, leaving the query
+        counters untouched.
         """
-        session = self.manager.get(session_name)
-        batch = pairs if isinstance(pairs, list) else list(pairs)
-        trace = current_trace()
-        observe = self._observe or trace is not None
+        scheme = self.manager.get(session_name).scheme
         started = time.perf_counter()
-        with session.lock:
-            version = session.version
-        scheme = session.scheme
-        labels = scheme.labels
-        uid = session.uid
-        shard = self._shard_for(uid)
-        # phase 1: probe this session's shard for the whole batch in
-        # one lock hold; group missing positions by pair so duplicates
-        # within the batch are computed once.
-        answers: List[Optional[bool]] = []
-        pending: Dict[Tuple[int, int], List[int]] = {}
-        with shard.lock:
-            cache = shard.cache
-            for position, pair in enumerate(batch):
-                source, target = pair[0], pair[1]
-                key = (uid, version, source, target)
-                cached = cache.get(key)
-                if cached is not None:
-                    cache.move_to_end(key)
-                else:
-                    pending.setdefault((source, target), []).append(position)
-                answers.append(cached)
-        if observe:
-            probed = time.perf_counter()
-            self._stage_probe.record(probed - started)
-            if trace is not None:
-                trace.add_span(STAGE_CACHE_PROBE, started, probed)
-        # validate the misses before computing anything.  A hit proves
-        # both vertices were labeled (keys are only ever written for
-        # computed answers), so only missing pairs can name an unknown
-        # vertex -- and failing here means no counter or cache entry
-        # has been touched: the poisoned batch is accounted as nothing
-        # (the time it burned is still accounted, under the errored
-        # counters, so error storms stay visible in the latency story).
-        # phase 2: compute each distinct miss once, without the lock --
-        # labels are write-once, so concurrent batches computing the
-        # same answer agree, and other shards' queries proceed in
-        # parallel.  The scheme is whatever dynamic backend the session
-        # was opened with.  All distinct misses go through the scheme's
-        # query_many batch kernel in one call; schemes without a
-        # specialized kernel inherit the per-pair loop from the scheme
-        # base class, and ``use_batch_kernels=False`` forces that loop
-        # explicitly (the benchmark's no-kernel baseline).
-        computed: List[Tuple[int, int, bool]] = []
         try:
-            for source, target in pending:
-                for vid in (source, target):
-                    if vid not in labels:
-                        raise LabelingError(
-                            f"session {session.name!r} has no vertex {vid}"
-                        )
-            if pending:
-                fill_started = time.perf_counter() if observe else 0.0
-                distinct = list(pending)
-                if self.use_batch_kernels:
-                    batch_answers = scheme.query_many(distinct)
-                else:
-                    reaches_labels = scheme.reaches_labels
-                    batch_answers = [
-                        reaches_labels(labels[source], labels[target])
-                        for source, target in distinct
-                    ]
-                for (source, target), answer in zip(distinct, batch_answers):
-                    for position in pending[(source, target)]:
-                        answers[position] = answer
-                    computed.append((source, target, answer))
-                if observe:
-                    filled = time.perf_counter()
-                    self._stage_fill.record(filled - fill_started)
-                    if trace is not None:
-                        trace.add_span(STAGE_MISS_FILL, fill_started, filled)
+            answers = scheme.query_many(pairs)
         except LabelingError:
             elapsed = time.perf_counter() - started
-            with shard.lock:
-                shard.errors += 1
-                shard.error_seconds += elapsed
+            with self._lock:
+                self._errors += 1
+                self._error_seconds += elapsed
             self._errored_total.inc()
             self._errored_hist.record(elapsed)
             raise
-        # phase 3: store results and counters in a second lock hold.
-        # A batch of N copies of one missing pair counts one miss (one
-        # label probe) and N-1 hits, so hits + misses == queries holds.
-        with shard.lock:
-            if shard.capacity:
-                cache = shard.cache
-                for source, target, answer in computed:
-                    cache[(uid, version, source, target)] = answer
-                while len(cache) > shard.capacity:
-                    cache.popitem(last=False)
-            shard.queries += len(answers)
-            shard.misses += len(pending)
-            shard.hits += len(answers) - len(pending)
-            shard.query_seconds += time.perf_counter() - started
+        ended = time.perf_counter()
+        if self._observe:
+            self._stage_kernel.record(ended - started)
+        trace = current_trace()
+        if trace is not None:
+            trace.add_span(STAGE_KERNEL, started, ended)
+        with self._lock:
+            self._queries += len(answers)
+            self._query_seconds += ended - started
         return answers
 
     # ------------------------------------------------------------------
@@ -352,78 +145,24 @@ class QueryEngine:
             self._errored_hist.record(time.perf_counter() - started)
             raise
         elapsed = time.perf_counter() - started
-        shard = self._shard_for(session.uid)
-        with shard.lock:
-            shard.ingested += count
-            shard.ingest_seconds += elapsed
+        with self._lock:
+            self._ingested += count
+            self._ingest_seconds += elapsed
         return count, session.version
 
     # ------------------------------------------------------------------
-    # maintenance
+    # monitoring
     # ------------------------------------------------------------------
-    def clear_cache(self) -> None:
-        for shard in self._shards:
-            with shard.lock:
-                shard.cache.clear()
-
-    def drop_session_entries(self, session: Session) -> int:
-        """Evict a closed session's entries eagerly; returns the count.
-
-        Optional hygiene: a closed session's uid is never queried
-        again, so its entries could only age out of the LRU tail --
-        evicting frees the capacity immediately.  Entries repopulated
-        by an in-flight batch racing the close are equally unreachable
-        and equally harmless.  Only the session's own shard is touched.
-        """
-        shard = self._shard_for(session.uid)
-        with shard.lock:
-            stale = [k for k in shard.cache if k[0] == session.uid]
-            for key in stale:
-                del shard.cache[key]
-            return len(stale)
-
     def stats(self) -> ServiceStats:
-        """A *consistent* snapshot of the aggregated counters.
-
-        All shard locks are held simultaneously (acquired in shard
-        order, the same total order everywhere, so no deadlock is
-        possible) while the counters are read.  Each shard updates its
-        counters atomically under its own lock, so per-shard snapshots
-        were always internally consistent; holding the whole set
-        additionally freezes the cross-shard view, so invariants that
-        span shards -- ``hits + misses == queries`` above all -- hold
-        in every snapshot no matter how many writers are mid-batch.
-        """
-        ingested = queries = hits = misses = entries = 0
-        errors = 0
-        query_seconds = ingest_seconds = error_seconds = 0.0
-        with ExitStack() as stack:
-            for shard in self._shards:
-                stack.enter_context(shard.lock)  # repro: noqa[deadlock-cycle] -- every stripe is taken in frozen index order (self._shards is never reordered), so two stats() calls cannot take siblings in opposite orders
-            for shard in self._shards:
-                ingested += shard.ingested
-                queries += shard.queries
-                hits += shard.hits
-                misses += shard.misses
-                entries += len(shard.cache)
-                query_seconds += shard.query_seconds
-                ingest_seconds += shard.ingest_seconds
-                errors += shard.errors
-                error_seconds += shard.error_seconds
-        return ServiceStats(
-            sessions=len(self.manager),
-            shards=len(self._shards),
-            ingested=ingested,
-            queries=queries,
-            cache_hits=hits,
-            cache_misses=misses,
-            cache_entries=entries,
-            cache_capacity=self.cache_size,
-            cache_shard_capacities=tuple(
-                shard.capacity for shard in self._shards
-            ),
-            query_seconds=query_seconds,
-            ingest_seconds=ingest_seconds,
-            query_errors=errors,
-            query_error_seconds=error_seconds,
-        )
+        """A consistent snapshot of the counters (read under one lock)."""
+        sessions = len(self.manager)
+        with self._lock:
+            return ServiceStats(
+                sessions=sessions,
+                ingested=self._ingested,
+                queries=self._queries,
+                query_seconds=self._query_seconds,
+                ingest_seconds=self._ingest_seconds,
+                query_errors=self._errors,
+                query_error_seconds=self._error_seconds,
+            )

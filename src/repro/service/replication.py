@@ -54,7 +54,7 @@ import threading
 import time
 import uuid
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServiceError, SessionNotFoundError
 from repro.faults import FAILPOINTS
@@ -342,7 +342,6 @@ class ReplicaApplier(threading.Thread):
         replica_id: Optional[str] = None,
         poll_wait: float = DEFAULT_POLL_WAIT,
         retry_interval: float = DEFAULT_RETRY_INTERVAL,
-        on_close: Optional[Callable[[Session], None]] = None,
     ) -> None:
         super().__init__(name="repro-replica-applier", daemon=True)
         self.manager = manager
@@ -354,7 +353,6 @@ class ReplicaApplier(threading.Thread):
         self.replica_id = replica_id or f"replica-{uuid.uuid4().hex[:8]}"
         self.poll_wait = poll_wait
         self.retry_interval = retry_interval
-        self.on_close = on_close
         self._halt = threading.Event()
         self._lock = threading.Lock()
         # next ship position to request; -1 = no position yet, which
@@ -485,8 +483,6 @@ class ReplicaApplier(threading.Thread):
         except SessionNotFoundError:
             return  # idempotent
         self.store.finalize(session)
-        if self.on_close is not None:
-            self.on_close(session)
 
     def _apply_ingest(self, record: Dict[str, Any]) -> None:
         try:

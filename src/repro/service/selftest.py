@@ -23,8 +23,8 @@ With ``workers > 0`` the exact same scripted session runs against a
 in-process server -- same client, same wire protocol, zero script
 changes -- which is the point: a cluster must be indistinguishable to
 clients.  Cluster-only checks ride along: ``cluster_info`` reports the
-topology, and merged ``stats`` totals cover ``shards * workers``
-engine stripes.
+topology, and the merged ``stats`` query count equals the sum of the
+per-worker rows.
 """
 
 from __future__ import annotations
@@ -191,16 +191,13 @@ def run_selftest(
             check(wrong == 0, f"{wrong}/{len(pairs)} batch answers wrong")
             say(f"{len(pairs)} batch queries verified against BFS")
 
-            warm = client.query_batch("selftest", pairs)
-            check(warm == answers, "warm-cache answers diverged")
+            repeat = client.query_batch("selftest", pairs)
+            check(repeat == answers, "repeated batch answers diverged")
             stats = client.stats()
-            check(stats["cache_hits"] >= len(pairs), "cache never hit")
-            # a cluster's merged stats cover every worker's stripes
-            expected_shards = shards * (workers or 1)
             check(
-                stats.get("shards") == expected_shards,
-                f"stats report {stats.get('shards')!r} shards, "
-                f"expected {expected_shards}",
+                stats.get("queries", 0) >= 2 * len(pairs),
+                f"stats count {stats.get('queries')!r} queries, "
+                f"expected at least {2 * len(pairs)}",
             )
             if workers:
                 check(

@@ -73,6 +73,11 @@ from repro.service.sessions import SessionManager
 DEFAULT_PORT = 7464  # "RL" on a phone keypad, roughly
 DEFAULT_SHARDS = 4
 
+# a query_batch payload: a list of [source, target] pairs of ints
+# (exact types -- JSON true/false must not pass as vertex ids 1/0)
+_PAIR_TYPES = (list, tuple)
+_PAIRS_SHAPE = "'pairs' must be a list of [source, target] vertex ids"
+
 # queries slower than this are retained in the slow ring and dumped to
 # the structured slow-query log with their full span timeline
 DEFAULT_SLOW_THRESHOLD = 0.5
@@ -83,8 +88,8 @@ _server_logger = logging.getLogger("repro.service.server")
 class ReproService:
     """Dispatches protocol requests against hosted sessions.
 
-    ``shards`` stripes both the session registry and the query cache
-    (see :class:`QueryEngine`); ``max_batch`` caps the payload size of
+    ``shards`` stripes the session registry (see
+    :class:`SessionManager`); ``max_batch`` caps the payload size of
     one ``query_batch``/``ingest`` request -- larger batches get a
     structured ``protocol`` error telling the client to pipeline chunks.
 
@@ -112,7 +117,6 @@ class ReproService:
         self,
         manager: Optional[SessionManager] = None,
         engine: Optional[QueryEngine] = None,
-        cache_size: int = 65536,
         shards: int = DEFAULT_SHARDS,
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
@@ -130,9 +134,7 @@ class ReproService:
         self.manager = manager or SessionManager(shards=shards)
         self.metrics = metrics if metrics is not None else default_registry()
         self.tracer = tracer or Tracer(slow_threshold=slow_threshold)
-        self.engine = engine or QueryEngine(
-            self.manager, cache_size, shards=shards, metrics=self.metrics
-        )
+        self.engine = engine or QueryEngine(self.manager, metrics=self.metrics)
         self.max_batch = max_batch
         self.shutdown_requested = threading.Event()
         self.store: Optional[DurableStore] = None
@@ -172,7 +174,6 @@ class ReproService:
                     primary=replicate_from,
                     peers=repl_peers,
                     replica_id=replica_id,
-                    on_close=self.engine.drop_session_entries,
                 )
                 self.applier.start()
         self._ops: Dict[str, Callable[[Request], Any]] = {
@@ -361,7 +362,8 @@ class ReproService:
     def _op_query(self, request: Request) -> Dict[str, Any]:
         source = request.require("source")
         target = request.require("target")
-        if not isinstance(source, int) or not isinstance(target, int):
+        # type(), not isinstance(): JSON true/false are not vertex ids
+        if type(source) is not int or type(target) is not int:
             raise ProtocolError("'source' and 'target' must be vertex ids")
         as_of = request.params.get("as_of")
         if as_of is not None:
@@ -374,17 +376,17 @@ class ReproService:
 
     def _op_query_batch(self, request: Request) -> Dict[str, Any]:
         pairs = request.require("pairs")
-        if isinstance(pairs, list):
-            check_batch_size(len(pairs), "query_batch", self.max_batch)
-        if not isinstance(pairs, list) or any(
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(isinstance(vid, int) for vid in pair)
-            for pair in pairs
-        ):
-            raise ProtocolError(
-                "'pairs' must be a list of [source, target] vertex ids"
-            )
+        if not isinstance(pairs, list):
+            raise ProtocolError(_PAIRS_SHAPE)
+        check_batch_size(len(pairs), "query_batch", self.max_batch)
+        for pair in pairs:
+            if (
+                type(pair) not in _PAIR_TYPES
+                or len(pair) != 2
+                or type(pair[0]) is not int
+                or type(pair[1]) is not int
+            ):
+                raise ProtocolError(_PAIRS_SHAPE)
         as_of = request.params.get("as_of")
         if as_of is not None:
             answers = self._answer_as_of(
@@ -405,7 +407,7 @@ class ReproService:
                 "'as_of' must be a checkpoint generation version (int)"
             )
         session = self._historical_session(name, as_of)
-        return [session.query(source, target) for source, target in pairs]
+        return session.scheme.query_many(pairs)
 
     def _historical_session(self, name: str, version: int):
         """A read-only session restored from a retained generation.
@@ -528,18 +530,13 @@ class ReproService:
         self._check_writable("close")
         name = request.require("session")
         session = self.manager.close(name)
-        evicted = self.engine.drop_session_entries(session)
         if self.store is not None:
             # final checkpoint + CLOSED marker: the directory stays as
             # the run's provenance record but recovery skips it
             self.store.finalize(session)
         if self.hub is not None:
             self.hub.publish_control("close", session)
-        return {
-            "closed": session.name,
-            "vertices": len(session),
-            "cache_evicted": evicted,
-        }
+        return {"closed": session.name, "vertices": len(session)}
 
     def _op_list_sessions(self, request: Request) -> Dict[str, Any]:
         return {"sessions": self.manager.names()}

@@ -18,14 +18,13 @@ Each session carries a ``threading.Lock`` held for the duration of an
 insertion (labeling mutates the labeler's parse tree) and a
 monotonically increasing ``version`` counter, bumped once per ingest
 batch.  Labels are write-once -- once a vertex is labeled its label is
-final (Theorem 3) -- so readers never need the lock to *use* a label;
-they only read ``version`` under the lock to get a consistent cache
-key (see :mod:`repro.service.engine`).
+final (Theorem 3) -- so readers never take the lock: a query answered
+from two labels is the same whenever it runs (see
+:mod:`repro.service.engine`).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import threading
 import time
@@ -90,12 +89,6 @@ def resolve_spec(spec: SpecLike) -> Specification:
     return load_specification_json(path)
 
 
-# process-wide unique session instance ids: names can be reused after a
-# close, uids never are, so caches keyed by uid cannot serve a dead
-# session's answers to its successor
-_next_uid = itertools.count(1).__next__
-
-
 class Session:
     """One hosted run: a spec, a live dynamic scheme, its insertion log."""
 
@@ -107,7 +100,6 @@ class Session:
         skeleton: str = "tcl",
         mode: str = "logged",
     ) -> None:
-        self.uid = _next_uid()
         self.name = name
         self.spec = spec
         self.scheme_name = scheme_registry.get(scheme).name
@@ -215,10 +207,6 @@ class Session:
         """The final label of an already inserted vertex."""
         return self.scheme.label_of(vid)
 
-    def query(self, source: int, target: int) -> bool:
-        """Uncached reachability ``source ~> target`` from labels alone."""
-        return self.scheme.reaches(source, target)
-
     def snapshot_state(self) -> Tuple[int, Dict[int, Label], List[Insertion]]:
         """A consistent ``(version, labels, log)`` copy for checkpointing."""
         with self.lock:
@@ -243,9 +231,9 @@ class SessionManager:
     processes, unlike the salted builtin ``hash()``, and therefore the
     same stripe layout the cluster's session router uses), so
     create/get/close on *different* sessions never contend on one
-    mutex -- the same striping the query engine applies to its cache.  Cross-shard views
-    (:meth:`names`, ``len``) take each shard lock in turn; they are
-    monitoring surfaces and need no global atomicity.
+    mutex.  Cross-shard views (:meth:`names`, ``len``) take each shard
+    lock in turn; they are monitoring surfaces and need no global
+    atomicity.
     """
 
     DEFAULT_SHARDS = 8

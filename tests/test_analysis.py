@@ -381,7 +381,7 @@ def test_metric_names_flags_inline_literals(tmp_path):
         def wire(registry, trace, start, end):
             registry.histogram("repro_op_latency_seconds", op="query")
             registry.counter("repro_requests_total")
-            registry.histogram(NAME, stage="cache_probe")
+            registry.histogram(NAME, stage="kernel")
             trace.add_span("wal_fsync", start, end)
     """)
     assert len(findings) == 4

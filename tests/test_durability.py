@@ -3,9 +3,8 @@
 Covers the durability layer end to end -- WAL append/replay/torn-tail
 handling, checkpoint generations with the CURRENT pointer, boot-time
 recovery, the background checkpointer, the sync/recover_info protocol
-ops -- plus the three hardening fixes that rode along: fsynced
-checkpoint staging, restore-validates-before-replay, and the
-no-zero-capacity-shard rule in the query engine.
+ops -- plus the hardening fixes that rode along: fsynced checkpoint
+staging and restore-validates-before-replay.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from repro.graphs.reachability import reaches
 from repro.service import (
     Checkpointer,
     DurableStore,
-    QueryEngine,
     SessionManager,
     checkpoint_session,
     replay_wal,
@@ -191,42 +189,6 @@ class TestRestoreValidatesFirst:
         with pytest.raises(ServiceError, match="scheme"):
             restore_session(SessionManager(), checkpoint_dir)
         assert replay_spy == []
-
-
-# ---------------------------------------------------------------------------
-# no zero-capacity cache shards (satellite 3)
-# ---------------------------------------------------------------------------
-
-
-class TestShardCapacityFloor:
-    def test_small_budget_still_caches_on_every_shard(
-        self, running_spec, run_and_execution
-    ):
-        _, execution = run_and_execution
-        manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=2, shards=4)
-        stats = engine.stats()
-        assert stats.cache_shard_capacities == (1, 1, 1, 1)
-        # whichever shard this session hashes to, repeats must hit
-        manager.create("a", running_spec)
-        engine.ingest("a", execution.insertions[:30])
-        vid = execution.insertions[0].vid
-        engine.query("a", vid, vid)
-        engine.query("a", vid, vid)
-        assert engine.stats().cache_hits >= 1
-
-    def test_zero_budget_disables_all_shards(self, running_spec):
-        engine = QueryEngine(SessionManager(), cache_size=0, shards=4)
-        assert engine.stats().cache_shard_capacities == (0, 0, 0, 0)
-
-    def test_even_split_unchanged(self):
-        engine = QueryEngine(SessionManager(), cache_size=8, shards=4)
-        assert engine.stats().cache_shard_capacities == (2, 2, 2, 2)
-
-    def test_capacities_surface_in_stats_dict(self):
-        engine = QueryEngine(SessionManager(), cache_size=3, shards=2)
-        doc = engine.stats().to_dict()
-        assert doc["cache_shard_capacities"] == [2, 1]
 
 
 # ---------------------------------------------------------------------------

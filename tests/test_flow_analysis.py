@@ -527,7 +527,7 @@ def test_resource_leak_clean_variants(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_real_tree_pins_the_two_documented_suppressions():
+def test_real_tree_pins_the_documented_suppression():
     report = lint([REPO / "src"],
                   rules=["deadlock-cycle", "blocking-under-lock"])
     assert report.findings == [], [
@@ -535,10 +535,9 @@ def test_real_tree_pins_the_two_documented_suppressions():
     ]
     pinned = {(s["rule"], Path(s["file"]).name, bool(s["reason"]))
               for s in report.suppressed}
-    # the rules still *detect* both sites: each fires and is converted
-    # into a documented suppression, never silently missed
-    assert ("deadlock-cycle", "engine.py", True) in pinned
-    assert ("blocking-under-lock", "wal.py", True) in pinned
+    # the rule still *detects* the site: it fires and is converted into
+    # a documented suppression, never silently missed
+    assert pinned == {("blocking-under-lock", "wal.py", True)}
 
 
 # ---------------------------------------------------------------------------
@@ -682,17 +681,18 @@ def test_iter_python_files_sorted_and_deduped(tmp_path):
 
 
 def test_single_file_inside_anchored_tree_activates_project_rules():
-    # regression: a bare file path must work, and because engine.py
+    # regression: a bare file path must work, and because wal.py
     # lives inside the anchored service tree the project-wide rules
-    # still run with the tree as context -- the documented deadlock
-    # suppression site is found, attributed, and suppressed
-    engine = REPO / "src" / "repro" / "service" / "engine.py"
-    report = lint([engine], rules=["deadlock-cycle"])
+    # still run with the tree as context -- the documented
+    # blocking-under-lock suppression site is found, attributed, and
+    # suppressed
+    wal = REPO / "src" / "repro" / "service" / "wal.py"
+    report = lint([wal], rules=["blocking-under-lock"])
     assert report.files == 1
     assert report.findings == []
     assert any(
-        s["rule"] == "deadlock-cycle" and
-        Path(s["file"]).name == "engine.py"
+        s["rule"] == "blocking-under-lock" and
+        Path(s["file"]).name == "wal.py"
         for s in report.suppressed
     )
 

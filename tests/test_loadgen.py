@@ -67,7 +67,7 @@ class TestScenarios:
 class TestInProcess:
     def test_mixed_run_verified_against_bfs(self):
         manager = SessionManager(shards=4)
-        engine = QueryEngine(manager, cache_size=4096, shards=4)
+        engine = QueryEngine(manager)
         report = run_scenario(
             smoke_scenario(),
             engine_driver_factory(engine),
@@ -78,7 +78,6 @@ class TestInProcess:
         assert report.operations > 0
         assert report.queries > 0 and report.ingested > 0
         assert report.transport == "in-process"
-        assert report.stats["shards"] == 4
         assert report.stats["queries"] == report.queries
         # every worker closed its session on the way out
         assert len(manager) == 0
@@ -99,9 +98,9 @@ class TestInProcess:
         assert report.sessions_created > 2  # churned past the first pair
         assert report.sessions_closed == report.sessions_created
 
-    def test_hot_key_skew_warms_the_cache(self):
+    def test_hot_key_skew_answers_verified(self):
         manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=1 << 14)
+        engine = QueryEngine(manager)
         report = run_scenario(
             smoke_scenario(
                 query_fraction=1.0, hot_fraction=1.0, hot_keys=0.1,
@@ -109,9 +108,11 @@ class TestInProcess:
             ),
             engine_driver_factory(engine),
             duration=SMOKE_SECONDS,
+            verify=True,
         )
         assert report.ok, report.errors
-        assert report.stats["hit_rate"] > 0.5
+        assert report.queries > 0
+        assert report.stats["queries"] == report.queries
 
     def test_errors_are_captured_not_raised(self):
         """A runtime failure (a static scheme cannot host a live

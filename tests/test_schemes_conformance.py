@@ -15,7 +15,6 @@ entry breaks CI by construction.
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
@@ -195,22 +194,6 @@ class TestRegistryContract:
             if not registry.get(name).capabilities.exact
         }
         assert inexact == {"grail"}
-
-
-class TestProtocolShims:
-    """The old drifted names survive as deprecation shims on adapters."""
-
-    def test_query_and_may_reach_delegate_to_reaches(self):
-        workload = _workload("random-dag-0")
-        scheme = registry.build("grail", workload)
-        u, v = sorted(workload.graph.vertices())[:2]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert scheme.query(u, v) == scheme.reaches(u, v)
-            assert scheme.may_reach(u, v) == scheme.reaches(u, v)
-        assert len(caught) == 2
-        assert all(w.category is DeprecationWarning for w in caught)
-        assert all("reaches" in str(w.message) for w in caught)
 
 
 class TestDynamicIncrementality:

@@ -160,28 +160,24 @@ class TestQueryEngine:
     def test_kernel_and_fallback_paths_agree(
         self, running_spec, run_and_execution
     ):
-        """use_batch_kernels=False (the per-pair fallback) answers and
-        accounts identically to the batch-kernel fast path."""
+        """The engine's batch kernel answers exactly like the scheme
+        base class's per-pair fallback loop."""
+        from repro.schemes.base import Scheme
+
         run, execution = run_and_execution
         vids = sorted(run.graph.vertices())
         rng = random.Random(11)
         pairs = [
             (rng.choice(vids), rng.choice(vids)) for _ in range(400)
         ]
-        results = {}
-        for use_kernels in (True, False):
-            manager = SessionManager()
-            engine = QueryEngine(manager, use_batch_kernels=use_kernels)
-            manager.create("a", running_spec)
-            engine.ingest("a", execution.insertions)
-            results[use_kernels] = engine.query_many("a", pairs)
-            stats = engine.stats()
-            assert stats.queries == len(pairs)
-            assert stats.cache_hits + stats.cache_misses == len(pairs)
-        assert results[True] == results[False]
-        assert results[True] == [
-            reaches(run.graph, a, b) for a, b in pairs
-        ]
+        manager = SessionManager()
+        engine = QueryEngine(manager)
+        session = manager.create("a", running_spec)
+        engine.ingest("a", execution.insertions)
+        answers = engine.query_many("a", pairs)
+        assert answers == Scheme.query_many(session.scheme, pairs)
+        assert answers == [reaches(run.graph, a, b) for a, b in pairs]
+        assert engine.stats().queries == len(pairs)
 
     def test_kernel_path_used_for_every_dynamic_scheme(self, running_spec):
         """All service-hostable schemes ship a batch kernel."""
@@ -190,66 +186,48 @@ class TestQueryEngine:
         for name in scheme_registry.available(dynamic=True):
             assert scheme_registry.get(name).capabilities.batch, name
 
-    def test_cache_hits_on_repeat(self, running_spec, run_and_execution):
-        run, execution = run_and_execution
-        manager = SessionManager()
-        engine = QueryEngine(manager)
-        manager.create("a", running_spec)
-        engine.ingest("a", execution.insertions)
-        vids = sorted(run.graph.vertices())
-        pairs = [(vids[0], vids[-1]), (vids[-1], vids[0])]
-        engine.query_many("a", pairs)
-        before = engine.stats()
-        engine.query_many("a", pairs)
-        after = engine.stats()
-        assert after.cache_hits == before.cache_hits + len(pairs)
-        assert after.cache_misses == before.cache_misses
-        assert after.hit_rate > 0
-
-    def test_insert_invalidates_cache(self, running_spec):
+    def test_ingest_is_visible_to_the_next_batch(self, running_spec):
+        """Labels are the index: a vertex is answerable as soon as its
+        ingest returns, and earlier answers stay the same."""
         run, execution = make_execution(running_spec, size=150, seed=3)
         manager = SessionManager()
         engine = QueryEngine(manager)
         manager.create("a", running_spec)
         events = execution.insertions
         engine.ingest("a", events[:-1])
-        pair = (events[0].vid, events[1].vid)
-        engine.query("a", *pair)
-        engine.query("a", *pair)
-        assert engine.stats().cache_hits == 1
-        engine.ingest("a", events[-1:])  # version bump
-        engine.query("a", *pair)
-        stats = engine.stats()
-        assert stats.cache_hits == 1  # old entry no longer addressed
-        assert stats.cache_misses == 2
-
-    def test_lru_eviction(self, running_spec, run_and_execution):
-        run, execution = run_and_execution
-        manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=2)
-        manager.create("a", running_spec)
-        engine.ingest("a", execution.insertions)
-        vids = sorted(run.graph.vertices())
-        engine.query("a", vids[0], vids[1])
-        engine.query("a", vids[0], vids[2])
-        engine.query("a", vids[0], vids[3])  # evicts the first entry
-        assert engine.stats().cache_entries == 2
-        engine.query("a", vids[0], vids[1])
-        assert engine.stats().cache_hits == 0
+        first, last = events[0].vid, events[-1].vid
+        before = engine.query_many("a", [(first, events[1].vid)])
+        with pytest.raises(LabelingError):
+            engine.query("a", first, last)
+        engine.ingest("a", events[-1:])
+        pairs = [(first, events[1].vid), (first, last), (last, first)]
+        answers = engine.query_many("a", pairs)
+        assert answers[0] == before[0]
+        assert answers == [reaches(run.graph, a, b) for a, b in pairs]
 
     def test_zero_cache_disables_caching(
         self, running_spec, run_and_execution
     ):
+        """The engine keeps no answer cache: a repeated batch reaches the
+        scheme's kernel again, and is counted again."""
         run, execution = run_and_execution
         manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=0)
-        manager.create("a", running_spec)
+        engine = QueryEngine(manager)
+        session = manager.create("a", running_spec)
         engine.ingest("a", execution.insertions)
         vids = sorted(run.graph.vertices())
-        engine.query("a", vids[0], vids[1])
-        engine.query("a", vids[0], vids[1])
-        stats = engine.stats()
-        assert stats.cache_hits == 0 and stats.cache_entries == 0
+        kernel = session.scheme.query_many
+        calls = []
+
+        def counted(pairs):
+            calls.append(len(pairs))
+            return kernel(pairs)
+
+        session.scheme.query_many = counted
+        pairs = [(vids[0], vids[1])]
+        assert engine.query_many("a", pairs) == engine.query_many("a", pairs)
+        assert calls == [1, 1]
+        assert engine.stats().queries == 2
 
     def test_unknown_vertex(self, running_spec, run_and_execution):
         _, execution = run_and_execution
@@ -261,8 +239,8 @@ class TestQueryEngine:
             engine.query("a", 10 ** 9, 0)
 
     def test_reused_name_never_hits_old_cache(self, running_spec):
-        """Closing a session and reusing its name must not serve the
-        dead session's cached answers (sessions have unique uids)."""
+        """Closing a session and reusing its name answers from the new
+        session's labels, never from the closed session's."""
         run1, exec1 = make_execution(running_spec, size=150, seed=41)
         run2, exec2 = make_execution(running_spec, size=150, seed=42)
         manager = SessionManager()
@@ -271,7 +249,7 @@ class TestQueryEngine:
         engine.ingest("r", exec1.insertions)
         vids1 = sorted(run1.graph.vertices())
         pairs1 = [(a, b) for a in vids1[:12] for b in vids1[:12]]
-        engine.query_many("r", pairs1)  # populate the cache
+        engine.query_many("r", pairs1)
 
         manager.close("r")
         manager.create("r", running_spec)
@@ -300,10 +278,9 @@ class TestQueryEngine:
     def test_failed_batch_leaves_stats_consistent(
         self, running_spec, run_and_execution
     ):
-        """Regression: a LabelingError mid-batch used to skip phase 3,
-        losing the batch's accounting and the computed answers.  The
-        batch is now validated up front, so a poisoned batch changes
-        neither counters nor cache, and the engine keeps serving."""
+        """A batch naming an unknown vertex raises LabelingError from
+        the kernel and leaves the query counters untouched; its time is
+        accounted as an error, and the engine keeps serving."""
         run, execution = run_and_execution
         manager = SessionManager()
         engine = QueryEngine(manager)
@@ -313,31 +290,25 @@ class TestQueryEngine:
         engine.query_many("a", [(vids[0], vids[1])])  # establish a baseline
         before = engine.stats()
         poisoned = [
-            (vids[0], vids[1]),   # valid, already cached
-            (vids[2], vids[3]),   # valid, would be a fresh miss
+            (vids[0], vids[1]),   # valid
+            (vids[2], vids[3]),   # valid
             (10 ** 9, vids[0]),   # unknown vertex: the whole batch fails
         ]
         with pytest.raises(LabelingError):
             engine.query_many("a", poisoned)
         after = engine.stats()
         assert after.queries == before.queries
-        assert after.cache_hits == before.cache_hits
-        assert after.cache_misses == before.cache_misses
-        assert after.cache_entries == before.cache_entries
         assert after.query_seconds == before.query_seconds
-        # hits + misses never drifts from queries
-        assert after.cache_hits + after.cache_misses == after.queries
-        # the engine still answers (and caches) normally afterwards
+        assert after.query_errors == before.query_errors + 1
         answers = engine.query_many("a", [(vids[2], vids[3])] * 2)
         assert answers == [reaches(run.graph, vids[2], vids[3])] * 2
-        final = engine.stats()
-        assert final.queries == after.queries + 2
+        assert engine.stats().queries == after.queries + 2
 
-    def test_duplicate_pairs_cost_one_probe(
+    def test_duplicate_pairs_answer_alike(
         self, running_spec, run_and_execution
     ):
-        """Regression: N copies of one missing pair used to trigger N
-        label probes; they are now deduped to a single computation."""
+        """1,000 copies of one pair give 1,000 equal answers, each one
+        counted as a query."""
         run, execution = run_and_execution
         manager = SessionManager()
         engine = QueryEngine(manager)
@@ -348,32 +319,25 @@ class TestQueryEngine:
         batch = [(vids[0], vids[-1])] * 1000
         answers = engine.query_many("a", batch)
         assert answers == [reaches(run.graph, vids[0], vids[-1])] * 1000
-        after = engine.stats()
-        assert after.queries == before.queries + 1000
-        assert after.cache_misses == before.cache_misses + 1  # one probe
-        assert after.cache_hits == before.cache_hits + 999
-        assert after.cache_entries == before.cache_entries + 1
-        assert after.cache_hits + after.cache_misses == after.queries
+        assert engine.stats().queries == before.queries + 1000
 
 
 # ---------------------------------------------------------------------------
-# lock striping
+# lock striping (the session registry)
 # ---------------------------------------------------------------------------
 
 
 class TestShardedEngine:
     def test_invalid_shards_rejected(self):
         with pytest.raises(ValueError):
-            QueryEngine(SessionManager(), shards=0)
-        with pytest.raises(ValueError):
             SessionManager(shards=0)
 
     def test_striped_answers_match_ground_truth(self, running_spec):
         """Correctness is shard-count independent: many sessions spread
-        across 4 stripes answer exactly like the single-lock engine."""
+        across 4 registry stripes answer exactly like a single lock."""
         manager = SessionManager(shards=4)
-        engine = QueryEngine(manager, shards=4)
-        assert engine.shards == 4 and manager.shards == 4
+        engine = QueryEngine(manager)
+        assert manager.shards == 4
         for i in range(6):
             name = f"s{i}"
             run, execution = make_execution(
@@ -389,52 +353,8 @@ class TestShardedEngine:
             answers = engine.query_many(name, pairs)
             expected = [reaches(run.graph, a, b) for a, b in pairs]
             assert answers == expected
-            # a second pass is answered from the session's own shard
             assert engine.query_many(name, pairs) == expected
-        stats = engine.stats()
-        assert stats.shards == 4
-        assert stats.queries == 6 * 2 * 80
-        assert stats.cache_hits + stats.cache_misses == stats.queries
-        assert stats.cache_hits >= 6 * 80  # every repeat pass hit
-
-    def test_capacity_is_split_across_shards(
-        self, running_spec, run_and_execution
-    ):
-        """Total capacity is divided over the stripes; one session is
-        bounded by its own shard's slice."""
-        run, execution = run_and_execution
-        manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=8, shards=4)
-        manager.create("a", running_spec)
-        engine.ingest("a", execution.insertions)
-        vids = sorted(run.graph.vertices())
-        for target in vids[1:6]:
-            engine.query("a", vids[0], target)
-        assert engine.stats().cache_entries == 2  # this shard's slice
-        assert engine.stats().cache_capacity == 8
-
-    def test_drop_session_entries_only_touches_own_shard(
-        self, running_spec
-    ):
-        manager = SessionManager(shards=4)
-        engine = QueryEngine(manager, shards=4)
-        kept_run, kept_exec = make_execution(running_spec, size=80, seed=61)
-        gone_run, gone_exec = make_execution(running_spec, size=80, seed=62)
-        manager.create("kept", running_spec)
-        manager.create("gone", running_spec)
-        engine.ingest("kept", kept_exec.insertions)
-        engine.ingest("gone", gone_exec.insertions)
-        kept_vids = sorted(kept_run.graph.vertices())
-        gone_vids = sorted(gone_run.graph.vertices())
-        engine.query_many(
-            "kept", [(kept_vids[0], v) for v in kept_vids[1:5]]
-        )
-        engine.query_many(
-            "gone", [(gone_vids[0], v) for v in gone_vids[1:5]]
-        )
-        session = manager.close("gone")
-        assert engine.drop_session_entries(session) == 4
-        assert engine.stats().cache_entries == 4  # kept's entries remain
+        assert engine.stats().queries == 6 * 2 * 80
 
     def test_sharded_manager_hosts_many_sessions(self, running_spec):
         manager = SessionManager(shards=4)
@@ -458,7 +378,6 @@ class TestShardedEngine:
         """Create/close storms on distinct names never corrupt the
         striped registry."""
         manager = SessionManager(shards=4)
-        engine = QueryEngine(manager, shards=4)
         errors = []
 
         def churn(worker):
@@ -467,7 +386,7 @@ class TestShardedEngine:
                     name = f"w{worker}-{i}"
                     manager.create(name, running_spec)
                     assert manager.get(name).name == name
-                    engine.drop_session_entries(manager.close(name))
+                    manager.close(name)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -545,6 +464,34 @@ class TestProtocol:
         )
         assert not response.ok and response.code == "protocol"
 
+    def test_boolean_vertex_ids_rejected(self, running_spec):
+        """JSON true/false are not vertex ids 1/0 (bool subclasses int)."""
+        _, execution = make_execution(running_spec, size=60, seed=4)
+        service = ReproService()
+        service.manager.create("s", "running-example")
+        service.engine.ingest("s", execution.insertions)
+        assert execution.insertions[0].vid == 0  # so False would resolve
+        for params in (
+            {"source": False, "target": 0},
+            {"source": 0, "target": True},
+        ):
+            response = service.handle(
+                Request(op="query", params={"session": "s", **params})
+            )
+            assert not response.ok and response.code == "protocol"
+        for pairs in ([[False, 0]], [[0, 0], [0, False]], [[0, True]]):
+            response = service.handle(
+                Request(op="query_batch",
+                        params={"session": "s", "pairs": pairs})
+            )
+            assert not response.ok and response.code == "protocol"
+        assert service.engine.stats().queries == 0
+        response = service.handle(
+            Request(op="query_batch",
+                    params={"session": "s", "pairs": [[0, 0], (0, 0)]})
+        )
+        assert response.ok and len(response.result["answers"]) == 2
+
     def test_unexpected_exceptions_become_responses(self):
         """A poisoned request must never escape handle() and kill the
         connection (TCP) or the server process (stdio)."""
@@ -587,7 +534,7 @@ class TestCheckpoint:
         rng = random.Random(13)
         for _ in range(300):
             a, b = rng.choice(vids), rng.choice(vids)
-            assert restored.query(a, b) == live.query(a, b)
+            assert restored.scheme.reaches(a, b) == live.scheme.reaches(a, b)
         assert restored.labeler.labels == live.labeler.labels
 
     def test_restore_under_new_name(self, running_spec, tmp_path):
@@ -840,7 +787,7 @@ class TestServerRobustness:
             after = client.stats()
             # the failed batch left the counters untouched
             assert after["queries"] == before["queries"]
-            assert after["cache_misses"] == before["cache_misses"]
+            assert after["query_errors"] == before["query_errors"] + 1
             assert client.query("lab", good, good) is True
             client.close_session("lab")
 
@@ -961,7 +908,7 @@ class TestConcurrency:
         already-labeled prefix; every answer must match ground truth."""
         run, execution = make_execution(running_spec, size=400, seed=21)
         manager = SessionManager()
-        engine = QueryEngine(manager, cache_size=4096)
+        engine = QueryEngine(manager)
         manager.create("soak", running_spec)
         events = execution.insertions
         done = threading.Event()
@@ -1009,6 +956,78 @@ class TestConcurrency:
             thread.join(timeout=60)
         assert not errors, errors[0]
         assert len(manager.get("soak")) == len(events)
+
+    def test_interleaved_ingest_and_query_batch(self, running_spec):
+        """A writer thread acks ingest chunks while a reader thread runs
+        query_batch on the same session; every answer is BFS-equal,
+        including pairs that name the chunk acked just before."""
+        run, execution = make_execution(running_spec, size=300, seed=22)
+        service = ReproService()
+        service.manager.create("live", "running-example")
+        events = execution.insertions
+        acked = [0]  # events acknowledged so far (written by the writer)
+        done = threading.Event()
+        errors = []
+        checked = []
+
+        def writer():
+            from repro.service.protocol import insertions_to_wire
+
+            try:
+                for start in range(0, len(events), 12):
+                    chunk = events[start : start + 12]
+                    response = service.handle(Request(
+                        op="ingest",
+                        params={"session": "live",
+                                "insertions": insertions_to_wire(chunk)},
+                    ))
+                    assert response.ok, response.error
+                    acked[0] = start + len(chunk)
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader():
+            rng = random.Random(5)
+            try:
+                while True:
+                    finished = done.is_set()
+                    count = acked[0]
+                    if count:
+                        newest = [ins.vid for ins in
+                                  events[max(0, count - 12):count]]
+                        seen = [ins.vid for ins in events[:count]]
+                        pairs = [
+                            [rng.choice(seen), rng.choice(newest)]
+                            for _ in range(20)
+                        ] + [
+                            [rng.choice(newest), rng.choice(seen)]
+                            for _ in range(20)
+                        ]
+                        response = service.handle(Request(
+                            op="query_batch",
+                            params={"session": "live", "pairs": pairs},
+                        ))
+                        assert response.ok, response.error
+                        expected = [reaches(run.graph, a, b)
+                                    for a, b in pairs]
+                        assert response.result["answers"] == expected
+                        checked.append(count)
+                    if finished:
+                        return
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer),
+                   threading.Thread(target=reader)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors[0]
+        assert checked and checked[-1] == len(events)
+        assert service.engine.stats().queries == 40 * len(checked)
 
     def test_concurrent_sessions(self, running_spec):
         """Many sessions ingesting in parallel stay fully isolated."""
