@@ -485,7 +485,12 @@ class ServiceClient:
 
     def cluster_info(self) -> Dict[str, Any]:
         """The serving topology (``{"cluster": false}`` on a plain
-        server; worker pids/ports/restarts behind a cluster router)."""
+        server).  Behind a cluster router: ``workers``, total
+        ``restarts``, and one ``per_worker`` row each with ``pid``,
+        ``port``, ``restarts``, ``alive``, ``channels`` (open
+        router->worker sockets: one per client addressing that
+        worker) and ``in_flight`` (requests forwarded to that worker
+        and not yet answered)."""
         return self.call("cluster_info")
 
     def shutdown_server(self) -> Dict[str, Any]:

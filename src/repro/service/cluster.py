@@ -27,9 +27,21 @@ restarts and the worker's WAL/checkpoint layout stays valid.  A
 session-scoped request line is forwarded to its owner *verbatim* and
 the worker's response line -- which already echoes the client's
 request id -- is relayed back untouched: the single-owner fast path
-rewrites zero bytes.  Responses per worker connection arrive strictly
-in request order (the protocol's ordering guarantee), so the router
-matches them positionally, with no id table.
+rewrites zero bytes.
+
+Every client connection gets its **own channel** (a loopback TCP
+connection) to each worker it addresses, opened on first use.  The
+worker serves a channel on its own handler thread, exactly as it
+would serve that client directly, so a routed connection has a direct
+connection's concurrency and ordering: labels never change once
+assigned, so a read needs no lock and never waits behind another
+client's fsync-acked ingest or session close.  Responses on a channel
+arrive strictly in request order (the protocol's ordering guarantee),
+so the router matches them positionally, with no id table, and a
+per-client slot queue keeps each client's responses in request order
+across its channels.  When a client disconnects, its channels are
+half-closed: the worker finishes what was already sent, and the router
+reaps each channel at its EOF.
 
 Fan-out ops (``schemes``/``stats``/``metrics``/``list_sessions``/
 ``recover_info``/``sync``/``ping``/``shutdown``) broadcast to every
@@ -37,17 +49,22 @@ worker and merge: ``stats`` sums the counters (plus ``per_worker``
 rows), ``metrics`` asks workers for their **raw all-integer
 histogram state** and merges it *exactly*
 (:meth:`~repro.obs.histogram.HistogramSnapshot.merge` is associative),
-then summarizes.  A request naming sessions owned by different workers
+then summarizes.  A ``shutdown`` reaches a worker only once everything
+already forwarded to it is answered, and the router refuses new work
+from then on.  A request naming sessions owned by different workers
 is rejected with a structured ``protocol`` error -- cross-worker
-requests have no single owner and no atomicity story.
+requests have no single owner and no atomicity story -- and so are
+the replication ops, with a ``service`` error: a replica follows each
+worker directly, never the router.
 
 Failover
 --------
 Every worker's process sentinel is registered in the selector.  When a
-worker dies (crash, OOM kill, SIGKILL), in-flight requests routed to
-it fail with structured ``service`` errors -- the router and every
-other worker keep serving -- and the supervisor immediately respawns
-it.  A durable worker replays its checkpoint + WAL tail on boot
+worker dies (crash, OOM kill, SIGKILL), the requests in flight on
+every channel to it fail with structured ``service`` errors -- the
+router and every other worker keep serving -- and the supervisor
+immediately respawns it; each client opens a fresh channel on its next
+request.  A durable worker replays its checkpoint + WAL tail on boot
 (the ``data_dir/worker-<i>/`` layout is per-worker, so recovery is
 local), which is what makes "SIGKILL one worker, lose zero
 acknowledged ingests" hold; the kernel releases the dead worker's
@@ -60,6 +77,7 @@ sessions to the wrong directories, so the mismatch is refused.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import multiprocessing
@@ -69,7 +87,7 @@ import signal
 import socket
 import zlib
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.errors import ProtocolError, ServiceError
 from repro.faults import FAILPOINTS
@@ -103,20 +121,19 @@ _BROADCAST_OPS = frozenset({"schemes", "stats", "metrics",
                             "list_sessions", "recover_info", "ping",
                             "shutdown"})
 
+#: replication pairs whole *servers*, not routed shards: the router
+#: answers these itself with a structured ``service`` error
+_REPLICATION_OPS = frozenset({"repl_subscribe", "repl_ack", "promote"})
+
 #: every op the router knows how to place: session-keyed forwards,
-#: broadcasts, and the three special cases ``_route`` handles inline
-#: (``cluster_info`` is answered by the router itself; a
-#: ``create_session`` is forwarded to the owner of its ``name``; a
-#: session-less ``sync`` broadcasts, a keyed one forwards).  The
-#: replication ops fall through to the default forward path (worker 0),
-#: whose unmodified handler produces the canonical structured error:
-#: replication pairs whole *servers*, not routed shards -- a replica of
-#: a cluster follows each worker directly, not the router.  The
-#: ``ops-surface`` rule of :mod:`repro.analysis` fails the build if
-#: this union ever drifts from ``protocol.OPS``.
-_ROUTED_OPS = _SESSION_OPS | _BROADCAST_OPS | frozenset({
+#: broadcasts, the replication refusals, and the special cases
+#: ``_route`` handles inline (``cluster_info`` is answered by the
+#: router itself; a ``create_session`` is forwarded to the owner of
+#: its ``name``; a session-less ``sync`` broadcasts, a keyed one
+#: forwards).  The ``ops-surface`` rule of :mod:`repro.analysis` fails
+#: the build if this union ever drifts from ``protocol.OPS``.
+_ROUTED_OPS = _SESSION_OPS | _BROADCAST_OPS | _REPLICATION_OPS | frozenset({
     "cluster_info", "create_session", "sync",
-    "repl_subscribe", "repl_ack", "promote",
 })
 
 
@@ -180,15 +197,17 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
 
 
 class _Worker:
-    """The supervisor's handle on one worker process."""
+    """The supervisor's handle on one worker process and on every
+    open channel to it."""
 
-    __slots__ = ("index", "process", "port", "restarts")
+    __slots__ = ("index", "process", "port", "restarts", "channels")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process: Optional[multiprocessing.process.BaseProcess] = None
         self.port: int = 0
         self.restarts: int = 0
+        self.channels: Set[_Channel] = set()
 
 
 # ---------------------------------------------------------------------------
@@ -227,31 +246,50 @@ class _Gather:
 
 
 class _ClientConn:
-    """One accepted client connection's buffers and response order."""
+    """One client connection's buffers, response order and channels.
 
-    __slots__ = ("sock", "recv", "send", "slots", "closed", "peer")
+    The router's own requests (the ``shutdown`` it sends each worker)
+    go through a stand-in with no socket that is ``closed`` from the
+    start: nobody reads its answers.
+    """
 
-    def __init__(self, sock: socket.socket, peer: str) -> None:
+    __slots__ = ("sock", "recv", "send", "slots", "closed", "peer",
+                 "channels")
+
+    def __init__(self, sock: Optional[socket.socket], peer: str) -> None:
         self.sock = sock
         self.recv = b""
         self.send = bytearray()
         self.slots: Deque[_Slot] = deque()
-        self.closed = False
+        self.closed = sock is None
         self.peer = peer
+        # worker index -> this client's channel to that worker
+        self.channels: Dict[int, _Channel] = {}
 
 
-class _WorkerConn:
-    """The router's connection to one worker, plus its FIFO of pending
-    request contexts (responses arrive strictly in request order)."""
+class _Channel:
+    """One client's connection to one worker.
 
-    __slots__ = ("sock", "recv", "send", "pending")
+    The worker serves it on a handler thread of its own and answers in
+    request order, so ``pending`` matches replies positionally: each
+    entry is the client's :class:`_Slot` (a forward) or a
+    :class:`_Gather` (this worker's part of a broadcast).
+    """
 
-    def __init__(self, sock: socket.socket) -> None:
+    __slots__ = ("sock", "index", "client", "recv", "send", "pending",
+                 "draining", "closed")
+
+    def __init__(self, sock: socket.socket, index: int,
+                 client: _ClientConn) -> None:
         self.sock = sock
+        self.index = index
+        self.client = client
         self.recv = b""
         self.send = bytearray()
-        # each entry: ("forward", slot, client) or ("gather", gather, i)
-        self.pending: Deque[Tuple] = deque()
+        self.pending: Deque[Union[_Slot, _Gather]] = deque()
+        # the client is gone: half-close once ``send`` is flushed
+        self.draining = False
+        self.closed = False
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +341,12 @@ class ClusterSupervisor:
         }
         self._mp = multiprocessing.get_context("spawn")
         self._fleet: List[_Worker] = [_Worker(i) for i in range(workers)]
-        self._conns: List[Optional[_WorkerConn]] = [None] * workers
+        # the stand-in client whose channels carry the router's own
+        # requests: the ``shutdown`` each worker finally receives
+        self._router = _ClientConn(None, "router")
+        # (worker index, gather, request line): a ``shutdown`` waiting
+        # for everything already forwarded to that worker to be answered
+        self._held: List[Tuple[int, _Gather, bytes]] = []
         self._selector: Optional[selectors.BaseSelector] = None
         self._listener: Optional[socket.socket] = None
         self._wakeup_r: Optional[socket.socket] = None
@@ -324,15 +367,13 @@ class ClusterSupervisor:
         return self._listener.getsockname()[1]
 
     def start(self) -> "ClusterSupervisor":
-        """Spawn the fleet, connect to it, bind the client port."""
+        """Spawn the fleet and bind the client port."""
         if self._started:
             raise ServiceError("cluster already started")
         self._check_manifest()
         self._selector = selectors.DefaultSelector()
         for worker in self._fleet:
             self._spawn(worker)
-        for worker in self._fleet:
-            self._attach(worker)
         self._listener = socket.create_server(
             (self.host, self._requested_port), backlog=128,
             reuse_port=False,
@@ -379,7 +420,7 @@ class ClusterSupervisor:
         return os.path.join(self.data_dir, f"worker-{index}")
 
     def _spawn(self, worker: _Worker) -> None:
-        """Start one worker process and learn its port."""
+        """Start one worker process, learn its port, watch its death."""
         parent, child = self._mp.Pipe(duplex=False)
         config = dict(self._config)
         config["data_dir"] = self._worker_dir(worker.index)
@@ -406,21 +447,9 @@ class ClusterSupervisor:
             )
         worker.process = process
         worker.port = payload
-
-    def _attach(self, worker: _Worker) -> None:
-        """Connect to a (re)spawned worker and register its fds."""
-        sock = socket.create_connection(("127.0.0.1", worker.port),
-                                        timeout=10.0)
-        sock.setblocking(False)
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _WorkerConn(sock)
-        self._conns[worker.index] = conn
-        self._selector.register(sock, selectors.EVENT_READ,
-                                ("worker", worker.index))
         # the sentinel becomes readable the instant the process dies --
-        # faster and more reliable than noticing the socket EOF
-        self._selector.register(worker.process.sentinel,
-                                selectors.EVENT_READ,
+        # faster and more reliable than noticing a socket EOF
+        self._selector.register(process.sentinel, selectors.EVENT_READ,
                                 ("sentinel", worker.index))
 
     def stop(self) -> None:
@@ -441,16 +470,18 @@ class ClusterSupervisor:
         self._running = True
         try:
             while self._running:
+                if self._held:
+                    self._release_held()
                 if self._stopping and self._drained():
                     break
                 for key, events in self._selector.select(timeout=0.5):
                     kind, payload = key.data
-                    if kind == "accept":
-                        self._accept()
+                    if kind == "channel":
+                        self._channel_event(payload, events)
                     elif kind == "client":
                         self._client_event(payload, events)
-                    elif kind == "worker":
-                        self._worker_event(payload, events)
+                    elif kind == "accept":
+                        self._accept()
                     elif kind == "sentinel":
                         self._worker_died(payload)
                     elif kind == "wakeup":
@@ -461,24 +492,29 @@ class ClusterSupervisor:
             self._cleanup()
 
     def _drained(self) -> bool:
-        # a shutdown is done once every client's responses -- the
-        # shutdown ack above all -- are computed AND handed to the
-        # kernel, so the last flush is never cut off
-        return all(
-            not c.send and not c.slots for c in self._clients.values()
+        # a shutdown is done once every worker has answered everything
+        # sent to it -- its own shutdown included -- and every client's
+        # responses are computed AND handed to the kernel, so the last
+        # flush is never cut off
+        return (
+            not self._held
+            and not any(channel.pending for worker in self._fleet
+                        for channel in worker.channels)
+            and all(not c.send and not c.slots
+                    for c in self._clients.values())
         )
 
     def _cleanup(self) -> None:
         for client in list(self._clients.values()):
             self._close_client(client)
-        for conn in self._conns:
-            if conn is not None:
+        for worker in self._fleet:
+            for channel in worker.channels:
                 try:
-                    self._selector.unregister(conn.sock)
+                    self._selector.unregister(channel.sock)
                 except (KeyError, ValueError):
                     pass
-                conn.sock.close()
-        for worker in self._fleet:
+                channel.sock.close()
+            worker.channels.clear()
             if worker.process is not None:
                 try:
                     self._selector.unregister(worker.process.sentinel)
@@ -554,8 +590,12 @@ class ClusterSupervisor:
         except (KeyError, ValueError):
             pass
         client.sock.close()
-        # pending worker responses for this client are consumed and
-        # dropped by the positional matcher via the closed flag
+        # the workers still answer what the client already sent (the
+        # replies are dropped); each channel is reaped at its EOF
+        for channel in client.channels.values():
+            channel.draining = True
+            if not channel.send:
+                self._half_close(channel)
 
     def _client_interest(self, client: _ClientConn) -> None:
         if client.closed:
@@ -604,12 +644,19 @@ class ClusterSupervisor:
             if op == "cluster_info":
                 self._answer(client, slot, request,
                              self._cluster_info())
+            elif self._stopping:
+                raise ServiceError("the cluster is shutting down")
+            elif op in _REPLICATION_OPS:
+                raise ServiceError(
+                    f"op {op!r} rejected: replication follows each "
+                    f"worker directly, not the router"
+                )
             elif op in _BROADCAST_OPS:
                 self._broadcast(client, slot, request)
             elif op == "sync" and request.params.get("session") is None:
                 self._broadcast(client, slot, request)
             else:
-                self._forward(client, slot, request, raw)
+                self._send(client, self._owner_of(request), slot, raw)
         except Exception as exc:
             self._emit(client, slot, encode_response(
                 error_response(exc, request.id)).encode("utf-8"))
@@ -650,23 +697,10 @@ class ClusterSupervisor:
             )
         return 0
 
-    def _forward(self, client: _ClientConn, slot: _Slot,
-                 request: Request, raw: bytes) -> None:
-        index = self._owner_of(request)
-        conn = self._conns[index]
-        if conn is None:  # mid-restart; only reachable on spawn failure
-            raise ServiceError(f"worker {index} is unavailable")
-        conn.pending.append(("forward", slot, client))
-        self._send_worker(index, conn, raw)
-
     def _broadcast(self, client: _ClientConn, slot: _Slot,
                    request: Request) -> None:
         gather = _Gather(request.op, request, slot, client,
                          self.workers)
-        if request.op == "shutdown":
-            # flag before the workers can exit: their sentinels firing
-            # must read as expected exits, not crashes to restart
-            self._stopping = True
         if request.op == "metrics":
             # ask workers for raw integer histograms so the merged
             # series is exact; summarized on the way out
@@ -674,115 +708,205 @@ class ClusterSupervisor:
                               params={**request.params, "raw": True},
                               id=request.id, trace_id=request.trace_id)
         raw = encode_request(request).encode("utf-8")
-        for index, conn in enumerate(self._conns):
-            if conn is None:
-                gather.replies[index] = error_response(
-                    ServiceError(f"worker {index} is unavailable"))
-                gather.missing -= 1
+        if request.op == "shutdown":
+            # flag before the workers can exit: their sentinels firing
+            # must read as expected exits, not crashes to restart
+            self._stopping = True
+            self._held.extend(
+                (index, gather, raw) for index in range(self.workers))
+            return
+        for index in range(self.workers):
+            try:
+                self._send(client, index, gather, raw)
+            except ServiceError as exc:
+                self._gather_reply(gather, index, error_response(exc))
+
+    def _release_held(self) -> None:
+        """Send each held ``shutdown`` whose worker has answered
+        everything already forwarded to it, on the router's channel.
+
+        No new work is forwarded once a shutdown is under way, so
+        in-flight counts only fall and every hold ends."""
+        held, self._held = self._held, []
+        for index, gather, raw in held:
+            if any(channel.pending
+                   for channel in self._fleet[index].channels):
+                self._held.append((index, gather, raw))
                 continue
-            conn.pending.append(("gather", gather, index))
-            self._send_worker(index, conn, raw)
-        if gather.missing == 0:  # every worker down: still answer
-            self._finish_gather(gather)
+            try:
+                self._send(self._router, index, gather, raw)
+            except ServiceError as exc:
+                self._gather_reply(gather, index, error_response(exc))
 
     # ------------------------------------------------------------------
-    # worker side
+    # channels
     # ------------------------------------------------------------------
-    def _send_worker(self, index: int, conn: _WorkerConn,
-                     raw: bytes) -> None:
-        conn.send += raw
+    def _send(self, client: _ClientConn, index: int,
+              entry: Union[_Slot, _Gather], raw: bytes) -> None:
+        """Forward one request line on ``client``'s channel to worker
+        ``index``, opening the channel on first use; ``entry`` is where
+        the reply goes."""
+        channel = client.channels.get(index)
+        if channel is None:
+            channel = self._open_channel(client, index)
+        channel.pending.append(entry)
+        channel.send += raw
+        self._flush_channel(channel)
+
+    def _open_channel(self, client: _ClientConn,
+                      index: int) -> _Channel:
+        worker = self._fleet[index]
+        if worker.process is None or not worker.process.is_alive():
+            # a failed respawn leaves the slot vacant
+            raise ServiceError(f"worker {index} is unavailable")
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
-            while conn.send:
-                sent = conn.sock.send(conn.send)
-                del conn.send[:sent]
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            # the router never waits on a connect: the first request
+            # sits in ``send`` until the socket turns writable
+            error = sock.connect_ex(("127.0.0.1", worker.port))
+            if error not in (0, errno.EINPROGRESS):
+                raise OSError(error, os.strerror(error))
+            channel = _Channel(sock, index, client)
+            self._selector.register(sock, selectors.EVENT_READ,
+                                    ("channel", channel))
+        except OSError as exc:
+            sock.close()
+            raise ServiceError(
+                f"worker {index} is unavailable: {exc}") from exc
+        worker.channels.add(channel)
+        client.channels[index] = channel
+        return channel
+
+    def _flush_channel(self, channel: _Channel) -> None:
+        try:
+            while channel.send:
+                sent = channel.sock.send(channel.send)
+                del channel.send[:sent]
         except BlockingIOError:
             pass
         except OSError:
-            # the sentinel event will fail pendings and restart
-            return
-        self._worker_interest(index, conn)
-
-    def _worker_interest(self, index: int, conn: _WorkerConn) -> None:
+            # the worker's end is gone; the read side reports it
+            channel.send.clear()
         events = selectors.EVENT_READ
-        if conn.send:
+        if channel.send:
             events |= selectors.EVENT_WRITE
+        elif channel.draining:
+            self._half_close(channel)
+        self._selector.modify(channel.sock, events, ("channel", channel))
+
+    def _half_close(self, channel: _Channel) -> None:
+        # the worker answers what it has read, then sees EOF and closes
         try:
-            self._selector.modify(conn.sock, events, ("worker", index))
-        except (KeyError, ValueError):  # pragma: no cover - mid-restart
+            channel.sock.shutdown(socket.SHUT_WR)
+        except OSError:  # pragma: no cover - reset; the read side reports
             pass
 
-    def _worker_event(self, index: int, events: int) -> None:
-        conn = self._conns[index]
-        if conn is None:  # pragma: no cover - stale event mid-restart
+    def _channel_event(self, channel: _Channel, events: int) -> None:
+        if channel.closed:  # retired earlier in this select batch
             return
-        if events & selectors.EVENT_WRITE and conn.send:
-            self._send_worker(index, conn, b"")
+        if events & selectors.EVENT_WRITE and channel.send:
+            self._flush_channel(channel)
         if not events & selectors.EVENT_READ:
             return
         try:
-            data = conn.sock.recv(262144)
+            data = channel.sock.recv(262144)
         except BlockingIOError:
             return
         except OSError:
             data = b""
         if not data:
-            # EOF: normal during shutdown (workers exit after
-            # answering); otherwise the sentinel handler takes over
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
+            self._drop_channel(channel, ServiceError(
+                f"worker {channel.index} closed the connection before "
+                f"answering -- idempotent calls may be retried"
+            ))
             return
-        conn.recv += data
-        while b"\n" in conn.recv:
-            line, conn.recv = conn.recv.split(b"\n", 1)
-            if not line.strip():
-                continue
-            self._worker_reply(index, conn, line + b"\n")
+        channel.recv += data
+        self._replies(channel)
 
-    def _worker_reply(self, index: int, conn: _WorkerConn,
-                      raw: bytes) -> None:
-        if not conn.pending:  # pragma: no cover - protocol violation
+    def _replies(self, channel: _Channel) -> None:
+        while b"\n" in channel.recv:
+            line, channel.recv = channel.recv.split(b"\n", 1)
+            if line.strip():
+                self._reply(channel, line + b"\n")
+
+    def _reply(self, channel: _Channel, raw: bytes) -> None:
+        if not channel.pending:  # pragma: no cover - protocol violation
             log_event(_cluster_logger, logging.WARNING,
-                      "unmatched-worker-reply", worker=index)
+                      "unmatched-worker-reply", worker=channel.index)
             return
-        entry = conn.pending.popleft()
-        if entry[0] == "forward":
-            _, slot, client = entry
-            if not client.closed:
-                self._emit(client, slot, raw)
+        entry = channel.pending.popleft()
+        if isinstance(entry, _Slot):
+            if not channel.client.closed:
+                self._emit(channel.client, entry, raw)
             return
-        _, gather, windex = entry
         try:
-            gather.replies[windex] = decode_response(
-                raw.decode("utf-8", errors="replace"))
+            response = decode_response(raw.decode("utf-8",
+                                                  errors="replace"))
         except ProtocolError as exc:  # pragma: no cover - broken worker
-            gather.replies[windex] = error_response(exc)
+            response = error_response(exc)
+        self._gather_reply(entry, channel.index, response)
+
+    def _gather_reply(self, gather: _Gather, index: int,
+                      response: Response) -> None:
+        gather.replies[index] = response
         gather.missing -= 1
         if gather.missing == 0:
             self._finish_gather(gather)
 
+    def _drop_channel(self, channel: _Channel, exc: ServiceError) -> None:
+        """Retire a channel: deliver the replies the worker wrote before
+        its end went away, then fail what it still owes with ``exc``."""
+        if channel.closed:
+            return
+        channel.closed = True
+        try:
+            self._selector.unregister(channel.sock)
+        except (KeyError, ValueError):  # pragma: no cover - never added
+            pass
+        while True:
+            try:
+                data = channel.sock.recv(262144)
+            except OSError:
+                break
+            if not data:
+                break
+            channel.recv += data
+        channel.sock.close()
+        self._fleet[channel.index].channels.discard(channel)
+        if channel.client.channels.get(channel.index) is channel:
+            del channel.client.channels[channel.index]
+        self._replies(channel)
+        if not channel.pending:
+            return
+        failure = error_response(exc)
+        line = encode_response(failure).encode("utf-8")
+        while channel.pending:
+            entry = channel.pending.popleft()
+            if isinstance(entry, _Gather):
+                self._gather_reply(entry, channel.index, failure)
+            elif not channel.client.closed:
+                self._emit(channel.client, entry, line)
+
+    # ------------------------------------------------------------------
+    # worker lifecycle
+    # ------------------------------------------------------------------
     def _worker_died(self, index: int) -> None:
-        """A worker's sentinel fired: fail its in-flight work, then
-        restart it (synchronously -- the brief router pause is the
-        price of never routing to a vacant slot)."""
+        """A worker's sentinel fired: fail the work in flight on every
+        channel to it, then restart it (synchronously -- the brief
+        router pause is the price of never routing to a vacant slot)."""
         worker = self._fleet[index]
         try:
             self._selector.unregister(worker.process.sentinel)
         except (KeyError, ValueError):
             pass
-        conn = self._conns[index]
-        self._conns[index] = None
-        if conn is not None:
-            try:
-                self._selector.unregister(conn.sock)
-            except (KeyError, ValueError):
-                pass
-            # responses the worker wrote before dying are sitting in
-            # the socket buffer; deliver them before failing the rest
-            self._drain_dead_worker(index, conn)
-            conn.sock.close()
-            self._fail_pending(index, conn)
+        exc = ServiceError(
+            f"worker {index} died while handling the request; "
+            f"it is being restarted -- idempotent calls may be retried"
+        )
+        for channel in list(worker.channels):
+            self._drop_channel(channel, exc)
         worker.process.join(timeout=5)
         if self._stopping:
             return  # expected: workers exit after a shutdown broadcast
@@ -801,44 +925,10 @@ class ClusterSupervisor:
                 worker=index, error=str(exc),
             )
 
-    def _drain_dead_worker(self, index: int, conn: _WorkerConn) -> None:
-        while True:
-            try:
-                data = conn.sock.recv(262144)
-            except (BlockingIOError, OSError):
-                break
-            if not data:
-                break
-            conn.recv += data
-        while b"\n" in conn.recv and conn.pending:
-            line, conn.recv = conn.recv.split(b"\n", 1)
-            if line.strip():
-                self._worker_reply(index, conn, line + b"\n")
-
-    def _fail_pending(self, index: int, conn: _WorkerConn) -> None:
-        exc = ServiceError(
-            f"worker {index} died while handling the request; "
-            f"it is being restarted -- idempotent calls may be retried"
-        )
-        while conn.pending:
-            entry = conn.pending.popleft()
-            if entry[0] == "forward":
-                _, slot, client = entry
-                if not client.closed:
-                    self._emit(client, slot, encode_response(
-                        error_response(exc)).encode("utf-8"))
-            else:
-                _, gather, windex = entry
-                gather.replies[windex] = error_response(exc)
-                gather.missing -= 1
-                if gather.missing == 0:
-                    self._finish_gather(gather)
-
     def _restart(self, worker: _Worker) -> None:
         FAILPOINTS.hit("cluster.pre_respawn")
         worker.restarts += 1
         self._spawn(worker)
-        self._attach(worker)
         log_event(
             _cluster_logger, logging.INFO, "worker-restarted",
             worker=worker.index, pid=worker.process.pid,
@@ -850,8 +940,6 @@ class ClusterSupervisor:
     # ------------------------------------------------------------------
     def _finish_gather(self, gather: _Gather) -> None:
         if gather.client.closed:
-            if gather.op == "shutdown":
-                self._begin_shutdown()
             return
         failure = next(
             (r for r in gather.replies if r is not None and not r.ok),
@@ -870,8 +958,6 @@ class ClusterSupervisor:
                                 trace_id=gather.request.trace_id)
         self._emit(gather.client, gather.slot,
                    encode_response(response).encode("utf-8"))
-        if gather.op == "shutdown":
-            self._begin_shutdown()
 
     def _merge(self, op: str, request: Request,
                results: List[Any]) -> Any:
@@ -935,36 +1021,20 @@ class ClusterSupervisor:
                     "port": w.port,
                     "restarts": w.restarts,
                     "alive": bool(w.process and w.process.is_alive()),
+                    # open router->worker sockets, and the requests
+                    # forwarded on them not yet answered
+                    "channels": len(w.channels),
+                    "in_flight": sum(len(c.pending) for c in w.channels),
                 }
                 for w in self._fleet
             ],
         }
 
     def _begin_shutdown(self) -> None:
-        if self._stopping:
-            return
-        self._stopping = True
-        # workers that saw the shutdown broadcast are already exiting;
-        # a stop() call must still bring down a quiet fleet
-        raw = encode_request(Request(op="shutdown")).encode("utf-8")
-        for index, conn in enumerate(self._conns):
-            worker = self._fleet[index]
-            if conn is None or not (worker.process
-                                    and worker.process.is_alive()):
-                continue
-            conn.pending.append(("gather",
-                                 _Gather("noop", Request(op="shutdown"),
-                                         _Slot(), _ClosedClient(),
-                                         1),
-                                 0))
-            self._send_worker(index, conn, raw)
-
-
-class _ClosedClient:
-    """A stand-in client for internally originated requests."""
-
-    closed = True
-    slots: Deque = deque()
+        # a stop() call must bring down a quiet fleet too: the same
+        # broadcast a client's ``shutdown`` makes, answered to nobody
+        if not self._stopping:
+            self._broadcast(self._router, _Slot(), Request(op="shutdown"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ The routing invariants the cluster stands on:
   sum over workers, and merged metrics histograms are *exactly* the
   sum of the per-worker raw snapshots (not averaged percentiles);
 * a request naming sessions owned by different workers is rejected
-  with a structured ``protocol`` error, never silently mis-routed.
+  with a structured ``protocol`` error, never silently mis-routed;
+* every client reaches a worker over its own channel, so one client's
+  slow requests never hold up another's, while each client's own
+  answers keep request order; channels fail cleanly on a worker
+  death, are reaped when their client leaves, and a ``shutdown``
+  drains what other channels already forwarded.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from repro.service.protocol import (
     decode_request,
     encode_response,
     error_response,
+    insertions_to_wire,
 )
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
@@ -74,20 +80,57 @@ def client(cluster):
         yield c
 
 
+class _Pipelined:
+    """A raw router connection that may send any number of request
+    lines before reading a reply (no client library in between)."""
+
+    def __init__(self, port, timeout=60):
+        self.sock = socket.create_connection(("127.0.0.1", port),
+                                             timeout=timeout)
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, *lines):
+        self.sock.sendall("".join(line + "\n" for line in lines)
+                          .encode("utf-8"))
+
+    def reply(self):
+        line = self.reader.readline()
+        assert line, "router dropped the connection"
+        return json.loads(line)
+
+    def close(self):
+        self.reader.close()
+        self.sock.close()
+
+
 def _raw_lines(port, lines):
-    """Send raw protocol lines through the router; return the decoded
-    replies (the connection must survive every line)."""
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        reader = sock.makefile("r", encoding="utf-8")
-        writer = sock.makefile("w", encoding="utf-8")
+    """Send raw protocol lines through the router one at a time; return
+    the decoded replies (the connection must survive every line)."""
+    pipe = _Pipelined(port, timeout=10)
+    try:
         replies = []
         for line in lines:
-            writer.write(line + "\n")
-            writer.flush()
-            reply = reader.readline()
-            assert reply, f"router dropped the connection after {line!r}"
-            replies.append(json.loads(reply))
+            pipe.send(line)
+            replies.append(pipe.reply())
         return replies
+    finally:
+        pipe.close()
+
+
+def _big_batch(session, vids, seed):
+    """One maximal (65,536-pair) ``query_batch`` request line."""
+    rng = random.Random(seed)
+    pairs = [[rng.choice(vids), rng.choice(vids)] for _ in range(65536)]
+    return json.dumps({"op": "query_batch", "session": session,
+                       "pairs": pairs})
+
+
+def _wait_for(probe, what, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not probe():
+        if time.monotonic() > deadline:
+            pytest.fail(f"timed out waiting for {what}")
+        time.sleep(0.02)
 
 
 # ---------------------------------------------------------------------------
@@ -706,5 +749,244 @@ class TestWorkerRestart:
                 assert client.query(ALPHA, vids[0], vids[0]) is True
                 client.create_session(BETA, "running-example")
                 assert set(client.list_sessions()) == {ALPHA, BETA}
+        finally:
+            stop_cluster(supervisor, thread)
+
+
+# ---------------------------------------------------------------------------
+# per-client channels: each client reaches a worker on its own socket
+# ---------------------------------------------------------------------------
+
+
+class TestPerClientChannels:
+    def test_read_does_not_queue_behind_another_clients_batches(
+        self, cluster, running_spec
+    ):
+        run, execution = make_execution(running_spec, size=200, seed=23)
+        vids = sorted(run.graph.vertices())
+        with ServiceClient("127.0.0.1", cluster.port) as c:
+            c.create_session(ALPHA, "running-example")
+            c.ingest(ALPHA, execution.insertions)
+        big = _big_batch(ALPHA, vids, seed=29)
+        a, b = _Pipelined(cluster.port), _Pipelined(cluster.port)
+        a_answered = []
+
+        def read_a():
+            for _ in range(4):
+                reply = a.reply()
+                a_answered.append((time.monotonic(), reply["ok"]))
+
+        reader = threading.Thread(target=read_a, daemon=True)
+        reader.start()
+        try:
+            a.send(big, big, big, big)
+            # the router decodes each 65,536-pair line (~20 ms); once
+            # A's first answer is back, all four are forwarded
+            _wait_for(lambda: a_answered, "A's first answer")
+            time.sleep(0.05)
+            # same session, so the same worker as all of A's batches
+            b.send(json.dumps({"op": "query_batch", "session": ALPHA,
+                               "pairs": [[vids[0], vids[-1]]]}))
+            b_reply = b.reply()
+            b_answered = time.monotonic()
+            reader.join(timeout=120)
+        finally:
+            a.close()
+            b.close()
+            with ServiceClient("127.0.0.1", cluster.port) as c:
+                c.close_session(ALPHA)
+        assert b_reply["ok"], b_reply
+        assert b_reply["result"]["answers"] == [
+            reaches(run.graph, vids[0], vids[-1])]
+        assert [ok for _, ok in a_answered] == [True] * 4
+        # one FIFO per worker would answer B only after all of A's
+        assert b_answered < a_answered[-1][0]
+
+    def test_pipelined_requests_answer_in_request_order(
+        self, cluster, running_spec
+    ):
+        run, execution = make_execution(running_spec, size=120, seed=31)
+        events = execution.insertions
+        wire = insertions_to_wire(events)
+        half = len(events) // 2
+        root = events[0].vid
+        early = [[root, e.vid] for e in events[:half]]
+        # vertices of the second chunk exist only once it is ingested
+        late = [[root, e.vid] for e in events[half:]]
+        with ServiceClient("127.0.0.1", cluster.port) as c:
+            c.create_session(BETA, "running-example")
+        pipe = _Pipelined(cluster.port)
+        try:
+            pipe.send(
+                json.dumps({"op": "ingest", "id": 1, "session": BETA,
+                            "insertions": wire[:half]}),
+                json.dumps({"op": "query_batch", "id": 2,
+                            "session": BETA, "pairs": early}),
+                json.dumps({"op": "ingest", "id": 3, "session": BETA,
+                            "insertions": wire[half:]}),
+                json.dumps({"op": "query_batch", "id": 4,
+                            "session": BETA, "pairs": late}),
+            )
+            replies = [pipe.reply() for _ in range(4)]
+        finally:
+            pipe.close()
+            with ServiceClient("127.0.0.1", cluster.port) as c:
+                c.close_session(BETA)
+        assert [r["id"] for r in replies] == [1, 2, 3, 4]
+        assert all(r["ok"] for r in replies), replies
+        assert replies[0]["result"]["ingested"] == half
+        assert replies[2]["result"]["ingested"] == len(events) - half
+        assert replies[1]["result"]["answers"] == [
+            reaches(run.graph, s, t) for s, t in early]
+        assert replies[3]["result"]["answers"] == [
+            reaches(run.graph, s, t) for s, t in late]
+
+    def test_worker_death_fails_every_channel_then_serves_again(
+        self, tmp_path, running_spec
+    ):
+        supervisor, thread = start_cluster(
+            workers=2, shards=2, data_dir=str(tmp_path / "cluster"),
+            fsync="always")
+        pipes = []
+        try:
+            run, execution = make_execution(running_spec, size=200,
+                                            seed=37)
+            vids = sorted(run.graph.vertices())
+            victim = session_worker(ALPHA, 2)
+            with ServiceClient("127.0.0.1", supervisor.port,
+                               timeout=30.0) as probe:
+                probe.create_session(ALPHA, "running-example")
+                probe.ingest(ALPHA, execution.insertions)
+                pid = probe.cluster_info()["per_worker"][victim]["pid"]
+                big = _big_batch(ALPHA, vids, seed=41)
+                pipes = [_Pipelined(supervisor.port) for _ in range(2)]
+                for pipe in pipes:
+                    pipe.send(big, big, big)
+                # a client has at most 3 batches in flight, so 4 or more
+                # in flight means both clients have one at the worker
+                _wait_for(lambda: probe.cluster_info()["per_worker"]
+                          [victim]["in_flight"] >= 4, "4 in flight")
+                assert probe.cluster_info()["per_worker"][victim][
+                    "channels"] == 3  # two clients + the probe
+                import os
+                import signal as _signal
+                os.kill(pid, _signal.SIGKILL)
+
+                for pipe in pipes:
+                    replies = [pipe.reply() for _ in range(3)]
+                    failed = [r for r in replies if not r["ok"]]
+                    assert failed, replies
+                    assert all(r["code"] == "service" for r in failed)
+
+                def respawned():
+                    row = probe.cluster_info()["per_worker"][victim]
+                    return row["alive"] and row["pid"] != pid
+                _wait_for(respawned, "the worker respawn")
+                row = probe.cluster_info()["per_worker"][victim]
+                assert row["in_flight"] == 0
+                assert row["restarts"] == 1
+            # each client's next request opens a fresh channel and the
+            # durable worker recovered the session from its WAL
+            for pipe in pipes:
+                pipe.send(json.dumps({"op": "query_batch",
+                                      "session": ALPHA,
+                                      "pairs": [[vids[0], vids[-1]]]}))
+                reply = pipe.reply()
+                assert reply["ok"], reply
+                assert reply["result"]["answers"] == [
+                    reaches(run.graph, vids[0], vids[-1])]
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            stop_cluster(supervisor, thread)
+
+    def test_channels_are_reaped_when_clients_leave(
+        self, cluster, running_spec
+    ):
+        run, execution = make_execution(running_spec, size=60, seed=47)
+        vids = sorted(run.graph.vertices())
+        owner = session_worker(ALPHA, 2)
+        with ServiceClient("127.0.0.1", cluster.port) as live:
+            live.create_session(ALPHA, "running-example")
+            live.ingest(ALPHA, execution.insertions)
+            for _ in range(50):
+                with ServiceClient("127.0.0.1", cluster.port) as c:
+                    assert c.query_batch(ALPHA, [(vids[0], vids[1])]) \
+                        == [reaches(run.graph, vids[0], vids[1])]
+
+            def settled():
+                rows = live.cluster_info()["per_worker"]
+                # only the live client's one channel, to the owner
+                return [r["channels"] for r in rows] == [
+                    1 if r["worker"] == owner else 0 for r in rows]
+            _wait_for(settled, "the closed clients' channels to go")
+            rows = live.cluster_info()["per_worker"]
+            assert [r["in_flight"] for r in rows] == [0, 0]
+            live.close_session(ALPHA)
+
+    def test_shutdown_waits_for_other_channels_in_flight(
+        self, tmp_path, running_spec
+    ):
+        data_dir = str(tmp_path / "cluster")
+        _, execution = make_execution(running_spec, size=1500, seed=53)
+        wire = insertions_to_wire(execution.insertions)
+        owner = session_worker(ALPHA, 2)
+        supervisor, thread = start_cluster(
+            workers=2, shards=2, data_dir=data_dir, fsync="always")
+        a, b = _Pipelined(supervisor.port), _Pipelined(supervisor.port)
+        try:
+            b.send(json.dumps({"op": "create_session", "id": 1,
+                               "name": ALPHA, "spec": "running-example"}))
+            assert b.reply()["ok"]
+            b.send(json.dumps({"op": "ingest", "id": 2, "session": ALPHA,
+                               "insertions": wire}))
+            time.sleep(0.02)  # the router has forwarded B's ingest
+            a.send(json.dumps({"op": "shutdown", "id": 3}))
+            b_ack, a_ack = b.reply(), a.reply()
+        finally:
+            a.close()
+            b.close()
+            thread.join(timeout=30)
+        assert not thread.is_alive(), "router thread failed to exit"
+        assert b_ack["ok"] and b_ack["id"] == 2, b_ack
+        assert b_ack["result"]["ingested"] == len(wire)
+        assert a_ack["ok"] and a_ack["result"]["stopping"] is True
+
+        supervisor, thread = start_cluster(
+            workers=2, shards=2, data_dir=data_dir, fsync="always")
+        try:
+            with ServiceClient("127.0.0.1", supervisor.port) as c:
+                recovered = {
+                    r["session"]: r for r in
+                    c.recover_info()["per_worker"][owner]["recovered"]
+                }
+                assert recovered[ALPHA]["vertices"] == len(wire)
+        finally:
+            stop_cluster(supervisor, thread)
+
+    def test_replication_ops_are_refused_by_the_router(self, tmp_path):
+        supervisor, thread = start_cluster(
+            workers=2, shards=2, data_dir=str(tmp_path / "cluster"),
+            fsync="always")
+        try:
+            with ServiceClient("127.0.0.1", supervisor.port) as c:
+                c.create_session(ALPHA, "running-example")
+                c.create_session(BETA, "running-example")
+            replies = _raw_lines(supervisor.port, [
+                json.dumps({"op": "repl_subscribe", "from_seq": -1,
+                            "wait": 0}),
+                json.dumps({"op": "repl_ack", "replica_id": "r1",
+                            "seq": 0}),
+                json.dumps({"op": "promote"}),
+            ])
+            for reply in replies:
+                assert reply["ok"] is False, reply
+                assert reply["code"] == "service"
+                assert "not the router" in reply["error"]
+            with ServiceClient("127.0.0.1", supervisor.port) as c:
+                rows = c.recover_info()["per_worker"]
+            assert len(rows) == 2
+            for row in rows:
+                assert row["replication"]["replicas"] == {}
         finally:
             stop_cluster(supervisor, thread)
