@@ -2,9 +2,8 @@
 
 The service's correctness rests on invariants no type checker sees:
 striped state is only mutated under its stripe lock, WAL bytes are
-fsynced before an ack, checkpoint rolls keep the gen-write ->
-CURRENT-flip -> WAL-truncate order, placement never keys on the salted
-builtin ``hash()``, metric/span names come from one registry, and the
+fsynced before an ack, placement never keys on the salted builtin
+``hash()``, metric/span names come from one registry, and the
 op tables in the protocol, server, client, cluster and docs all agree.
 This package turns each of those into a checker over stdlib ``ast``
 (no third-party dependency), wired to ``repro lint`` and CI.

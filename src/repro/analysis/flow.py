@@ -116,7 +116,7 @@ _BLOCKING_SUBPROCESS = frozenset({
 
 #: receiver name hints that make ``.join()`` / ``.wait()`` a thread op
 _THREADISH = frozenset({
-    "process", "thread", "proc", "worker", "checkpointer", "child",
+    "process", "thread", "proc", "worker", "child",
 })
 
 

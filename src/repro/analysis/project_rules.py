@@ -340,8 +340,8 @@ class OpsSurfaceRule(Checker):
 _MUTATION_MARKERS = frozenset({
     "ingest", "ingest_many", "insert", "create", "create_session",
     "adopt", "close", "close_session", "checkpoint",
-    "checkpoint_session", "checkpoint_pending", "restore_session",
-    "finalize", "register", "truncate_to_base", "sync", "set",
+    "checkpoint_session", "restore_session",
+    "finalize", "register", "sync", "set",
     "shutdown", "write", "append", "clear",
     "pop",
 })

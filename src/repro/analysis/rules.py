@@ -494,7 +494,7 @@ class LockOrderRule(Checker):
 
 
 # ---------------------------------------------------------------------------
-# durability ordering
+# durability: fsync before ack
 # ---------------------------------------------------------------------------
 
 _DURABLE_FILES = {"wal.py", "checkpoint.py"}
@@ -550,77 +550,6 @@ class DurabilityFsyncRule(Checker):
                     "fsyncs it",
                     col=first_write.col_offset,
                 )
-
-
-class DurabilityOrderRule(Checker):
-    """The crash-safety argument of a checkpoint roll is the order:
-    write the new generation, flip ``CURRENT``, only then truncate the
-    WAL.  Any function touching two of those steps must keep them in
-    that order."""
-
-    rule = "durability-order"
-    summary = "gen-write / CURRENT-flip / WAL-truncate out of order"
-    hint = (
-        "write the checkpoint generation first, flip CURRENT second, "
-        "truncate the WAL last -- a crash between any two steps must "
-        "leave a complete checkpoint plus a covering WAL"
-    )
-
-    _GEN_CALLS = {"checkpoint_session", "_write_generation"}
-
-    @staticmethod
-    def _is_current_flip(node: ast.Call) -> bool:
-        if not (
-            isinstance(node.func, ast.Attribute)
-            and node.func.attr == "replace"
-            and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "os"
-        ):
-            return False
-        for arg in node.args:
-            for sub in ast.walk(arg):
-                if isinstance(sub, ast.Name) and sub.id == "_CURRENT":
-                    return True
-                if (
-                    isinstance(sub, ast.Constant)
-                    and sub.value == "CURRENT"
-                ):
-                    return True
-        return False
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        if source.name not in _DURABLE_FILES:
-            return
-        for func in _functions(source.tree):
-            gen = flip = trunc = None
-            for node in _own_nodes(func):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = _call_name(node)
-                if name in self._GEN_CALLS and gen is None:
-                    gen = node
-                if self._is_current_flip(node) and flip is None:
-                    flip = node
-                if name == "truncate_to_base" and trunc is None:
-                    trunc = node
-            stages = [
-                ("generation write", gen),
-                ("CURRENT flip", flip),
-                ("WAL truncation", trunc),
-            ]
-            present = [(label, node) for label, node in stages
-                       if node is not None]
-            for (before, first), (after, second) in zip(
-                present, present[1:]
-            ):
-                if first.lineno > second.lineno:
-                    yield self.finding(
-                        source, second.lineno,
-                        f"{func.name}() performs the {after} before the "
-                        f"{before}; a crash in between loses "
-                        "acknowledged state",
-                        col=second.col_offset,
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +664,6 @@ FILE_RULES = (
     LockDisciplineRule(),
     LockOrderRule(),
     DurabilityFsyncRule(),
-    DurabilityOrderRule(),
     NondetHashRule(),
     NondetTimeRule(),
     MutableDefaultRule(),

@@ -21,10 +21,9 @@ Subcommands::
 registry across independent locks; ``loadgen`` replays
 a named scenario (``repro loadgen --list``) against an in-process
 engine or, with ``--port``, a live server over TCP.  ``serve
---data-dir`` makes the service durable -- sessions recovered on boot,
-every ingest write-ahead-logged under ``--fsync`` before it is
-acknowledged, WALs rolled into checkpoints every
-``--checkpoint-interval`` seconds -- and ``loadgen crash-recovery``
+--data-dir`` makes the service durable -- sessions recovered on boot
+by replaying their write-ahead logs, every ingest logged under
+``--fsync`` before it is acknowledged -- and ``loadgen crash-recovery``
 SIGKILLs such a server mid-ingest and verifies that recovery loses no
 acknowledged insertion.
 
@@ -227,10 +226,6 @@ def cmd_serve(args) -> int:
             "separate processes; scrape the 'metrics' op through the "
             "router instead); drop --workers or --metrics-port"
         )
-    if args.data_dir and args.checkpoint_interval <= 0:
-        raise SystemExit("--checkpoint-interval must be positive")
-    if args.keep_generations < 1:
-        raise SystemExit("--keep-generations must be >= 1")
     replicate_from = None
     if args.replicate_from:
         if args.workers:
@@ -280,11 +275,7 @@ def cmd_serve(args) -> int:
             shards=args.shards,
             data_dir=args.data_dir,
             fsync=args.fsync,
-            checkpoint_interval=(
-                args.checkpoint_interval if args.data_dir else None
-            ),
             slow_threshold=args.slow_threshold,
-            keep_generations=args.keep_generations,
         )
         supervisor.start()
         print(
@@ -302,11 +293,7 @@ def cmd_serve(args) -> int:
         shards=args.shards,
         data_dir=args.data_dir,
         fsync=args.fsync,
-        checkpoint_interval=(
-            args.checkpoint_interval if args.data_dir else None
-        ),
         slow_threshold=args.slow_threshold,
-        keep_generations=args.keep_generations,
         replicate_from=replicate_from,
         repl_peers=repl_peers,
         repl_min_acks=args.repl_min_acks,
@@ -329,8 +316,7 @@ def cmd_serve(args) -> int:
         ]
         print(
             f"repro service durable under {args.data_dir} "
-            f"(fsync={args.fsync}, checkpoint every "
-            f"{args.checkpoint_interval:.0f}s, "
+            f"(fsync={args.fsync}, "
             f"{len(recovered)} session(s) recovered"
             + (f": {', '.join(sorted(recovered))}" if recovered else "")
             + ")",
@@ -765,13 +751,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="WAL fsync policy (with --data-dir): 'always' "
                         "fsyncs every ingest before acknowledging it, "
                         "'batch' amortizes, 'never' leaves it to the OS")
-    p.add_argument("--checkpoint-interval", type=float, default=30.0,
-                   help="with --data-dir: seconds between background "
-                        "rolls of outstanding WALs into checkpoints")
-    p.add_argument("--keep-generations", type=int, default=1,
-                   help="with --data-dir: retain this many checkpoint "
-                        "generations per session for 'as_of' time-"
-                        "travel reads (1 = only the current one)")
+    # inert: the WAL is a session's only durable state, so there is
+    # nothing to roll; still accepted because benchmarks/e2e passes it
+    # (ROADMAP item 3)
+    p.add_argument("--checkpoint-interval", type=float,
+                   help=argparse.SUPPRESS)
     p.add_argument("--replicate-from", default=None, metavar="HOST:PORT",
                    help="run as a read replica of the primary at this "
                         "address (needs --data-dir): apply its shipped "
@@ -788,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: one derived from host/pid)")
     p.add_argument("--failpoints", default=None, metavar="SPEC",
                    help="arm deterministic failpoints, e.g. "
-                        "'wal.pre_fsync=crash,ckpt.pre_flip=raise@2' "
+                        "'wal.pre_fsync=crash,wal.post_append=raise@2' "
                         "(also read from $REPRO_FAILPOINTS)")
     from repro.obs.logs import LOG_FORMATS, LOG_LEVELS
     from repro.service.server import DEFAULT_SLOW_THRESHOLD

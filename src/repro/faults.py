@@ -19,7 +19,7 @@ points the failpoint matrix in ``tests/test_faults.py`` sweeps.
 Spec grammar (comma-separated)::
 
     wal.pre_fsync=crash          crash on the first hit
-    ckpt.pre_flip=crash@3        crash on the third hit
+    wal.pre_append=crash@3       crash on the third hit
     repl.pre_apply=raise         raise FailpointError on the first hit
 
 """
@@ -48,12 +48,6 @@ FAILPOINT_NAMES = frozenset({
     "wal.pre_append",       # before the record line is written
     "wal.pre_fsync",        # after write+flush, before os.fsync
     "wal.post_append",      # after the append is durable
-    "wal.pre_truncate",     # before the staged truncate_to_base rename
-    # checkpoint roll (repro.service.wal DurableStore)
-    "ckpt.pre_stage",       # before the staged generation is written
-    "ckpt.pre_flip",        # generation durable, CURRENT not yet flipped
-    "ckpt.post_flip",       # CURRENT flipped, WAL not yet truncated
-    "ckpt.pre_gc",          # before old generations are collected
     # replication (repro.service.replication)
     "repl.pre_apply",       # replica: before applying a shipped record
     "repl.post_apply",      # replica: record applied, not yet acked

@@ -205,7 +205,7 @@ def run_crash_recovery(
 
     A watchdog SIGKILLs the server as soon as half the run has been
     acknowledged -- so the kill reliably lands mid-stream, with real
-    acknowledged-but-not-checkpointed state in the WAL -- or after
+    acknowledged state in an open WAL -- or after
     ``kill_after`` seconds if ingest is slower than that.  The
     restarted server recovers from ``data_dir`` (a temp dir by
     default) and every acknowledged insertion is verified present with

@@ -9,7 +9,7 @@ endpoint, scrapable by any Prometheus-compatible collector).
 
 One process-wide default registry (:func:`default_registry`) is what
 components bind to when no registry is injected, so the engine, the
-WAL, the checkpointer and the session layer all land their series in
+WAL, checkpoint exports and the session layer all land their series in
 the same scrape without any plumbing.  :data:`NULL` is a no-op
 registry: injecting it disables an instrumented component entirely
 (the benchmark's uninstrumented baseline).

@@ -42,9 +42,6 @@ WAL_APPEND_SECONDS = "repro_wal_append_seconds"
 #: one physical fsync of the WAL file (only when one actually runs)
 WAL_FSYNC_SECONDS = "repro_wal_fsync_seconds"
 
-#: one whole checkpoint roll: generation write + WAL truncation
-CHECKPOINT_ROLL_SECONDS = "repro_checkpoint_roll_seconds"
-
 #: one full checkpoint write (snapshot + staged files + fsyncs)
 CHECKPOINT_WRITE_SECONDS = "repro_checkpoint_write_seconds"
 
@@ -79,7 +76,6 @@ STAGE_LABEL_BUILD = "label_build"
 
 SPAN_WAL_APPEND = "wal_append"
 SPAN_WAL_FSYNC = "wal_fsync"
-SPAN_CHECKPOINT_ROLL = "checkpoint_roll"
 SPAN_REPL_APPLY = "repl_apply"
 
 # --- logger names ------------------------------------------------------
@@ -94,7 +90,6 @@ HISTOGRAM_NAMES = (
     ENGINE_ERRORED_SECONDS,
     WAL_APPEND_SECONDS,
     WAL_FSYNC_SECONDS,
-    CHECKPOINT_ROLL_SECONDS,
     CHECKPOINT_WRITE_SECONDS,
     REPL_APPLY_SECONDS,
 )
@@ -113,7 +108,6 @@ SPAN_NAMES = (
     STAGE_LABEL_BUILD,
     SPAN_WAL_APPEND,
     SPAN_WAL_FSYNC,
-    SPAN_CHECKPOINT_ROLL,
     SPAN_REPL_APPLY,
 )
 

@@ -7,10 +7,10 @@ reachability queries answered straight from the labels
 (:mod:`repro.service.engine`), a JSON-lines wire protocol
 (:mod:`repro.service.protocol`) served over TCP or stdio
 (:mod:`repro.service.server`, :mod:`repro.service.client`),
-checkpoint/recovery of live sessions built on the label store
+checkpoint export/import of live sessions built on the label store
 (:mod:`repro.service.checkpoint`), and -- under a ``--data-dir`` -- a
-per-session write-ahead log with configurable fsync policy, background
-checkpoint rolling, and crash recovery (:mod:`repro.service.wal`).
+per-session write-ahead log with configurable fsync policy and crash
+recovery by log replay (:mod:`repro.service.wal`).
 ``repro serve --workers N`` escapes the GIL entirely: a supervisor
 forks N worker processes, each owning a disjoint slice of sessions by
 stable name hash, behind a single-threaded hash-routing frontend that
@@ -34,7 +34,6 @@ from repro.service.protocol import Request, Response
 from repro.service.server import ReproServer, ReproService, serve_stdio
 from repro.service.sessions import Session, SessionManager
 from repro.service.wal import (
-    Checkpointer,
     DurableStore,
     WriteAheadLog,
     replay_wal,
@@ -57,6 +56,5 @@ __all__ = [
     "restore_session",
     "WriteAheadLog",
     "DurableStore",
-    "Checkpointer",
     "replay_wal",
 ]

@@ -1,6 +1,9 @@
-"""Checkpoint and recovery of live sessions.
+"""Checkpoint export and import of live sessions.
 
-A checkpoint is a directory of four JSON documents::
+A checkpoint is the portable copy of a session that ``snapshot path=``
+writes and ``create_session checkpoint=`` reads back; a durable
+server's own state is its write-ahead log (:mod:`repro.service.wal`),
+not a checkpoint.  It is a directory of four JSON documents::
 
     manifest.json   session name, spec name, scheme name, skeleton/mode,
                     version, vertex count, format tag
@@ -13,7 +16,7 @@ Labels are write-once, so a checkpoint never needs to rewrite earlier
 state: a later checkpoint of the same session is a strict superset of
 an earlier one, which makes the format append-friendly.
 
-Recovery rebuilds the session under the *recorded scheme* and replays
+Restoring rebuilds the session under the *recorded scheme* and replays
 the insertion log through a fresh labeler -- labeling is deterministic,
 so the replay reassigns exactly the labels the live session had -- and
 then verifies the recomputed labels against the stored ones, turning
@@ -51,8 +54,7 @@ from repro.io.xmlio import FormatError
 from repro.service.sessions import Session, SessionManager
 
 # wall time of one full checkpoint write (snapshot + staged files +
-# fsyncs); the roll series in repro.service.wal wraps this plus the
-# WAL truncation
+# fsyncs)
 _h_write = default_registry().histogram(CHECKPOINT_WRITE_SECONDS)
 
 _FORMAT = "repro-checkpoint"

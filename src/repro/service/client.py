@@ -354,9 +354,11 @@ class ServiceClient:
         trace_id: Optional[str] = None,
         as_of: Optional[int] = None,
     ) -> bool:
-        """One reachability probe; ``as_of`` answers from the retained
-        checkpoint of that generation instead of the live session
-        (time-travel read; see ``--keep-generations``)."""
+        """One reachability probe, optionally as of a past version.
+
+        ``as_of`` answers as the session stood at that acknowledged
+        version (time-travel read; needs a durable server).
+        """
         params: Dict[str, Any] = {
             "session": session, "source": source, "target": target,
         }
@@ -381,8 +383,8 @@ class ServiceClient:
         through :meth:`pipeline`, so arbitrarily large batches respect
         the server's per-request cap while still costing roughly one
         round trip.  Answers always come back in input order.  ``as_of``
-        answers every pair from the retained checkpoint of that
-        generation (time-travel read).
+        answers every pair as the session stood at that acknowledged
+        version (time-travel read).
         """
         pairs = list(pairs)
         if chunk is None and len(pairs) > PIPELINE_CHUNK:
@@ -429,12 +431,11 @@ class ServiceClient:
     def snapshot(
         self, session: str, path: Optional[str] = None
     ) -> Dict[str, Any]:
-        """Checkpoint a session; pathless rolls the durable checkpoint.
+        """Checkpoint a session; pathless makes it durable in place.
 
         With ``path`` the server writes a checkpoint directory there
         (works on any server).  Without it, a durable server
-        (``--data-dir``) rolls the session's write-ahead log into its
-        own checkpoint generation instead.
+        (``--data-dir``) fsyncs the session's write-ahead log instead.
         """
         if path is None:
             return self.call("snapshot", session=session)
@@ -469,7 +470,7 @@ class ServiceClient:
         Counters and histogram summaries (count/sum/mean/min/max and
         p50/p95/p99) for every series the server records -- per-op
         request latency, engine stages, WAL append/fsync, checkpoint
-        timings -- under ``counters``/``histograms``, with the tracer's
+        writes -- under ``counters``/``histograms``, with the tracer's
         retention summary under ``traces``.
         """
         return self.call("metrics")

@@ -23,7 +23,7 @@ Routing
 Each session lives on exactly one worker, chosen by a **stable** hash
 of its name (:func:`session_worker` -- CRC-32, *not* Python's salted
 ``hash()``), so the same name maps to the same worker directory across
-restarts and the worker's WAL/checkpoint layout stays valid.  A
+restarts and the worker's WAL layout stays valid.  A
 session-scoped request line is forwarded to its owner *verbatim* and
 the worker's response line -- which already echoes the client's
 request id -- is relayed back untouched: the single-owner fast path
@@ -64,11 +64,11 @@ worker dies (crash, OOM kill, SIGKILL), the requests in flight on
 every channel to it fail with structured ``service`` errors -- the
 router and every other worker keep serving -- and the supervisor
 immediately respawns it; each client opens a fresh channel on its next
-request.  A durable worker replays its checkpoint + WAL tail on boot
-(the ``data_dir/worker-<i>/`` layout is per-worker, so recovery is
-local), which is what makes "SIGKILL one worker, lose zero
-acknowledged ingests" hold; the kernel releases the dead worker's
-``LOCK`` flock, so the respawn can always mount the store.
+request.  A durable worker replays its WALs on boot (the
+``data_dir/worker-<i>/`` layout is per-worker, so recovery is local),
+which is what makes "SIGKILL one worker, lose zero acknowledged
+ingests" hold; the kernel releases the dead worker's ``LOCK`` flock,
+so the respawn can always mount the store.
 
 A ``cluster.json`` manifest in the data dir records the worker count:
 booting the same data dir with a different ``--workers`` would hash
@@ -161,7 +161,7 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
     Builds an ordinary single-process server (the exact code path
     ``--workers 0`` runs), binds an ephemeral loopback port, reports it
     through ``conn``, and serves until a ``shutdown`` request arrives.
-    A durable worker recovers its checkpoint + WAL tail inside
+    A durable worker replays its WALs inside
     ``ReproService.__init__`` before the port is ever reported, so the
     router never routes to a half-recovered worker.
     """
@@ -178,9 +178,7 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
             max_batch=config["max_batch"],
             data_dir=config["data_dir"],
             fsync=config["fsync"],
-            checkpoint_interval=config["checkpoint_interval"],
             slow_threshold=config["slow_threshold"],
-            keep_generations=config.get("keep_generations", 1),
         )
         server = ReproServer(("127.0.0.1", 0), service)
     except Exception as exc:
@@ -320,9 +318,7 @@ class ClusterSupervisor:
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
         fsync: str = "always",
-        checkpoint_interval: Optional[float] = None,
         slow_threshold: float = 0.5,
-        keep_generations: int = 1,
     ) -> None:
         if workers < 1:
             raise ValueError("a cluster needs at least 1 worker")
@@ -335,9 +331,7 @@ class ClusterSupervisor:
             "max_batch": max_batch,
             "data_dir": None,  # per-worker, filled at spawn
             "fsync": fsync,
-            "checkpoint_interval": checkpoint_interval,
             "slow_threshold": slow_threshold,
-            "keep_generations": keep_generations,
         }
         self._mp = multiprocessing.get_context("spawn")
         self._fleet: List[_Worker] = [_Worker(i) for i in range(workers)]

@@ -13,9 +13,9 @@ Operations::
     ingest           session, insertions=[event...]   (one or many)
     query            session, source, target
     query_batch      session, pairs=[[v, w]...]
-    snapshot         session[, path]  (pathless: roll the durable ckpt)
+    snapshot         session[, path]  (pathless: fsync the session's WAL)
     sync             [session]        (fsync the write-ahead log(s))
-    recover_info     (durability state: WALs, checkpoints, recovery)
+    recover_info     (durability state: WALs, recovery reports)
     schemes          (lists the registered labeling backends)
     stats
     metrics          (latency histograms, counters, trace summary)
@@ -40,7 +40,7 @@ before acknowledging it (see :mod:`repro.service.wal`).  ``sync``
 force-fsyncs one session's WAL (or all of them), upgrading
 acknowledgements to power-loss durability under the ``batch``/``never``
 fsync policies; ``recover_info`` reports the durability state -- fsync
-policy, per-session checkpoint/WAL positions, and what boot-time
+policy, per-session WAL positions, and what boot-time
 recovery found (including any torn WAL tail it dropped).  On a server
 without a data dir ``sync`` is a ``service`` error and ``recover_info``
 answers ``{"durable": false}``.
@@ -103,9 +103,9 @@ wire-visible on every read.  ``promote`` flips a replica into a
 primary under a bumped fencing *epoch*; any server contacted with a
 higher epoch than its own fences itself and rejects further ingests,
 which is what makes a zombie primary harmless.  ``query`` and
-``query_batch`` accept an optional ``as_of`` checkpoint generation
-(see ``--keep-generations``) answered from the retained checkpoint of
-that version -- time-travel reads.
+``query_batch`` accept an optional ``as_of`` session version: a durable
+server answers from the insertion-log prefix that version covered, for
+any version it acknowledged -- time-travel reads.
 
 Insertion events use the exact execution-log JSON schema of
 :func:`repro.io.jsonio.insertion_to_json`, so a recorded execution file

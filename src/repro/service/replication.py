@@ -9,17 +9,17 @@ Topology
 --------
 One **primary** (a durable server) owns a :class:`ReplicationHub`: a
 bounded in-memory ring of recently appended WAL records, each stamped
-with a monotone global *ship position* (positions never reset, unlike
-per-session WAL seqs which re-sequence at every checkpoint roll).  The
+with a monotone global *ship position* (one sequence across every
+session, unlike the per-session WAL seqs).  The
 hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
 so the shipped stream is always a prefix of the durable log.
 
-Each **replica** is itself a durable server (its own data dir, WAL and
-checkpoints) started read-only with ``--replicate-from``.  Its
+Each **replica** is itself a durable server (its own data dir and
+WALs) started read-only with ``--replicate-from``.  Its
 :class:`ReplicaApplier` thread long-polls ``repl_subscribe`` on the
 primary, applies the returned records through the ordinary session
-ingest path (so the replica's own WAL and checkpoints stay warm), and
+ingest path (so the replica's own WALs stay current), and
 reports coverage with ``repl_ack``.  A replica whose position fell off
 the primary's ring (or that never bootstrapped) receives ``reset``
 plus a full snapshot instead and rebuilds from it.  Applies are
@@ -38,8 +38,8 @@ scenario asserts mechanically.
 
 Epoch fencing
 -------------
-Every data dir persists a fencing *epoch* (``EPOCH``; stamped into WAL
-headers).  ``promote`` bumps the epoch durably before the replica
+Every data dir persists a fencing *epoch* in its ``EPOCH`` file.
+``promote`` bumps the epoch durably before the replica
 starts acknowledging writes as the new primary.  Any server contacted
 (``repl_subscribe`` / ``repl_ack``) with a higher epoch than its own
 **fences itself**: the store rejects every subsequent ingest, so a
@@ -325,7 +325,7 @@ class ReplicaApplier(threading.Thread):
     """Long-polls the primary and applies shipped records locally.
 
     Applies go through the ordinary session ingest path, so the
-    replica's own WAL/checkpoints track what it has applied and a
+    replica's own WALs track what it has applied and a
     replica restart recovers from local state before resubscribing.
     On connection loss (or on being told the primary is fenced) the
     applier probes ``peers`` for the live primary -- the node whose

@@ -11,12 +11,12 @@ exercise the server once per dynamic scheme without a separate client
 harness.
 
 With ``metrics_port`` the selftest additionally runs the server
-durable (a temporary data dir, so WAL and checkpoint timings exist),
-serves the Prometheus endpoint on that port, scrapes and strictly
-parses it, and asserts the required series are present and populated
--- per-op request latency for query/query_batch/ingest, WAL fsync and
-checkpoint-roll timings -- plus that the ``metrics`` op answers and
-that a client-sent ``trace_id`` is echoed end to end.
+durable (a temporary data dir, so WAL timings exist), serves the
+Prometheus endpoint on that port, scrapes and strictly parses it, and
+asserts the required series are present and populated -- per-op
+request latency for query/query_batch/ingest and WAL fsync timings --
+plus that the ``metrics`` op answers and that a client-sent
+``trace_id`` is echoed end to end.
 
 With ``workers > 0`` the exact same scripted session runs against a
 :class:`~repro.service.cluster.ClusterSupervisor` instead of the
@@ -39,7 +39,6 @@ from typing import List, Optional, Tuple
 from repro.graphs.reachability import reaches
 from repro.obs.metrics import MetricsExporter, parse_prometheus_text
 from repro.obs.names import (
-    CHECKPOINT_ROLL_SECONDS,
     ENGINE_STAGE_SECONDS,
     OP_LATENCY_SECONDS,
     WAL_FSYNC_SECONDS,
@@ -96,7 +95,7 @@ def run_selftest(
     exporter: Optional[MetricsExporter] = None
     if metrics_port is not None:
         # a durable server, so the scrape can also validate the WAL
-        # fsync and checkpoint-roll series
+        # fsync series
         data_tmp = tempfile.TemporaryDirectory(prefix="repro-selftest-")
         service = ReproService(shards=shards, data_dir=data_tmp.name)
         exporter = MetricsExporter(
@@ -287,8 +286,6 @@ def run_selftest(
                 f"histogram series, {len(metrics['counters'])} counters"
             )
             if exporter is not None:
-                # roll the durable checkpoint so the roll series exists
-                client.snapshot("selftest")
                 client.sync()
                 url = f"http://127.0.0.1:{exporter.port}/metrics"
                 with urllib.request.urlopen(url, timeout=10) as response:
@@ -311,15 +308,11 @@ def run_selftest(
                         f"scrape has no populated latency series for "
                         f"op {op!r}",
                     )
-                for required in (
-                    series_count(WAL_FSYNC_SECONDS),
-                    series_count(CHECKPOINT_ROLL_SECONDS),
-                ):
-                    samples = series.get(required, [])
-                    check(
-                        bool(samples) and samples[0]["value"] > 0,
-                        f"scrape has no populated {required!r} series",
-                    )
+                samples = series.get(series_count(WAL_FSYNC_SECONDS), [])
+                check(
+                    bool(samples) and samples[0]["value"] > 0,
+                    f"scrape has no populated {WAL_FSYNC_SECONDS!r} series",
+                )
                 say(
                     f"scraped {len(series)} series from {url}; "
                     "format and required series verified"

@@ -36,7 +36,6 @@ import logging
 import socketserver
 import threading
 import time
-from collections import OrderedDict
 from typing import (
     Any,
     Callable,
@@ -48,7 +47,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import LabelingError, ProtocolError, ServiceError
 from repro.faults import FAILPOINTS
 from repro.obs.logs import log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
@@ -57,7 +56,7 @@ from repro.obs.trace import Tracer, activate
 from repro.service.checkpoint import checkpoint_session, restore_session
 from repro.service.engine import QueryEngine
 from repro.service.replication import ReplicaApplier, ReplicationHub
-from repro.service.wal import Checkpointer, DurableStore
+from repro.service.wal import DurableStore
 from repro.service.protocol import (
     MAX_BATCH,
     Request,
@@ -94,12 +93,10 @@ class ReproService:
     structured ``protocol`` error telling the client to pipeline chunks.
 
     ``data_dir`` mounts the durability layer (:mod:`repro.service.wal`):
-    every session found under it is recovered on construction
-    (checkpoint + WAL-tail replay), every subsequent ingest is logged to
-    a per-session write-ahead log under the ``fsync`` policy before it
-    is acknowledged, and -- with ``checkpoint_interval`` set -- a
-    background :class:`Checkpointer` periodically rolls WALs into
-    checkpoints.  Call :meth:`close` when done so the WALs flush.
+    every session found under it is recovered on construction (WAL
+    replay), and every subsequent ingest is logged to a per-session
+    write-ahead log under the ``fsync`` policy before it is
+    acknowledged.  Call :meth:`close` when done so the WALs flush.
 
     Replication (:mod:`repro.service.replication`): every durable
     server owns a :class:`ReplicationHub` and can serve
@@ -109,8 +106,9 @@ class ReproService:
     under a bumped fencing epoch.  ``repl_min_acks`` makes ingest
     acknowledgements semi-synchronous: each waits until that many
     replicas cover the batch's ship position, which is the zero-acked-
-    loss-under-promotion guarantee.  ``keep_generations`` retains old
-    checkpoint generations, the substrate of ``query --as-of``.
+    loss-under-promotion guarantee.  A durable server answers ``as_of``
+    reads for any version it acknowledged, from the WAL's record of
+    what each version covered.
     """
 
     def __init__(
@@ -121,11 +119,9 @@ class ReproService:
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
         fsync: str = "always",
-        checkpoint_interval: Optional[float] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[Tracer] = None,
         slow_threshold: float = DEFAULT_SLOW_THRESHOLD,
-        keep_generations: int = 1,
         replicate_from: Optional[Tuple[str, int]] = None,
         repl_peers: Sequence[Tuple[str, int]] = (),
         repl_min_acks: int = 0,
@@ -138,30 +134,18 @@ class ReproService:
         self.max_batch = max_batch
         self.shutdown_requested = threading.Event()
         self.store: Optional[DurableStore] = None
-        self.checkpointer: Optional[Checkpointer] = None
         self.hub: Optional[ReplicationHub] = None
         self.applier: Optional[ReplicaApplier] = None
         self.read_only = False
         self._repl_min_acks = max(0, int(repl_min_acks))
-        self._as_of_cache: "OrderedDict[Tuple[str, int], Any]" = (
-            OrderedDict()
-        )
-        self._as_of_lock = threading.Lock()
         if replicate_from is not None and data_dir is None:
             raise ServiceError(
                 "--replicate-from needs --data-dir: a replica applies "
                 "the shipped WAL into its own durable store"
             )
         if data_dir is not None:
-            self.store = DurableStore(
-                data_dir, fsync=fsync, keep_generations=keep_generations
-            )
+            self.store = DurableStore(data_dir, fsync=fsync)
             self.store.recover(self.manager)
-            if checkpoint_interval is not None:
-                self.checkpointer = Checkpointer(
-                    self.store, interval=checkpoint_interval
-                )
-                self.checkpointer.start()
             if replicate_from is None:
                 self.hub = ReplicationHub(
                     self.manager, self.store, min_acks=self._repl_min_acks
@@ -211,13 +195,10 @@ class ReproService:
             )
 
     def close(self) -> None:
-        """Stop the applier/checkpointer and flush/close every WAL."""
+        """Stop the applier and flush/close every WAL."""
         if self.applier is not None:
             self.applier.stop()
             self.applier = None
-        if self.checkpointer is not None:
-            self.checkpointer.stop()
-            self.checkpointer = None
         if self.store is not None:
             self.store.close()
 
@@ -397,66 +378,52 @@ class ReproService:
         return {"answers": answers}
 
     # ------------------------------------------------------------------
-    # time travel: answer from a retained checkpoint generation
+    # time travel: answer from the prefix a past version covered
     # ------------------------------------------------------------------
     def _answer_as_of(
         self, name: str, as_of: Any, pairs: List[Any]
     ) -> List[bool]:
-        if not isinstance(as_of, int) or isinstance(as_of, bool):
-            raise ProtocolError(
-                "'as_of' must be a checkpoint generation version (int)"
-            )
-        session = self._historical_session(name, as_of)
-        return session.scheme.query_many(pairs)
+        """Answer ``pairs`` as the session stood at version ``as_of``.
 
-    def _historical_session(self, name: str, version: int):
-        """A read-only session restored from a retained generation.
-
-        Restores verify labels against a deterministic replay, so they
-        are not free; a tiny LRU keyed ``(name, version)`` makes
-        repeated time-travel queries against the same generation cheap.
+        An insertion only adds edges into the new vertex, so the graph
+        at any version is an induced prefix of today's: reachability
+        between prefix vertices never changes, and the live labels
+        answer it.  A vertex born after the version has no label there.
         """
+        if not isinstance(as_of, int) or isinstance(as_of, bool):
+            raise ProtocolError("'as_of' must be a session version (int)")
         if self.store is None:
             raise ServiceError(
                 "time-travel queries need a durable server "
                 "(started without --data-dir)"
             )
-        key = (name, version)
-        with self._as_of_lock:
-            cached = self._as_of_cache.get(key)
-            if cached is not None:
-                self._as_of_cache.move_to_end(key)
-                return cached
-        directory = self.store.generation_dir(name, version)
-        session = self._restore_historical(directory)
-        with self._as_of_lock:
-            self._as_of_cache[key] = session
-            while len(self._as_of_cache) > 4:
-                self._as_of_cache.popitem(last=False)
-        return session
-
-    @staticmethod
-    def _restore_historical(directory):
-        # a throwaway manager: the historical instance must never
-        # collide with (or be mutated through) the live session registry
-        return restore_session(SessionManager(shards=1), directory)
+        session = self.manager.get(name)
+        end = self.store.log_length_at(session, as_of)
+        prefix = {event.vid for event in session.log[:end]}
+        for pair in pairs:
+            for vid in pair:
+                if vid not in prefix:
+                    raise LabelingError(
+                        f"vertex {vid} has no label as of version {as_of}"
+                    )
+        return session.scheme.query_many(pairs)
 
     def _op_snapshot(self, request: Request) -> Dict[str, Any]:
         session = self.manager.get(request.require("session"))
         target = request.params.get("path")
         if target is None:
-            # on a durable server a pathless snapshot rolls the WAL
-            # into the session's own checkpoint generation
+            # on a durable server a pathless snapshot makes everything
+            # the session acknowledged durable: its WAL is fsynced
             if self.store is None:
                 raise ProtocolError(
                     "op 'snapshot' requires parameter 'path' "
                     "(the server has no --data-dir)"
                 )
-            rolled = self.store.checkpoint(session)
+            synced = self.store.checkpoint(session)
             return {
                 "path": None,
-                "version": rolled["checkpoint_version"],
-                "vertices": rolled["checkpoint_vertices"],
+                "version": synced["checkpoint_version"],
+                "vertices": synced["vertices"],
             }
         path = checkpoint_session(session, target)
         return {
@@ -482,8 +449,6 @@ class ReproService:
         if self.store is None:
             return {"durable": False}
         info = self.store.info()
-        if self.checkpointer is not None:
-            info["checkpoint_interval"] = self.checkpointer.interval
         info["replication"] = self._replication_info()
         return info
 
@@ -531,8 +496,8 @@ class ReproService:
         name = request.require("session")
         session = self.manager.close(name)
         if self.store is not None:
-            # final checkpoint + CLOSED marker: the directory stays as
-            # the run's provenance record but recovery skips it
+            # WAL fsync + CLOSED marker: the directory stays as the
+            # run's provenance record but recovery skips it
             self.store.finalize(session)
         if self.hub is not None:
             self.hub.publish_control("close", session)

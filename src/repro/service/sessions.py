@@ -3,10 +3,11 @@
 A :class:`Session` owns everything one running workflow needs -- the
 specification, a pluggable *dynamic* labeling scheme resolved by name
 through :mod:`repro.schemes.registry` (DRL by default), the raw
-insertion log (kept for checkpointing) and a lock serializing writers.
-A :class:`SessionManager` hosts many sessions under distinct names so a
-single service process can track many concurrent workflow executions,
-the way a workflow engine tracks many active runs.
+insertion log (kept for checkpoint exports and time travel) and a lock
+serializing writers.  A :class:`SessionManager` hosts many sessions
+under distinct names so a single service process can track many
+concurrent workflow executions, the way a workflow engine tracks many
+active runs.
 
 The ``scheme`` name is wire-visible (``create_session``), persisted in
 checkpoints, and validated against the registry's dynamic capability:

@@ -1,106 +1,105 @@
 """Durable sessions: per-session write-ahead logs and crash recovery.
 
-The paper's labels are write-once and assigned on-the-fly, so session
-state is naturally append-only -- which makes it cheap to persist
-*every* acknowledged insertion, not just the ones an explicit
-``checkpoint`` op happened to cover.  This module is the durability
-layer the service mounts under a ``--data-dir``:
+The paper's labels are write-once and a deterministic function of the
+insertion log, and an insertion only adds edges from vertices that
+already exist.  So a session's insertion log *is* its whole durable
+state: this module persists every acknowledged insertion and rebuilds
+a session by relabeling its log.  It is the durability layer the
+service mounts under a ``--data-dir``:
 
 * :class:`WriteAheadLog` -- one append-only JSON-lines file per
-  session.  The first line is a header naming the session and the
-  checkpoint state the log applies on top of; every following line is
-  one ingest batch (``seq``, the insertion-log position ``start`` of
-  its first event, the session ``version`` after the batch, and the
-  events in the execution-log JSON schema).  The fsync policy decides
-  what "acknowledged" means: ``always`` fsyncs every append (survives
-  power loss), ``batch`` fsyncs every ``batch_records`` appends, and
-  ``never`` leaves flushing to the OS (every policy flushes to the OS
-  per append, so plain process death -- SIGKILL -- never loses an
-  acknowledged insertion under any policy).
+  session.  The first line is a header carrying everything needed to
+  rebuild the session from nothing: its name, the specification (the
+  :mod:`repro.io.jsonio` schema), the scheme, skeleton and mode.  Every
+  following line is one ingest batch (``seq``, the insertion-log
+  position ``start`` of its first event, the session ``version`` after
+  the batch, the events in the execution-log JSON schema, and ``crc``,
+  a fingerprint of the labels the batch was assigned).  The fsync
+  policy decides what "acknowledged" means: ``always`` fsyncs every
+  append (survives power loss), ``batch`` fsyncs every
+  ``batch_records`` appends, and ``never`` leaves flushing to the OS
+  (every policy flushes to the OS per append, so plain process death
+  -- SIGKILL -- never loses an acknowledged insertion under any
+  policy).
 * :class:`DurableStore` -- the per-session directory layout under the
-  data dir: checkpoint *generations* (``ckpt-<version>/`` written by
-  :func:`repro.service.checkpoint.checkpoint_session`) with a
-  ``CURRENT`` pointer file that is atomically flipped only once the new
-  generation is durably complete, plus the live WAL.  Rolling a
-  checkpoint writes the new generation, flips ``CURRENT``, then
-  truncates the WAL to the records beyond the checkpoint -- in that
-  order, so a crash at any point leaves ``CURRENT`` naming a complete
-  checkpoint whose WAL still covers everything after it.
-* :class:`Checkpointer` -- a background thread that periodically rolls
-  every session with outstanding WAL records, bounding replay work at
-  the next boot.
-* :meth:`DurableStore.recover` -- boot-time recovery: for every
-  non-closed session directory, restore the ``CURRENT`` checkpoint
-  (which re-verifies the stored labels against a deterministic replay),
-  then replay the WAL tail through the session's registered scheme.  A
-  torn WAL tail (the crash interrupted an append) is dropped and
-  reported with its resume point; the file is truncated to the valid
-  prefix before new appends continue.
+  data dir: the WAL plus, once the session is closed, a ``CLOSED``
+  marker.  ``create_session`` is acknowledged only once the header is
+  durable; ``close`` fsyncs the WAL and writes the marker.
+* :meth:`DurableStore.recover` -- boot-time recovery: every session
+  directory without ``CLOSED`` is rebuilt by replaying its WAL through
+  the recorded scheme, checking each record's label fingerprint as it
+  goes.  A torn WAL tail (the crash interrupted an append) is dropped
+  and reported with its resume point; the file is truncated to the
+  valid prefix before new appends continue.
+
+Time travel comes from the same log: the store keeps the
+``(version, log length)`` pair of every record, so ``as_of`` reads
+answer from the live labels restricted to the prefix a version covered
+(labels are write-once, so the prefix's labels are the ones it had).
 
 Lock order: a WAL lock is only ever taken *after* (or without) the
 session lock, never the other way around -- ingest holds the session
-lock and appends; a roll snapshots under the session lock first and
-only then rewrites the WAL under the WAL lock.
+lock and appends.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import marshal
+import math
 import os
 import shutil
 import threading
 import time
+import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
 from repro.errors import ServiceError
 from repro.faults import FAILPOINTS
-from repro.io.jsonio import insertion_from_json, insertion_to_json
+from repro.io.jsonio import (
+    insertion_from_json,
+    insertion_to_json,
+    specification_from_json,
+    specification_to_json,
+)
 from repro.io.xmlio import FormatError
+from repro.labeling.naive_dynamic import NaiveLabel
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.names import (
-    CHECKPOINT_ROLL_SECONDS,
-    SPAN_CHECKPOINT_ROLL,
     SPAN_WAL_APPEND,
     SPAN_WAL_FSYNC,
     WAL_APPEND_SECONDS,
     WAL_FSYNC_SECONDS,
 )
 from repro.obs.trace import current_trace
-from repro.service.checkpoint import (
-    checkpoint_session,
-    fsync_dir,
-    fsync_file,
-    load_manifest,
-    restore_session,
-)
+from repro.service.checkpoint import fsync_dir, fsync_file
+# shim: benchmarks/e2e's trace hook wraps this name (ROADMAP item 3)
+from repro.service.checkpoint import restore_session  # noqa: F401
 from repro.service.sessions import Session, SessionManager
 
 FSYNC_POLICIES = ("always", "batch", "never")
 DEFAULT_BATCH_RECORDS = 64
-DEFAULT_CHECKPOINT_INTERVAL = 30.0
 
 _logger = logging.getLogger("repro.service.wal")
 
 # durability timings, into the process-default registry: append is the
 # serialize+write+flush of one record, fsync is the physical sync (only
 # recorded when one actually runs, so 'batch'/'never' policies show
-# their true amortization), roll is a whole checkpoint generation
+# their true amortization)
 _h_append = default_registry().histogram(WAL_APPEND_SECONDS)
 _h_fsync = default_registry().histogram(WAL_FSYNC_SECONDS)
-_h_roll = default_registry().histogram(CHECKPOINT_ROLL_SECONDS)
 
 _WAL_FORMAT = "repro-wal"
-_WAL_VERSION = 1
+_WAL_VERSION = 2
 _WAL_FILE = "wal.jsonl"
-_CURRENT = "CURRENT"
 _CLOSED = "CLOSED"
-_CKPT_PREFIX = "ckpt-"
-_CKPT_STAGING = "ckpt.staging"
+_OLD_GENERATION_PREFIX = "ckpt-"
 _DIR_PREFIX = "s-"
 _EPOCH = "EPOCH"
 
@@ -109,13 +108,13 @@ class TornWalError(ServiceError):
     """The WAL file is missing or torn before its header completed.
 
     Distinct from ordinary corruption: the header is written and
-    fsynced before ``create_session`` is acknowledged, so a missing/
-    empty/torn-header WAL next to a *complete* checkpoint can only be
-    the artifact of a crash inside that unacknowledged create -- the
-    checkpoint alone is the whole acknowledged state, and recovery may
-    safely re-arm a fresh log on top of it.  A WAL whose header parses
-    but carries the wrong format tag is not this: that is real
-    corruption and stays a hard :class:`ServiceError`.
+    fsynced before ``create_session`` is acknowledged, so a missing,
+    empty or torn-header WAL can only be the artifact of a crash inside
+    that unacknowledged create -- recovery skips the directory and the
+    name may be created again.  A WAL whose header parses but carries
+    the wrong format tag or version is not this: that is real
+    corruption (or an older layout) and stays a hard
+    :class:`ServiceError`.
     """
 
 
@@ -127,6 +126,35 @@ def check_fsync_policy(policy: str) -> str:
             f"{FSYNC_POLICIES}"
         )
     return policy
+
+
+def _refuse_old_layout(directory: Path) -> None:
+    """Raise if ``directory`` holds the older checkpoint-generation
+    layout: its state is not in its WAL alone, so it must not be
+    recovered, skipped or replaced as if it were."""
+    if any(
+        child.name.startswith(_OLD_GENERATION_PREFIX)
+        for child in directory.iterdir()
+    ):
+        raise ServiceError(
+            f"{directory} holds checkpoint generations from an older "
+            "layout this server cannot recover; recover it with the "
+            "release that wrote it, or move it away"
+        )
+
+
+def label_crc(labels: List[Any]) -> int:
+    """CRC-32 of a batch's labels, from their values alone.
+
+    ``marshal`` format 2 writes no back-references, so the bytes depend
+    only on the values -- not on which label tuples happen to share
+    sub-tuples in memory -- and the format is the same on every
+    supported Python.  ``naive`` labels are dataclasses, which marshal
+    refuses, so they go in as ``(index, ancestors)``.
+    """
+    if labels and isinstance(labels[0], NaiveLabel):
+        labels = [(label.index, label.ancestors) for label in labels]
+    return zlib.crc32(marshal.dumps(labels, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +170,7 @@ class WalRecord:
     start: int      # insertion-log index of the first event
     version: int    # session version after the batch
     events: List[Dict[str, Any]]  # execution-log JSON schema
+    crc: int        # label_crc of the labels the batch was assigned
 
 
 @dataclass
@@ -171,14 +200,15 @@ class WalReplay:
 def replay_wal(path) -> WalReplay:
     """Read a WAL file, validating structure line by line.
 
-    The header line must be intact (an unreadable header makes the
-    whole log unusable: :class:`ServiceError`).  Record lines are
-    consumed while they stay well-formed -- newline-terminated JSON
-    objects with a contiguous ``seq`` and an ``events`` list; the first
-    violation (a torn final append, a truncated block) drops that line
-    *and everything after it*, recording the reason in ``dropped`` and
-    the byte length of the valid prefix in ``valid_bytes`` so the
-    caller can truncate and resume appending.
+    A missing, empty or torn header raises :class:`TornWalError`; a
+    header of another format or version raises :class:`ServiceError`.
+    Record lines are consumed while they stay well-formed --
+    newline-terminated JSON objects with a contiguous ``seq``, an
+    ``events`` list and an integer ``crc``; the first violation (a torn
+    final append, a truncated block) drops that line *and everything
+    after it*, recording the reason in ``dropped`` and the byte length
+    of the valid prefix in ``valid_bytes`` so the caller can truncate
+    and resume appending.
     """
     try:
         with open(path, "rb") as handle:
@@ -204,6 +234,11 @@ def replay_wal(path) -> WalReplay:
             f"{path} is not a write-ahead log "
             f"(format {header.get('format')!r})"
         )
+    if header.get("version") != _WAL_VERSION:
+        raise ServiceError(
+            f"{path} is a version-{header.get('version')} write-ahead "
+            f"log; this server reads version {_WAL_VERSION} only"
+        )
     replay = WalReplay(header=header, valid_bytes=len(lines[0]))
     for index, line in enumerate(lines[1:], start=1):
         if not line.endswith(b"\n"):
@@ -225,6 +260,7 @@ def replay_wal(path) -> WalReplay:
             or not isinstance(doc.get("start"), int)
             or not isinstance(doc.get("version"), int)
             or not isinstance(doc.get("events"), list)
+            or not isinstance(doc.get("crc"), int)
         ):
             replay.dropped = f"record line {index} is malformed"
             break
@@ -240,6 +276,7 @@ def replay_wal(path) -> WalReplay:
                 start=doc["start"],
                 version=doc["version"],
                 events=doc["events"],
+                crc=doc["crc"],
             )
         )
         replay.valid_bytes += len(line)
@@ -255,7 +292,8 @@ class WriteAheadLog:
 
     Appends are serialized by an internal lock (callers already hold
     the session lock, which serializes a session's ingests; the WAL
-    lock additionally serializes appends against checkpoint rolls).
+    lock additionally serializes appends against ``sync`` and
+    ``close``).
     """
 
     def __init__(
@@ -265,6 +303,7 @@ class WriteAheadLog:
         policy: str = "always",
         batch_records: int = DEFAULT_BATCH_RECORDS,
         _resume: Optional[WalReplay] = None,
+        _first: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.path = Path(path)
         self.policy = check_fsync_policy(policy)
@@ -275,14 +314,20 @@ class WriteAheadLog:
         self.failed = False
         self._unsynced = 0
         if _resume is None:
-            self._handle = open(self.path, "w")
-            self._handle.write(json.dumps(self.header) + "\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+            # the initial file is staged whole and renamed into place: a
+            # crash leaves either no log (an unacknowledged create) or
+            # every line of it
+            docs = [self.header] + ([_first] if _first is not None else [])
+            staged = self.path.with_name(self.path.name + ".tmp")
+            with open(staged, "w") as handle:
+                handle.write("".join(json.dumps(doc) + "\n" for doc in docs))
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(staged, self.path)
             fsync_dir(self.path.parent)
-            self._next_seq = 0
-            self._records = 0
-            self._events = 0
+            self._handle = open(self.path, "a")
+            self._next_seq = self._records = len(docs) - 1
+            self._events = len(_first["events"]) if _first is not None else 0
         else:
             # truncate any torn tail before appending after it
             with open(self.path, "r+b") as trunc:
@@ -299,30 +344,34 @@ class WriteAheadLog:
         cls,
         path,
         session: Session,
-        base_version: int,
-        base_vertices: int,
         policy: str = "always",
         batch_records: int = DEFAULT_BATCH_RECORDS,
-        epoch: int = 0,
+        imported: Optional[Tuple[List[Dict[str, Any]], int]] = None,
     ) -> "WriteAheadLog":
-        """Start a fresh WAL on top of a just-written checkpoint.
+        """Start a fresh WAL for ``session``, already durable on return.
 
-        ``epoch`` is the replication fencing epoch stamped into the
-        header: a log written under a superseded epoch is recognizably
-        stale, so a zombie primary's directory cannot silently win a
-        recovery race against the promoted replica's.
+        ``imported`` -- ``(events, crc)`` -- logs the insertions an
+        imported session already holds as the first record, written
+        together with the header.
         """
         header = {
             "format": _WAL_FORMAT,
             "version": _WAL_VERSION,
             "session": session.name,
-            "spec": session.spec.name,
+            "spec": specification_to_json(session.spec),
             "scheme": session.scheme_name,
-            "base_version": base_version,
-            "base_vertices": base_vertices,
-            "epoch": epoch,
+            "skeleton": session.skeleton,
+            "mode": session.mode,
         }
-        return cls(path, header, policy=policy, batch_records=batch_records)
+        first = None
+        if imported is not None:
+            events, crc = imported
+            first = {"seq": 0, "start": 0, "version": session.version,
+                     "events": events, "crc": crc}
+        return cls(
+            path, header, policy=policy, batch_records=batch_records,
+            _first=first,
+        )
 
     @classmethod
     def resume(
@@ -343,31 +392,13 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
     @property
-    def base_version(self) -> int:
-        return int(self.header.get("base_version", 0))
-
-    @property
-    def base_vertices(self) -> int:
-        return int(self.header.get("base_vertices", 0))
-
-    @property
-    def epoch(self) -> int:
-        """The replication epoch stamped into the header (0 = none)."""
-        return int(self.header.get("epoch", 0))
-
-    def stamp_epoch(self, epoch: int) -> None:
-        """Adopt a new fencing epoch; persisted at the next roll."""
-        with self.lock:
-            self.header["epoch"] = epoch
-
-    @property
     def records(self) -> int:
-        """Records currently in the file (since the last roll)."""
+        """Records currently in the file."""
         return self._records
 
     @property
-    def pending_events(self) -> int:
-        """Events in the file not yet covered by a checkpoint."""
+    def events(self) -> int:
+        """Events across every record in the file."""
         return self._events
 
     @property
@@ -376,7 +407,8 @@ class WriteAheadLog:
         return self._unsynced
 
     def append(
-        self, start: int, version: int, events: List[Dict[str, Any]]
+        self, start: int, version: int, events: List[Dict[str, Any]],
+        crc: int,
     ) -> int:
         """Log one acknowledged ingest batch; returns its ``seq``.
 
@@ -396,6 +428,7 @@ class WriteAheadLog:
                 "start": start,
                 "version": version,
                 "events": events,
+                "crc": crc,
             }
             trace = current_trace()
             if trace is not None:
@@ -463,64 +496,6 @@ class WriteAheadLog:
                 trace.add_span(SPAN_WAL_FSYNC, fsync_started, fsync_ended)
             self._unsynced = 0
 
-    def truncate_to_base(self, version: int, vertices: int) -> int:
-        """Drop records a fresh checkpoint at ``version`` now covers.
-
-        Rewrites the file -- new header (``base_version``/
-        ``base_vertices`` = the checkpoint), then the surviving records
-        (those with events at insertion-log positions >= ``vertices``)
-        re-sequenced from zero -- durably, via staged-rename.  Returns
-        the number of surviving records.  Appends are blocked while the
-        rewrite runs (WAL lock), so nothing acknowledged is ever
-        skipped.
-        """
-        with self.lock:
-            self._check_open()
-            self._handle.flush()
-            replay = replay_wal(self.path)
-            kept: List[WalRecord] = []
-            for record in replay.records:
-                end = record.start + len(record.events)
-                if end <= vertices:
-                    continue
-                if record.start < vertices:  # straddling batch: trim
-                    record = WalRecord(
-                        seq=record.seq,
-                        start=vertices,
-                        version=record.version,
-                        events=record.events[vertices - record.start:],
-                    )
-                kept.append(record)
-            self.header["base_version"] = version
-            self.header["base_vertices"] = vertices
-            staged = self.path.with_suffix(".tmp")
-            with open(staged, "w") as handle:
-                handle.write(json.dumps(self.header) + "\n")
-                for seq, record in enumerate(kept):
-                    handle.write(
-                        json.dumps(
-                            {
-                                "seq": seq,
-                                "start": record.start,
-                                "version": record.version,
-                                "events": record.events,
-                            }
-                        )
-                        + "\n"
-                    )
-                handle.flush()
-                os.fsync(handle.fileno())
-            self._handle.close()
-            FAILPOINTS.hit("wal.pre_truncate")
-            os.replace(staged, self.path)
-            fsync_dir(self.path.parent)
-            self._handle = open(self.path, "a")
-            self._next_seq = len(kept)
-            self._records = len(kept)
-            self._events = sum(len(r.events) for r in kept)
-            self._unsynced = 0
-            return len(kept)
-
     def close(self) -> None:
         """Flush, fsync and close the file (idempotent)."""
         with self.lock:
@@ -558,7 +533,9 @@ class _Entry:
     session: Session
     directory: Path
     wal: WriteAheadLog
-    roll_lock: threading.Lock = field(default_factory=threading.Lock)
+    # (version, insertion-log length) after every logged record, in
+    # log order: what each acknowledged version covered, for as_of
+    history: List[Tuple[int, int]] = field(default_factory=list)
 
 
 class DurableStore:
@@ -567,20 +544,16 @@ class DurableStore:
     Layout, under ``data_dir``::
 
         s-<quoted session name>/
-            ckpt-<version>/   checkpoint generations (usually one)
-            CURRENT           name of the live, complete generation
-            wal.jsonl         acknowledged ingests since that generation
+            wal.jsonl         header + every acknowledged ingest
             CLOSED            marker: closed cleanly, skip at recovery
 
     ``fsync`` is the WAL policy (``always`` | ``batch`` | ``never``);
-    checkpoints themselves are always written durably.
+    headers and ``CLOSED`` markers are always written durably.
 
-    ``keep_generations`` retains that many checkpoint generations per
-    session (newest first) instead of only the live one; the extras
-    feed ``query --as-of`` time travel.  ``EPOCH`` at the data-dir root
-    persists the replication fencing epoch; once :meth:`fence` is
-    called (a peer proved a higher epoch exists) every ingest is
-    rejected, so a zombie primary can no longer acknowledge writes.
+    ``EPOCH`` at the data-dir root persists the replication fencing
+    epoch; once :meth:`fence` is called (a peer proved a higher epoch
+    exists) every ingest is rejected, so a zombie primary can no longer
+    acknowledge writes.
     """
 
     def __init__(
@@ -588,17 +561,14 @@ class DurableStore:
         data_dir,
         fsync: str = "always",
         batch_records: int = DEFAULT_BATCH_RECORDS,
-        keep_generations: int = 1,
     ) -> None:
         self.root = Path(data_dir)
         self.root.mkdir(parents=True, exist_ok=True)
         self.fsync = check_fsync_policy(fsync)
         self.batch_records = batch_records
-        self.keep_generations = max(1, int(keep_generations))
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
         self.recovery: List[Dict[str, Any]] = []  # boot-time reports
-        self.errors: List[str] = []  # background roll failures
         self.epoch = self._read_epoch()
         self.fenced = False
         # replication publish hook: the primary's hub, when serving as
@@ -639,11 +609,7 @@ class DurableStore:
             return 0
 
     def set_epoch(self, epoch: int) -> None:
-        """Durably adopt a (higher) fencing epoch.
-
-        Stamped into every live WAL header so logs written under the
-        new epoch are distinguishable from a superseded primary's.
-        """
+        """Durably adopt a (higher) fencing epoch."""
         if epoch < self.epoch:
             raise ServiceError(
                 f"epoch may only advance ({epoch} < {self.epoch})"
@@ -654,10 +620,6 @@ class DurableStore:
         os.replace(staged, self.root / _EPOCH)
         fsync_dir(self.root)
         self.epoch = epoch
-        with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            entry.wal.stamp_epoch(epoch)
 
     def fence(self) -> None:
         """Reject all further ingests: a higher epoch exists elsewhere."""
@@ -681,17 +643,29 @@ class DurableStore:
             )
         return entry
 
+    def _current(self, session: Session) -> _Entry:
+        """The tracking entry of this exact session instance."""
+        entry = self._entry(session.name)
+        if entry.session is not session:
+            # the name was closed and recreated: acting on the stale
+            # instance would touch the successor's log
+            raise ServiceError(
+                f"session {session.name!r} was superseded; refusing to "
+                "act on the stale instance"
+            )
+        return entry
+
     # ------------------------------------------------------------------
-    # registration (create / restore paths)
+    # registration (create / import paths)
     # ------------------------------------------------------------------
     def register(self, session: Session) -> None:
         """Start durably tracking a live session.
 
-        Writes its first checkpoint generation (possibly of an empty
-        session -- that persists the spec and scheme, so a session that
-        crashes before its first roll is still recoverable), arms a
-        fresh WAL on top of it, and hooks the session's ingest path.
-        Must be called before the creating request is acknowledged.
+        Writes and fsyncs the WAL header (the spec, scheme, skeleton and
+        mode: enough to rebuild the session from nothing), logs an
+        imported session's existing insertions as one record, and hooks
+        the session's ingest path.  Must be called before the creating
+        request is acknowledged.
         """
         directory = self.session_dir(session.name)
         if directory.exists():
@@ -706,9 +680,9 @@ class DurableStore:
                         break
                     generation += 1
                 os.rename(directory, archived)
-            elif not (directory / _CURRENT).exists():
-                # a half-created directory from a crash before the
-                # creating request was acknowledged: safe to discard
+            elif self._incomplete_create(directory):
+                # a crash before the creating request was acknowledged
+                # left it: nothing in it was ever acknowledged
                 shutil.rmtree(directory)
             else:
                 raise ServiceError(
@@ -716,33 +690,58 @@ class DurableStore:
                     f"exists under {directory} (recover or remove it first)"
                 )
         directory.mkdir(parents=True)
+        # the new directory entry (and any archive rename) must survive
+        # power loss before the create is acknowledged
+        fsync_dir(self.root)
+        imported = None
+        if session.log:
+            # an imported session: what it holds so far becomes the
+            # log's first record, so it survives a crash like any ingest
+            imported = self._encode(session, session.log)
         try:
-            version, vertices, _ = self._write_generation(directory, session)
             wal = WriteAheadLog.create(
                 directory / _WAL_FILE,
                 session,
-                base_version=version,
-                base_vertices=vertices,
                 policy=self.fsync,
                 batch_records=self.batch_records,
-                epoch=self.epoch,
+                imported=imported,
             )
         except Exception:
-            # the create was never acknowledged: remove the half-armed
+            # the create was never acknowledged: remove the half-made
             # directory so the name is not durably squatted (a *crash*
-            # in this window instead leaves the directory behind, which
-            # recovery skips -- no CURRENT -- or re-arms -- torn WAL)
+            # in this window leaves no WAL, which recovery reports as an
+            # incomplete create)
             shutil.rmtree(directory, ignore_errors=True)
             raise
-        self._arm(session, directory, wal)
-
-    def _arm(
-        self, session: Session, directory: Path, wal: WriteAheadLog
-    ) -> None:
         entry = _Entry(session=session, directory=directory, wal=wal)
+        if imported is not None:
+            entry.history.append((session.version, len(session.log)))
+        self._arm(entry)
+
+    @staticmethod
+    def _incomplete_create(directory: Path) -> bool:
+        _refuse_old_layout(directory)
+        try:
+            replay_wal(directory / _WAL_FILE)
+        except TornWalError:
+            return True
+        return False
+
+    def _arm(self, entry: _Entry) -> None:
         with self._lock:
-            self._entries[session.name] = entry
-        session.on_ingest = self._on_ingest
+            self._entries[entry.session.name] = entry
+        entry.session.on_ingest = self._on_ingest
+
+    @staticmethod
+    def _encode(
+        session: Session, events: List[Any]
+    ) -> Tuple[List[Dict[str, Any]], int]:
+        """A batch as logged: its events as JSON, its label fingerprint."""
+        labels = session.scheme.labels
+        return (
+            [insertion_to_json(event) for event in events],
+            label_crc([labels[event.vid] for event in events]),
+        )
 
     def _on_ingest(
         self,
@@ -760,137 +759,36 @@ class DurableStore:
         entry = self._entries.get(session.name)
         if entry is None or entry.session is not session:
             return  # stale hook on a superseded session instance
-        payload = [insertion_to_json(event) for event in events]
-        entry.wal.append(start, version, payload)
+        payload, crc = self._encode(session, events)
+        entry.wal.append(start, version, payload, crc)
+        entry.history.append((version, start + len(events)))
         publish = self.on_append
         if publish is not None:
             publish(session, start, version, payload)
 
     # ------------------------------------------------------------------
-    # checkpoint rolls
+    # snapshot / sync / close
     # ------------------------------------------------------------------
-    def _write_generation(self, directory: Path, session: Session):
-        """Durably write a checkpoint generation and flip ``CURRENT``."""
-        staging = directory / _CKPT_STAGING
-        if staging.exists():  # crash leftover; never pointed to
-            shutil.rmtree(staging)
-        FAILPOINTS.hit("ckpt.pre_stage")
-        checkpoint_session(session, staging, durable=True)
-        manifest = load_manifest(staging)
-        version = manifest["session_version"]
-        vertices = manifest["vertices"]
-        target_name = f"{_CKPT_PREFIX}{version:012d}"
-        target = directory / target_name
-        if self._read_current(directory) == target_name:
-            shutil.rmtree(staging)  # nothing new since the last roll
-            return version, vertices, target
-        if target.exists():
-            shutil.rmtree(target)
-        os.rename(staging, target)
-        fsync_dir(directory)
-        FAILPOINTS.hit("ckpt.pre_flip")
-        staged_pointer = directory / (_CURRENT + ".tmp")
-        staged_pointer.write_text(target_name + "\n")
-        fsync_file(staged_pointer)
-        os.replace(staged_pointer, directory / _CURRENT)
-        fsync_dir(directory)
-        FAILPOINTS.hit("ckpt.post_flip")
-        return version, vertices, target
-
-    @staticmethod
-    def _read_current(directory: Path) -> Optional[str]:
-        try:
-            return (directory / _CURRENT).read_text().strip()
-        except FileNotFoundError:
-            return None
-
+    # shim: benchmarks/e2e's trace hook wraps this name (ROADMAP item 3)
     def checkpoint(self, session: Session) -> Dict[str, Any]:
-        """Roll ``session``'s WAL into a fresh checkpoint generation.
+        """Fsync ``session``'s WAL: the pathless ``snapshot`` op.
 
-        Order matters for crash safety: the new generation is written
-        and ``CURRENT`` flipped *before* the WAL is truncated, so a
-        crash at any point leaves a complete checkpoint plus a WAL that
-        still covers everything after it (recovery skips WAL events a
-        checkpoint already contains).  Superseded generations are
-        deleted last, best effort.
+        Makes everything the session acknowledged durable under any
+        fsync policy, and reports the version and vertex count covered.
         """
-        entry = self._entry(session.name)
-        if entry.session is not session:
-            # the name was closed and recreated under this roll's feet;
-            # writing the stale instance's state into the successor's
-            # directory (and truncating ITS WAL to the stale base)
-            # would lose the successor's acknowledged insertions
-            raise ServiceError(
-                f"session {session.name!r} was superseded; refusing to "
-                "checkpoint the stale instance"
-            )
-        with entry.roll_lock:
-            roll_started = time.perf_counter()
-            version, vertices, target = self._write_generation(
-                entry.directory, session
-            )
-            kept = entry.wal.truncate_to_base(version, vertices)
-            roll_ended = time.perf_counter()
-            _h_roll.record(roll_ended - roll_started)
-            trace = current_trace()
-            if trace is not None:
-                trace.add_span(
-                    SPAN_CHECKPOINT_ROLL, roll_started, roll_ended
-                )
-            log_event(
-                _logger, logging.INFO, "checkpoint-roll",
-                session=session.name, version=version, vertices=vertices,
-                wal_records=kept,
-                seconds=round(roll_ended - roll_started, 6),
-            )
-            FAILPOINTS.hit("ckpt.pre_gc")
-            generations = sorted(
-                old
-                for old in entry.directory.glob(_CKPT_PREFIX + "*")
-                if old.is_dir()
-            )
-            # zero-padded versions sort lexicographically; retain the
-            # newest keep_generations (always including the live one)
-            retained = set(generations[-self.keep_generations:])
-            retained.add(target)
-            for old in generations:
-                if old not in retained:
-                    shutil.rmtree(old, ignore_errors=True)
-            return {
-                "session": session.name,
-                "checkpoint_version": version,
-                "checkpoint_vertices": vertices,
-                "wal_records": kept,
-            }
+        entry = self._current(session)
+        with session.lock:
+            # under the session lock: every batch counted here has
+            # finished its append, so the fsync below covers it
+            version, vertices = session.version, len(session)
+        entry.wal.sync()
+        return {"checkpoint_version": version, "vertices": vertices}
 
-    def checkpoint_pending(self) -> List[str]:
-        """Roll every tracked session with outstanding WAL records."""
-        rolled: List[str] = []
-        with self._lock:
-            entries = list(self._entries.values())
-        for entry in entries:
-            if not entry.wal.records:
-                continue
-            name = entry.session.name
-            try:
-                self.checkpoint(entry.session)
-                rolled.append(name)
-            except Exception as exc:  # noqa: BLE001 - keep the thread alive
-                # a session closed/superseded between the snapshot and
-                # the roll is expected churn; everything else (poisoned
-                # WAL, failing disk) must surface through recover_info
-                with self._lock:
-                    current = self._entries.get(name)
-                if current is not entry or entry.wal.closed:
-                    continue
-                message = f"checkpoint of {name!r} failed: {exc}"
-                if message not in self.errors:
-                    self.errors.append(message)
-        return rolled
+    # shim: benchmarks/e2e's trace hook calls this name (ROADMAP item 3)
+    def generation_dir(self, name: str, version: int) -> Path:
+        """The directory holding ``name``'s durable state at any version."""
+        return self.session_dir(name)
 
-    # ------------------------------------------------------------------
-    # sync / close / finalize
-    # ------------------------------------------------------------------
     def sync(self, name: Optional[str] = None) -> List[str]:
         """Fsync one session's WAL (or all of them); returns the names."""
         if name is not None:
@@ -903,26 +801,21 @@ class DurableStore:
         return sorted(name for name, _ in entries)
 
     def finalize(self, session: Session) -> None:
-        """A session closed cleanly: final checkpoint, ``CLOSED`` marker.
+        """A session closed cleanly: fsync its WAL, write ``CLOSED``.
 
         The directory is kept (it is the run's provenance record); a
         later session reusing the name archives it.  Recovery skips
         closed directories.
         """
         try:
-            entry = self._entry(session.name)
+            entry = self._current(session)
         except ServiceError:
             return
-        if entry.session is not session:
-            return
-        with entry.roll_lock:
-            self._write_generation(entry.directory, session)
-            entry.wal.truncate_to_base(session.version, len(session))
-            entry.wal.close()
-            marker = entry.directory / _CLOSED
-            marker.write_text("closed\n")
-            fsync_file(marker)
-            fsync_dir(entry.directory)
+        entry.wal.close()
+        marker = entry.directory / _CLOSED
+        marker.write_text("closed\n")
+        fsync_file(marker)
+        fsync_dir(entry.directory)
         with self._lock:
             self._entries.pop(session.name, None)
         session.on_ingest = None
@@ -946,13 +839,16 @@ class DurableStore:
     def recover(self, manager: SessionManager) -> List[Dict[str, Any]]:
         """Rebuild every non-closed session found under the data dir.
 
-        For each session directory: restore the ``CURRENT`` checkpoint
-        (label verification included), replay the WAL tail through the
-        session's scheme, truncate any torn tail, and resume durable
-        tracking.  Returns one report per directory; the reports are
-        also kept on :attr:`recovery` for the ``recover_info`` op.
-        Directories from creations that crashed before being
-        acknowledged (no ``CURRENT``) are skipped, not errors.
+        Each session directory's WAL is replayed through the scheme its
+        header records, every record's label fingerprint is checked,
+        any torn tail is truncated, and durable tracking resumes.
+        Returns one report per directory; the reports are also kept on
+        :attr:`recovery` for the ``recover_info`` op.  A directory whose
+        WAL header is missing, empty or torn is a create that crashed
+        before being acknowledged: it is reported as
+        ``incomplete-create`` and skipped, and the name may be created
+        again.  A directory in the older checkpoint-generation layout is
+        refused with a :class:`ServiceError`, never skipped.
         """
         reports: List[Dict[str, Any]] = []
         for directory in sorted(self.root.iterdir()):
@@ -966,17 +862,24 @@ class DurableStore:
                     {"session": name, "status": "closed", "skipped": True}
                 )
                 continue
-            current = self._read_current(directory)
-            if current is None:
+            _refuse_old_layout(directory)
+            try:
+                replay = replay_wal(directory / _WAL_FILE)
+            except TornWalError as exc:
                 reports.append(
                     {
                         "session": name,
                         "status": "incomplete-create",
                         "skipped": True,
+                        "reason": str(exc),
                     }
                 )
                 continue
-            reports.append(self._recover_one(manager, directory, current))
+            except ServiceError as exc:
+                raise ServiceError(f"session {name!r}: {exc}") from None
+            reports.append(
+                self._recover_one(manager, name, directory, replay)
+            )
         self.recovery = reports
         for report in reports:
             log_event(
@@ -985,92 +888,68 @@ class DurableStore:
         return reports
 
     def _recover_one(
-        self, manager: SessionManager, directory: Path, current: str
+        self,
+        manager: SessionManager,
+        name: str,
+        directory: Path,
+        replay: WalReplay,
     ) -> Dict[str, Any]:
-        checkpoint_dir = directory / current
-        session = restore_session(manager, checkpoint_dir)
-        report: Dict[str, Any] = {
-            "session": session.name,
-            "status": "recovered",
-            "skipped": False,
-            "checkpoint": current,
-            "checkpoint_version": session.version,
-            "checkpoint_vertices": len(session),
-        }
         wal_path = directory / _WAL_FILE
-        try:
-            replay = replay_wal(wal_path)
-        except TornWalError as exc:
-            # a crash between writing the checkpoint and completing the
-            # WAL (inside an unacknowledged create, or re-registering):
-            # the complete checkpoint is the whole acknowledged state,
-            # so re-arm a fresh log on top of it
-            wal = WriteAheadLog.create(
-                wal_path,
-                session,
-                base_version=session.version,
-                base_vertices=len(session),
-                policy=self.fsync,
-                batch_records=self.batch_records,
-                epoch=self.epoch,
-            )
-            self._arm(session, directory, wal)
-            report["wal_records_replayed"] = 0
-            report["wal_events_replayed"] = 0
-            report["vertices"] = len(session)
-            report["version"] = session.version
-            report["wal_rearmed"] = str(exc)
-            return report
-        except ServiceError as exc:
-            # a parseable header with the wrong format tag is real
-            # corruption, not a crash artifact -- refuse to guess
-            manager.close(session.name)
-            raise ServiceError(
-                f"session {session.name!r}: {exc}"
-            ) from None
         header = replay.header
-        if header.get("session") != session.name or (
-            header.get("scheme") != session.scheme_name
-        ):
-            manager.close(session.name)
+        if header.get("session") != name:
             raise ServiceError(
                 f"write-ahead log {wal_path} belongs to session "
-                f"{header.get('session')!r} under scheme "
-                f"{header.get('scheme')!r}, not {session.name!r} under "
-                f"{session.scheme_name!r}"
+                f"{header.get('session')!r}, not {name!r}"
             )
-        replayed_events = 0
-        replayed_records = 0
+        try:
+            session = Session(
+                name,
+                specification_from_json(header["spec"]),
+                scheme=header["scheme"],
+                skeleton=header["skeleton"],
+                mode=header["mode"],
+            )
+        except (KeyError, TypeError, FormatError) as exc:
+            raise ServiceError(
+                f"write-ahead log {wal_path} has an unusable header: {exc}"
+            ) from None
+        history: List[Tuple[int, int]] = []
+        labels = session.scheme.labels
         for record in replay.records:
-            skip = len(session.log) - record.start
-            if skip < 0:
-                manager.close(session.name)
+            if record.start != len(session.log):
                 raise ServiceError(
-                    f"write-ahead log {wal_path} has a gap: record "
-                    f"{record.seq} starts at {record.start} but the "
-                    f"session has {len(session.log)} insertions"
+                    f"write-ahead log {wal_path} record {record.seq} "
+                    f"starts at {record.start} but the session has "
+                    f"{len(session.log)} insertions (a gap or an overlap)"
                 )
-            if skip >= len(record.events):
-                continue  # fully covered by the checkpoint
             try:
                 events = [
-                    insertion_from_json(event)
-                    for event in record.events[skip:]
+                    insertion_from_json(event) for event in record.events
                 ]
             except FormatError as exc:
-                manager.close(session.name)
                 raise ServiceError(
                     f"write-ahead log {wal_path} record {record.seq} "
                     f"holds a malformed event: {exc}"
                 ) from None
             session.ingest_many(events)
+            replayed = label_crc([labels[event.vid] for event in events])
+            if replayed != record.crc:
+                raise ServiceError(
+                    f"session {name!r}: write-ahead log record "
+                    f"{record.seq} is corrupt: the replayed labels do "
+                    "not match its fingerprint"
+                )
             session.version = record.version
-            replayed_events += len(events)
-            replayed_records += 1
-        report["wal_records_replayed"] = replayed_records
-        report["wal_events_replayed"] = replayed_events
-        report["vertices"] = len(session)
-        report["version"] = session.version
+            history.append((record.version, len(session.log)))
+        report: Dict[str, Any] = {
+            "session": name,
+            "status": "recovered",
+            "skipped": False,
+            "wal_records_replayed": len(replay.records),
+            "wal_events_replayed": replay.events,
+            "vertices": len(session),
+            "version": session.version,
+        }
         if replay.dropped is not None:
             report["torn_tail"] = replay.dropped
             report["resume_seq"] = replay.next_seq
@@ -1082,38 +961,30 @@ class DurableStore:
             policy=self.fsync,
             batch_records=self.batch_records,
         )
-        self._arm(session, directory, wal)
+        manager.adopt(session)
+        self._arm(_Entry(session, directory, wal, history))
         return report
 
     # ------------------------------------------------------------------
     # introspection / time travel
     # ------------------------------------------------------------------
-    def generations(self, name: str) -> List[int]:
-        """Retained checkpoint generation versions for a session."""
-        directory = self.session_dir(name)
-        versions: List[int] = []
-        if not directory.is_dir():
-            return versions
-        for child in directory.glob(_CKPT_PREFIX + "*"):
-            if not child.is_dir():
-                continue
-            try:
-                versions.append(int(child.name[len(_CKPT_PREFIX):]))
-            except ValueError:
-                continue
-        return sorted(versions)
+    def log_length_at(self, session: Session, version: int) -> int:
+        """How much of ``session``'s insertion log ``version`` covered.
 
-    def generation_dir(self, name: str, version: int) -> Path:
-        """The checkpoint directory of one retained generation."""
-        directory = self.session_dir(name)
-        target = directory / f"{_CKPT_PREFIX}{version:012d}"
-        if not target.is_dir():
+        That is the end of the last record whose version is at most
+        ``version``.  Version 0 is the empty session; a version this
+        store never acknowledged raises :class:`ServiceError`.
+        """
+        if version == 0:
+            return 0
+        history = self._current(session).history
+        index = bisect_right(history, (version, math.inf))
+        if index == 0 or version > history[-1][0]:
             raise ServiceError(
-                f"session {name!r} has no retained checkpoint generation "
-                f"{version}; available: {self.generations(name)} "
-                "(raise --keep-generations to retain more)"
+                f"session {session.name!r} has no acknowledged version "
+                f"{version}"
             )
-        return target
+        return history[index - 1][1]
 
     def info(self) -> Dict[str, Any]:
         """The durability state the ``recover_info`` op reports."""
@@ -1122,61 +993,19 @@ class DurableStore:
         sessions = {}
         for name, entry in entries:
             sessions[name] = {
-                "checkpoint_version": entry.wal.base_version,
-                "checkpoint_vertices": entry.wal.base_vertices,
                 "wal_records": entry.wal.records,
-                "wal_events": entry.wal.pending_events,
+                "wal_events": entry.wal.events,
                 "wal_unsynced": entry.wal.unsynced,
                 "version": entry.session.version,
                 "vertices": len(entry.session),
-                "generations": self.generations(name),
             }
         return {
             "durable": True,
             "data_dir": str(self.root),
             "fsync": self.fsync,
             "batch_records": self.batch_records,
-            "keep_generations": self.keep_generations,
             "epoch": self.epoch,
             "fenced": self.fenced,
             "sessions": sessions,
             "recovered": list(self.recovery),
-            "errors": list(self.errors),
         }
-
-
-# ---------------------------------------------------------------------------
-# the background checkpointer
-# ---------------------------------------------------------------------------
-
-
-class Checkpointer(threading.Thread):
-    """Periodically rolls outstanding WALs into checkpoints.
-
-    Bounds recovery replay work: after a quiet period every session's
-    state lives in its checkpoint and the WAL is empty.  Failures are
-    recorded on ``store.errors`` (surfaced by ``recover_info``), never
-    raised -- a broken disk must not kill the service loop.
-    """
-
-    def __init__(
-        self,
-        store: DurableStore,
-        interval: float = DEFAULT_CHECKPOINT_INTERVAL,
-    ) -> None:
-        super().__init__(name="repro-checkpointer", daemon=True)
-        if interval <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        self.store = store
-        self.interval = interval
-        # NB: not named _stop -- threading.Thread has a private _stop
-        self._halt = threading.Event()
-
-    def run(self) -> None:
-        while not self._halt.wait(self.interval):
-            self.store.checkpoint_pending()
-
-    def stop(self, timeout: float = 10.0) -> None:
-        """Signal the thread and wait for it to exit."""
-        self._halt.set()
-        self.join(timeout=timeout)

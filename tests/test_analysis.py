@@ -38,7 +38,6 @@ FROZEN_RULE_IDS = {
     "lock-discipline",
     "lock-order",
     "durability-fsync",
-    "durability-order",
     "nondet-hash",
     "nondet-time",
     "mutable-default",
@@ -348,30 +347,6 @@ def test_durability_fsync_clean_with_fsync(tmp_path):
     """, name="report.py") == []
 
 
-def test_durability_order_flags_truncate_before_flip(tmp_path):
-    findings = run_rule(tmp_path, "durability-order", """
-        import os
-
-        def roll(wal, directory, staged):
-            wal.truncate_to_base()
-            os.replace(staged, directory / _CURRENT)
-    """, name="wal.py")
-    assert len(findings) == 1
-    assert "crash" in findings[0].message
-
-
-def test_durability_order_clean_in_canonical_order(tmp_path):
-    findings = run_rule(tmp_path, "durability-order", """
-        import os
-
-        def roll(session, wal, directory, staged):
-            checkpoint_session(session, staged)
-            os.replace(staged, directory / _CURRENT)
-            wal.truncate_to_base()
-    """, name="wal.py")
-    assert findings == []
-
-
 # ---------------------------------------------------------------------------
 # metric names
 # ---------------------------------------------------------------------------
@@ -418,7 +393,7 @@ def test_failpoint_names_clean_on_catalog_literals(tmp_path):
 
         def roll():
             FAILPOINTS.hit("wal.pre_fsync")
-            FAILPOINTS.hit("ckpt.pre_flip")
+            FAILPOINTS.hit("wal.post_append")
             other.hit("not-a-failpoint-registry")
     """)
     assert findings == []

@@ -1,10 +1,10 @@
 """Crash-consistency and durability tests (repro.service.wal + fixes).
 
 Covers the durability layer end to end -- WAL append/replay/torn-tail
-handling, checkpoint generations with the CURRENT pointer, boot-time
-recovery, the background checkpointer, the sync/recover_info protocol
-ops -- plus the hardening fixes that rode along: fsynced checkpoint
-staging and restore-validates-before-replay.
+handling, the per-record label fingerprint, boot-time recovery by WAL
+replay and its crash windows, the sync/recover_info protocol ops --
+plus the checkpoint export/import hardening: fsynced checkpoint staging
+and restore-validates-before-replay.
 """
 
 from __future__ import annotations
@@ -12,14 +12,12 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 
 import pytest
 
 from repro.errors import ServiceError
 from repro.graphs.reachability import reaches
 from repro.service import (
-    Checkpointer,
     DurableStore,
     SessionManager,
     checkpoint_session,
@@ -29,7 +27,8 @@ from repro.service import (
 from repro.service.protocol import Request, insertions_to_wire
 from repro.service.server import ReproService
 from repro.service.sessions import Session
-from repro.service.wal import WriteAheadLog
+from repro.service import wal as wal_module
+from repro.service.wal import WriteAheadLog, label_crc
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 
@@ -203,10 +202,10 @@ class TestWriteAheadLog:
 
     def test_append_replay_round_trip(self, session, tmp_path):
         wal = WriteAheadLog.create(
-            tmp_path / "wal.jsonl", session, 0, 0, policy="always"
+            tmp_path / "wal.jsonl", session, policy="always"
         )
-        wal.append(0, 1, [{"vid": 0}])
-        wal.append(1, 2, [{"vid": 1}, {"vid": 2}])
+        wal.append(0, 1, [{"vid": 0}], 0)
+        wal.append(1, 2, [{"vid": 1}, {"vid": 2}], 0)
         wal.close()
         replay = replay_wal(tmp_path / "wal.jsonl")
         assert replay.dropped is None
@@ -217,9 +216,9 @@ class TestWriteAheadLog:
 
     def test_torn_tail_is_dropped_and_reported(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog.create(path, session, 0, 0)
-        wal.append(0, 1, [{"vid": 0}])
-        wal.append(1, 2, [{"vid": 1}])
+        wal = WriteAheadLog.create(path, session)
+        wal.append(0, 1, [{"vid": 0}], 0)
+        wal.append(1, 2, [{"vid": 1}], 0)
         wal.close()
         whole = path.read_bytes()
         path.write_bytes(whole[:-7])  # tear the final append
@@ -230,14 +229,14 @@ class TestWriteAheadLog:
 
     def test_resume_truncates_the_torn_tail(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog.create(path, session, 0, 0)
-        wal.append(0, 1, [{"vid": 0}])
-        wal.append(1, 2, [{"vid": 1}])
+        wal = WriteAheadLog.create(path, session)
+        wal.append(0, 1, [{"vid": 0}], 0)
+        wal.append(1, 2, [{"vid": 1}], 0)
         wal.close()
         path.write_bytes(path.read_bytes()[:-7])
         replay = replay_wal(path)
         resumed = WriteAheadLog.resume(path, replay)
-        resumed.append(1, 2, [{"vid": 1}])  # re-acknowledged after loss
+        resumed.append(1, 2, [{"vid": 1}], 0)  # re-acknowledged after loss
         resumed.close()
         healed = replay_wal(path)
         assert healed.dropped is None
@@ -245,13 +244,14 @@ class TestWriteAheadLog:
 
     def test_seq_gap_drops_the_rest(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog.create(path, session, 0, 0)
-        wal.append(0, 1, [{"vid": 0}])
+        wal = WriteAheadLog.create(path, session)
+        wal.append(0, 1, [{"vid": 0}], 0)
         wal.close()
         with open(path, "a") as handle:
             handle.write(
                 json.dumps(
-                    {"seq": 5, "start": 9, "version": 9, "events": []}
+                    {"seq": 5, "start": 9, "version": 9, "events": [],
+                     "crc": 0}
                 )
                 + "\n"
             )
@@ -265,68 +265,100 @@ class TestWriteAheadLog:
         with pytest.raises(ServiceError, match="not a write-ahead log"):
             replay_wal(path)
 
-    def test_truncate_to_base_keeps_uncovered_records(
-        self, session, tmp_path
-    ):
-        path = tmp_path / "wal.jsonl"
-        wal = WriteAheadLog.create(path, session, 0, 0)
-        wal.append(0, 1, [{"vid": 0}, {"vid": 1}])
-        wal.append(2, 2, [{"vid": 2}])
-        wal.append(3, 3, [{"vid": 3}])
-        assert wal.truncate_to_base(2, 3) == 1  # first two covered
-        wal.append(4, 4, [{"vid": 4}])
-        wal.close()
-        replay = replay_wal(path)
-        assert replay.header["base_vertices"] == 3
-        assert [r.start for r in replay.records] == [3, 4]
-        assert [r.seq for r in replay.records] == [0, 1]
-
     def test_fsync_policies_count_unsynced(self, session, tmp_path):
         never = WriteAheadLog.create(
-            tmp_path / "never.jsonl", session, 0, 0, policy="never"
+            tmp_path / "never.jsonl", session, policy="never"
         )
-        never.append(0, 1, [{"vid": 0}])
+        never.append(0, 1, [{"vid": 0}], 0)
         assert never.unsynced == 1
         never.sync()
         assert never.unsynced == 0
         never.close()
         always = WriteAheadLog.create(
-            tmp_path / "always.jsonl", session, 0, 0, policy="always"
+            tmp_path / "always.jsonl", session, policy="always"
         )
-        always.append(0, 1, [{"vid": 0}])
+        always.append(0, 1, [{"vid": 0}], 0)
         assert always.unsynced == 0
         always.close()
         batch = WriteAheadLog.create(
-            tmp_path / "batch.jsonl", session, 0, 0,
+            tmp_path / "batch.jsonl", session,
             policy="batch", batch_records=2,
         )
-        batch.append(0, 1, [{"vid": 0}])
+        batch.append(0, 1, [{"vid": 0}], 0)
         assert batch.unsynced == 1
-        batch.append(1, 2, [{"vid": 1}])
+        batch.append(1, 2, [{"vid": 1}], 0)
         assert batch.unsynced == 0  # the batch threshold fsynced
         batch.close()
 
     def test_unknown_policy_rejected(self, session, tmp_path):
         with pytest.raises(ServiceError, match="fsync"):
             WriteAheadLog.create(
-                tmp_path / "wal.jsonl", session, 0, 0, policy="sometimes"
+                tmp_path / "wal.jsonl", session, policy="sometimes"
             )
 
     def test_failed_append_poisons_the_log(self, session, tmp_path):
         """After one failed append the log must refuse every later one:
         writing past a possibly-torn line would let recovery silently
         drop acknowledged records behind the tear."""
-        wal = WriteAheadLog.create(tmp_path / "wal.jsonl", session, 0, 0)
-        wal.append(0, 1, [{"vid": 0}])
+        wal = WriteAheadLog.create(tmp_path / "wal.jsonl", session)
+        wal.append(0, 1, [{"vid": 0}], 0)
         wal._handle.close()  # force the next write to fail
         with pytest.raises(ServiceError, match="append failed"):
-            wal.append(1, 2, [{"vid": 1}])
+            wal.append(1, 2, [{"vid": 1}], 0)
         assert wal.failed
         with pytest.raises(ServiceError, match="poisoned"):
-            wal.append(2, 3, [{"vid": 2}])
+            wal.append(2, 3, [{"vid": 2}], 0)
         with pytest.raises(ServiceError, match="poisoned"):
             wal.sync()
         wal.close()  # teardown of a poisoned log must not raise
+
+
+# ---------------------------------------------------------------------------
+# the per-record label fingerprint
+# ---------------------------------------------------------------------------
+
+
+#: label_crc of every label of a fixed 60-vertex sampled run (seed 5),
+#: in insertion order.  The WAL checks these bytes at every recovery,
+#: so they must not drift across Python versions or processes.
+GOLDEN_FINGERPRINTS = {
+    ("drl", "running-example"): 1333719537,
+    ("naive", "running-example"): 2087774103,
+    ("path-position", "fig12-path"): 2232597682,
+}
+
+
+class TestLabelFingerprint:
+    @pytest.mark.parametrize(
+        "scheme,spec_name", sorted(GOLDEN_FINGERPRINTS),
+        ids=[scheme for scheme, _ in sorted(GOLDEN_FINGERPRINTS)],
+    )
+    def test_golden_fingerprint(self, scheme, spec_name):
+        from repro.datasets import spec_by_name
+
+        spec = spec_by_name(spec_name)
+        events = execution_from_derivation(
+            sample_run(spec, 60, random.Random(5))
+        ).insertions
+        session = Session("golden", spec, scheme=scheme)
+        session.ingest_many(events)
+        labels = session.scheme.labels
+        assert label_crc([labels[event.vid] for event in events]) == (
+            GOLDEN_FINGERPRINTS[scheme, spec_name]
+        )
+
+    def test_depends_on_values_not_sharing(self):
+        shared = (1, 2, 3)
+        assert label_crc([(shared, shared)]) == label_crc(
+            [((1, 2, 3), tuple([1, 2, 3]))]
+        )
+        assert label_crc([(1, 2, 3)]) != label_crc([(1, 2, 4)])
+
+    def test_naive_labels_past_the_int_to_str_digit_limit(self):
+        from repro.labeling.naive_dynamic import NaiveLabel
+
+        huge = NaiveLabel(index=20001, ancestors=(1 << 20000) - 1)
+        assert label_crc([huge]) == label_crc([(20001, (1 << 20000) - 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +392,7 @@ class TestDurableStoreRecovery:
         service = ReproService(data_dir=tmp_path / "data")
         self.create(service, "s1")
         self.ingest(service, "s1", events[:40])
-        # roll a checkpoint, then keep ingesting into the WAL
+        # a pathless snapshot fsyncs the WAL; ingest goes on after it
         assert service.handle(Request("snapshot", {"session": "s1"})).ok
         self.ingest(service, "s1", events[40:70])
         service.close()
@@ -368,8 +400,8 @@ class TestDurableStoreRecovery:
         revived = ReproService(data_dir=tmp_path / "data")
         report = revived.store.recovery[0]
         assert report["status"] == "recovered"
-        assert report["checkpoint_vertices"] == 40
-        assert report["wal_events_replayed"] == 30
+        assert report["wal_records_replayed"] == 2
+        assert report["wal_events_replayed"] == 70
         assert report["vertices"] == 70
         vids = [event.vid for event in events[:70]]
         rng = random.Random(3)
@@ -479,31 +511,161 @@ class TestDurableStoreRecovery:
         store.close()
         DurableStore(tmp_path / "data").close()  # free after close
 
-    def test_missing_wal_next_to_complete_checkpoint_rearms(
-        self, run_and_execution, tmp_path
+    @pytest.mark.parametrize("tear", ["missing", "empty", "torn"])
+    def test_torn_header_is_an_incomplete_create(
+        self, tear, run_and_execution, tmp_path
     ):
-        """A crash between the first checkpoint and the WAL creation
-        (inside an unacknowledged create) must not brick the boot: the
-        checkpoint is the whole acknowledged state."""
+        """A crash inside an unacknowledged create leaves a missing,
+        empty or torn WAL header: recovery skips the directory and the
+        name can be created again."""
         _, execution = run_and_execution
         service = ReproService(data_dir=tmp_path / "data")
         self.create(service, "s1")
-        self.ingest(service, "s1", execution.insertions[:15])
-        assert service.handle(Request("snapshot", {"session": "s1"})).ok
         service.close()
-        next((tmp_path / "data").glob("s-*/wal.jsonl")).unlink()
+        wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+        header = wal_path.read_bytes()
+        if tear == "missing":
+            wal_path.unlink()
+        elif tear == "empty":
+            wal_path.write_bytes(b"")
+        else:
+            wal_path.write_bytes(header[: len(header) // 2])
 
         revived = ReproService(data_dir=tmp_path / "data")
-        report = revived.store.recovery[0]
-        assert report["status"] == "recovered"
-        assert report["wal_rearmed"]
-        assert report["vertices"] == 15
-        # the re-armed WAL accepts new acknowledged ingests
-        self.ingest(revived, "s1", execution.insertions[15:25])
+        (report,) = revived.store.recovery
+        assert report["status"] == "incomplete-create"
+        assert report["skipped"]
+        assert revived.manager.names() == []
+        self.create(revived, "s1")
+        self.ingest(revived, "s1", execution.insertions[:10])
         revived.close()
         third = ReproService(data_dir=tmp_path / "data")
-        assert third.store.recovery[0]["vertices"] == 25
+        assert third.store.recovery[0]["vertices"] == 10
         third.close()
+
+    def test_wal_without_closed_marker_recovers_open(self, tmp_path):
+        """A complete header with no records and no ``CLOSED`` marker
+        is an acknowledged, still-open session."""
+        service = ReproService(data_dir=tmp_path / "data")
+        self.create(service, "s1")
+        service.close()
+        revived = ReproService(data_dir=tmp_path / "data")
+        (report,) = revived.store.recovery
+        assert report["status"] == "recovered"
+        assert report["vertices"] == 0
+        assert revived.manager.names() == ["s1"]
+        revived.close()
+
+    def test_create_fsyncs_the_data_dir_root(self, tmp_path, monkeypatch):
+        """The new session directory's entry lives in the root; without
+        a root fsync a power loss can drop an acknowledged create."""
+        synced = []
+        real = wal_module.fsync_dir
+
+        def spying(path):
+            synced.append(os.path.realpath(path))
+            real(path)
+
+        monkeypatch.setattr(wal_module, "fsync_dir", spying)
+        service = ReproService(data_dir=tmp_path / "data")
+        self.create(service, "s1")
+        service.close()
+        assert os.path.realpath(tmp_path / "data") in synced
+
+    def test_flipped_fingerprint_refuses_recovery(
+        self, run_and_execution, tmp_path
+    ):
+        """Replay recomputes every record's label fingerprint; a record
+        whose fingerprint does not match refuses the whole boot, naming
+        the session and the record."""
+        _, execution = run_and_execution
+        service = ReproService(data_dir=tmp_path / "data")
+        self.create(service, "s1")
+        self.ingest(service, "s1", execution.insertions[:20])
+        self.ingest(service, "s1", execution.insertions[20:40])
+        service.close()
+        wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+        lines = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["crc"] ^= 1
+        lines[2] = json.dumps(record) + "\n"
+        wal_path.write_text("".join(lines))
+        with pytest.raises(ServiceError, match="'s1'.*record 1"):
+            ReproService(data_dir=tmp_path / "data")
+
+    def test_record_gap_refuses_recovery(self, run_and_execution, tmp_path):
+        _, execution = run_and_execution
+        service = ReproService(data_dir=tmp_path / "data")
+        self.create(service, "s1")
+        self.ingest(service, "s1", execution.insertions[:20])
+        service.close()
+        wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+        lines = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["start"] = 3
+        lines[1] = json.dumps(record) + "\n"
+        wal_path.write_text("".join(lines))
+        with pytest.raises(ServiceError, match="gap or an overlap"):
+            ReproService(data_dir=tmp_path / "data")
+
+    @pytest.mark.parametrize("layout", ["generation", "wal-v1"])
+    def test_old_format_directory_is_refused(
+        self, layout, running_spec, tmp_path
+    ):
+        """Directories of the older checkpoint-generation layout are
+        refused by name, never skipped or replaced silently."""
+        directory = tmp_path / "data" / "s-old"
+        directory.mkdir(parents=True)
+        if layout == "generation":
+            kept = directory / "ckpt-000000000003"
+            kept.mkdir()
+        else:
+            kept = directory / "wal.jsonl"
+            kept.write_text(json.dumps({
+                "format": "repro-wal", "version": 1, "session": "old",
+                "spec": "running-example", "scheme": "drl",
+                "base_version": 0, "base_vertices": 0,
+            }) + "\n")
+        store = DurableStore(tmp_path / "data")
+        with pytest.raises(ServiceError, match="s-old"):
+            store.register(Session("old", running_spec))
+        store.close()
+        assert kept.exists()
+        with pytest.raises(ServiceError, match="s-old"):
+            ReproService(data_dir=tmp_path / "data")
+
+    def test_imported_session_survives_a_restart(
+        self, running_spec, run_and_execution, tmp_path
+    ):
+        """``create_session checkpoint=`` logs the imported insertions
+        as one record, so they survive like any acknowledged ingest."""
+        run, execution = run_and_execution
+        _, source = make_session(running_spec, execution.insertions[:60])
+        path = checkpoint_session(source, tmp_path / "export")
+        service = ReproService(data_dir=tmp_path / "data")
+        response = service.handle(
+            Request(
+                "create_session", {"name": "copy", "checkpoint": str(path)}
+            )
+        )
+        assert response.ok, response.error
+        self.ingest(service, "copy", execution.insertions[60:80])
+        service.close()
+
+        revived = ReproService(data_dir=tmp_path / "data")
+        (report,) = revived.store.recovery
+        assert report["wal_records_replayed"] == 2
+        assert report["vertices"] == 80
+        vids = [event.vid for event in execution.insertions[:80]]
+        rng = random.Random(4)
+        pairs = [[rng.choice(vids), rng.choice(vids)] for _ in range(100)]
+        response = revived.handle(
+            Request("query_batch", {"session": "copy", "pairs": pairs})
+        )
+        assert response.result["answers"] == [
+            reaches(run.graph, a, b) for a, b in pairs
+        ]
+        revived.close()
 
     def test_failed_create_does_not_squat_the_name(
         self, running_spec, tmp_path, monkeypatch
@@ -530,8 +692,8 @@ class TestDurableStoreRecovery:
     def test_stale_session_instance_cannot_checkpoint(
         self, running_spec, run_and_execution, tmp_path
     ):
-        """A roll holding a superseded Session (close + recreate raced
-        it) must not write the old state over the successor's."""
+        """A pathless snapshot holding a superseded Session (close +
+        recreate raced it) must not act on the successor's WAL."""
         _, execution = run_and_execution
         store = DurableStore(tmp_path / "data")
         manager, old = make_session(running_spec)
@@ -547,53 +709,6 @@ class TestDurableStoreRecovery:
         # the successor's WAL still holds its acknowledged batch
         assert store.info()["sessions"]["live"]["wal_events"] == 5
         store.close()
-
-    def test_checkpoint_pending_surfaces_poisoned_wal(
-        self, running_spec, run_and_execution, tmp_path
-    ):
-        _, execution = run_and_execution
-        store = DurableStore(tmp_path / "data")
-        _, session = make_session(running_spec)
-        store.register(session)
-        session.ingest_many(execution.insertions[:10])
-        store._entries["live"].wal.failed = True  # as a failed append would
-        assert store.checkpoint_pending() == []
-        assert store.errors and "poisoned" in store.errors[0]
-        assert len(store.errors) == 1
-        store.checkpoint_pending()  # repeated ticks do not spam
-        assert len(store.errors) == 1
-        store.close()
-
-    def test_checkpointer_rolls_outstanding_wals(
-        self, run_and_execution, running_spec, tmp_path
-    ):
-        _, execution = run_and_execution
-        store = DurableStore(tmp_path / "data")
-        manager, session = make_session(running_spec)
-        store.register(session)
-        session.ingest_many(execution.insertions[:25])
-        checkpointer = Checkpointer(store, interval=0.05)
-        checkpointer.start()
-        deadline = time.monotonic() + 10.0
-        try:
-            while time.monotonic() < deadline:
-                info = store.info()["sessions"]["live"]
-                if (
-                    info["wal_records"] == 0
-                    and info["checkpoint_vertices"] == 25
-                ):
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("checkpointer never rolled the WAL")
-        finally:
-            checkpointer.stop()
-            store.close()
-        # the rolled state recovers without any WAL replay
-        revived = SessionManager()
-        reports = DurableStore(tmp_path / "data").recover(revived)
-        assert reports[0]["checkpoint_vertices"] == 25
-        assert reports[0]["wal_events_replayed"] == 0
 
     def test_failed_batch_prefix_is_still_logged(
         self, running_spec, run_and_execution, tmp_path

@@ -66,18 +66,18 @@ class TestArming:
     def test_armed_table_reports_action_and_nth(self):
         registry = FailpointRegistry()
         registry.arm("wal.pre_fsync", "raise", 3)
-        registry.arm("ckpt.pre_flip", "crash")
+        registry.arm("wal.post_append", "crash")
         assert registry.armed() == {
             "wal.pre_fsync": "raise@3",
-            "ckpt.pre_flip": "crash@1",
+            "wal.post_append": "crash@1",
         }
 
     def test_disarm_one_and_all(self):
         registry = FailpointRegistry()
         registry.arm("wal.pre_fsync", "raise")
-        registry.arm("ckpt.pre_flip", "raise")
+        registry.arm("wal.post_append", "raise")
         registry.disarm("wal.pre_fsync")
-        assert registry.armed() == {"ckpt.pre_flip": "raise@1"}
+        assert registry.armed() == {"wal.post_append": "raise@1"}
         registry.disarm()
         assert registry.armed() == {}
 
@@ -109,7 +109,7 @@ class TestFiring:
         registry = FailpointRegistry()
         registry.arm("wal.pre_append", "raise")
         registry.hit("wal.pre_fsync")
-        registry.hit("ckpt.pre_flip")
+        registry.hit("wal.post_append")
         assert registry.armed() == {"wal.pre_append": "raise@1"}
 
 
@@ -117,11 +117,11 @@ class TestSpecParsing:
     def test_spec_round_trip(self):
         registry = FailpointRegistry()
         assert registry.arm_from_spec(
-            "wal.pre_fsync=crash, ckpt.pre_flip=raise@2"
+            "wal.pre_fsync=crash, wal.post_append=raise@2"
         ) == 2
         assert registry.armed() == {
             "wal.pre_fsync": "crash@1",
-            "ckpt.pre_flip": "raise@2",
+            "wal.post_append": "raise@2",
         }
 
     def test_empty_clauses_skipped(self):
@@ -155,7 +155,7 @@ class TestCatalog:
         # the real tree; assert here that the catalog itself is sane
         for name in FAILPOINT_NAMES:
             domain, _, point = name.partition(".")
-            assert domain in {"wal", "ckpt", "repl", "cluster"}, name
+            assert domain in {"wal", "repl", "cluster"}, name
             assert point, name
 
     def test_global_registry_starts_unarmed(self):

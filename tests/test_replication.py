@@ -8,11 +8,11 @@ The contract under test, end to end:
 * promotion bumps the epoch durably before the first write, and the
   fenced old primary can never acknowledge a write again (no zombie
   acks, no two primaries on one epoch);
-* ``--keep-generations`` retains checkpoint history and ``as_of``
-  answers against it; torn-tail recovery reports the bytes dropped;
+* ``as_of`` answers, for every acknowledged version, equal BFS on the
+  prefix graph that version covered; torn-tail recovery reports the
+  bytes dropped;
 * the failpoint crash matrix: a real server crashed *at every
-  registered WAL/checkpoint failpoint* recovers every acknowledged
-  insertion.
+  registered WAL failpoint* recovers every acknowledged insertion.
 """
 
 from __future__ import annotations
@@ -342,80 +342,96 @@ class TestPromotion:
 
 
 # ---------------------------------------------------------------------------
-# time travel + retention
+# time travel
 # ---------------------------------------------------------------------------
 
 
+def prefix_graph(events):
+    """The run graph built from an insertion-log prefix alone."""
+    from repro.graphs.digraph import NamedDAG
+
+    graph = NamedDAG()
+    for event in events:
+        graph.add_vertex(event.vid, event.name)
+        for pred in event.preds:
+            graph.add_edge(pred, event.vid)
+    return graph
+
+
 class TestTimeTravel:
-    def test_as_of_answers_from_a_retained_generation(
-        self, tmp_path, running_spec
-    ):
-        run, execution = make_execution(running_spec, size=80, seed=9)
+    def test_as_of_matches_bfs_on_every_prefix(self, tmp_path, running_spec):
+        """Record an ingest history in random batch sizes; for every
+        acknowledged version V, ``as_of=V`` answers equal BFS on the
+        graph of the events V covered, and a vertex born after V gets
+        the ``labeling`` error."""
+        _, execution = make_execution(running_spec, size=90, seed=9)
         events = execution.insertions
-        service = ReproService(
-            data_dir=str(tmp_path / "d"),
-            fsync="never",
-            keep_generations=4,
-        )
+        rng = random.Random(15)
+        service = ReproService(data_dir=str(tmp_path / "d"), fsync="never")
         try:
             call(service, "create_session", name="s",
                  spec="running-example")
-            call(service, "ingest", session="s",
-                 insertions=insertions_to_wire(events[:30]))
-            first = call(service, "snapshot", session="s")["version"]
-            call(service, "ingest", session="s",
-                 insertions=insertions_to_wire(events[30:]))
-            call(service, "snapshot", session="s")
-
-            early = [e.vid for e in events[:30]]
-            late = [e.vid for e in events[30:]]
-            # vertices inserted after the retained generation are
-            # absent in the as-of view but present live
-            assert call(service, "query", session="s",
-                        source=late[0], target=late[0])["answer"] is True
-            with pytest.raises(Exception):
-                call(service, "query", session="s", source=late[0],
-                     target=late[0], as_of=first)
-            probe = [[early[0], v] for v in early]
-            got = call(service, "query_batch", session="s",
-                       pairs=probe, as_of=first)
-            live = call(service, "query_batch", session="s",
-                        pairs=probe)
-            # insertions only ever extend the graph downward, so the
-            # as-of view agrees with the live one on surviving pairs
-            assert got["answers"] == live["answers"]
+            covered = {0: 0}  # version -> insertion-log length
+            lo = 0
+            while lo < len(events):
+                hi = min(len(events), lo + rng.randint(1, 12))
+                version = call(service, "ingest", session="s",
+                               insertions=insertions_to_wire(
+                                   events[lo:hi]))["version"]
+                covered[version] = hi
+                lo = hi
+            assert len(covered) > 5
+            for version, end in sorted(covered.items()):
+                graph = prefix_graph(events[:end])
+                vids = [event.vid for event in events[:end]]
+                pairs = [[a, b] for a in vids[::3] for b in vids[::2]]
+                if pairs:
+                    got = call(service, "query_batch", session="s",
+                               pairs=pairs, as_of=version)
+                    assert got["as_of"] == version
+                    assert got["answers"] == [
+                        reaches(graph, a, b) for a, b in pairs
+                    ]
+                if end < len(events):
+                    later = events[end].vid
+                    response = service.handle(Request(
+                        op="query", id=1,
+                        params={"session": "s", "source": later,
+                                 "target": later, "as_of": version},
+                    ))
+                    assert not response.ok
+                    assert response.code == "labeling"
+            # a version the server never acknowledged is refused
+            beyond = max(covered) + 1
+            response = service.handle(Request(
+                op="query", id=1,
+                params={"session": "s", "source": events[0].vid,
+                        "target": events[0].vid, "as_of": beyond},
+            ))
+            assert not response.ok and response.code == "service"
         finally:
             service.close()
 
-    def test_keep_generations_bounds_retention(
-        self, tmp_path, running_spec
-    ):
-        _, execution = make_execution(running_spec, size=80, seed=10)
+    def test_as_of_survives_recovery(self, tmp_path, running_spec):
+        _, execution = make_execution(running_spec, size=60, seed=10)
         events = execution.insertions
-        service = ReproService(
-            data_dir=str(tmp_path / "d"),
-            fsync="never",
-            keep_generations=2,
-        )
+        service = ReproService(data_dir=str(tmp_path / "d"), fsync="never")
+        call(service, "create_session", name="s", spec="running-example")
+        first = call(service, "ingest", session="s",
+                     insertions=insertions_to_wire(events[:25]))["version"]
+        call(service, "ingest", session="s",
+             insertions=insertions_to_wire(events[25:]))
+        service.close()
+        revived = ReproService(data_dir=str(tmp_path / "d"))
         try:
-            call(service, "create_session", name="s",
-                 spec="running-example")
-            versions = []
-            for lo in range(0, 80, 20):
-                call(service, "ingest", session="s",
-                     insertions=insertions_to_wire(events[lo:lo + 20]))
-                versions.append(
-                    call(service, "snapshot", session="s")["version"]
-                )
-            retained = service.store.generations("s")
-            assert retained == sorted(versions)[-2:]
-            # a collected generation is a structured error, not a crash
-            with pytest.raises(Exception):
-                call(service, "query", session="s",
-                     source=events[0].vid, target=events[0].vid,
-                     as_of=versions[0])
+            with pytest.raises(Exception, match="no label"):
+                call(revived, "query", session="s", source=events[30].vid,
+                     target=events[30].vid, as_of=first)
+            assert call(revived, "query", session="s",
+                        source=events[0].vid, target=events[0].vid,
+                        as_of=first)["answer"] is True
         finally:
-            service.close()
+            revived.close()
 
     def test_as_of_rejects_non_integers(self, tmp_path, running_spec):
         _, execution = make_execution(running_spec, size=20, seed=11)
@@ -473,7 +489,7 @@ class TestTornTailDetails:
 
 # ---------------------------------------------------------------------------
 # the failpoint crash matrix: crash a real server at every registered
-# WAL/checkpoint failpoint; recovery must hold every acknowledged write
+# WAL failpoint; recovery must hold every acknowledged write
 # ---------------------------------------------------------------------------
 
 
@@ -481,11 +497,6 @@ CRASH_MATRIX = [
     "wal.pre_append=crash@4",
     "wal.pre_fsync=crash@4",
     "wal.post_append=crash@4",
-    "wal.pre_truncate=crash",
-    "ckpt.pre_stage=crash",
-    "ckpt.pre_flip=crash",
-    "ckpt.post_flip=crash",
-    "ckpt.pre_gc=crash",
 ]
 
 
@@ -522,10 +533,6 @@ class TestFailpointCrashMatrix:
                         batch = events[lo:lo + 4]
                         client.ingest("s", batch)
                         acked.extend(event.vid for event in batch)
-                        if lo == 16:
-                            # roll a checkpoint mid-stream so the
-                            # ckpt.*/wal.pre_truncate points get hit
-                            client.snapshot("s")
             except (OSError, ProtocolError, ServiceError):
                 pass  # the armed crash severed the connection
             assert wait_until(lambda: process.poll() is not None, 15.0), \
