@@ -104,7 +104,9 @@ class DRLExecutionLabeler:
         for key in self.spec.graph_keys():
             template = self.spec.graph(key)
             self._source_names[template.name(template.source)] = key
-        # open instances expecting an internal vertex with a given name
+        # open instances expecting an internal vertex with a given name;
+        # this and the three slot indexes below are filled in name mode
+        # only: the log names every copy outright in logged mode
         self._expecting: Dict[str, List[Tuple[_InstanceState, int]]] = {}
         # logged mode lookup: copy token -> instance state
         self._by_token: Dict[int, _InstanceState] = {}
@@ -161,15 +163,17 @@ class DRLExecutionLabeler:
     ) -> _InstanceState:
         template = self.spec.graph(key)
         inst = _InstanceState(node, key, template, token)
+        by_name = self.mode == "name"
         for tv in template.vertices():
             name = template.name(tv)
             if self.spec.is_atomic(name):
-                if tv != template.source:
+                if by_name and tv != template.source:
                     self._expecting.setdefault(name, []).append((inst, tv))
             else:
                 slot = _Slot(inst, tv, name)
                 inst.slots[tv] = slot
-                self._slots_by_head.setdefault(name, []).append(slot)
+                if by_name:
+                    self._slots_by_head.setdefault(name, []).append(slot)
         if token is not None:
             self._by_token[token] = inst
         return inst
@@ -366,10 +370,11 @@ class DRLExecutionLabeler:
             special = ParseNode(kind, owner.node)
             self.factory.register_node(special, None, slot.tv)
             slot.special_node = special
-            if kind is NodeKind.L:
-                self._open_loops.append(slot)
-            else:
-                self._open_forks.append(slot)
+            if self.mode == "name":
+                if kind is NodeKind.L:
+                    self._open_loops.append(slot)
+                else:
+                    self._open_forks.append(slot)
             node = ParseNode(NodeKind.N, special)
             self.factory.register_node(node, key, None)
         elif self._body_designated(key) is not None:

@@ -211,7 +211,10 @@ class Histogram:
                  "_max_ns")
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        # re-entrant: the collector-pause hook records from inside the
+        # allocation that triggered a collection, which can be this
+        # very histogram's snapshot() on the same thread
+        self._lock = threading.RLock()
         self._counts: List[int] = [0] * NUM_BUCKETS
         self._count = 0
         self._sum_ns = 0

@@ -21,11 +21,14 @@ bounded dimensions (``op``, ``stage``, ``status``).
 
 from __future__ import annotations
 
+import gc
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.histogram import Histogram, bucket_upper_seconds
+from repro.obs.names import GC_PAUSE_SECONDS
 
 LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -241,6 +244,41 @@ _default = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide registry components bind to by default."""
     return _default
+
+
+_gc_hook: Optional[Callable[[str, Dict[str, int]], None]] = None
+
+
+def observe_gc_pauses() -> None:
+    """Time every cyclic-collector pause into :data:`GC_PAUSE_SECONDS`.
+
+    Appends one hook to ``gc.callbacks`` per process (calling this
+    again does nothing), feeding one series per collector generation
+    in the default registry.  The hosted-session layer calls it on
+    import, so every serving process -- each cluster worker too --
+    reports its own pauses, and a router merges them exactly like any
+    other histogram.  The series are bound up front: the hook runs
+    inside whatever allocation triggered the collection, so it must
+    not take the registry lock (see :class:`Histogram` for its own).
+    """
+    global _gc_hook
+    if _gc_hook is not None:
+        return
+    pauses = [
+        _default.histogram(GC_PAUSE_SECONDS, generation=str(generation))
+        for generation in range(len(gc.get_count()))
+    ]
+    clock = time.perf_counter_ns
+    started = [0]
+
+    def hook(phase: str, info: Dict[str, int]) -> None:
+        if phase == "start":
+            started[0] = clock()
+        else:
+            pauses[info["generation"]].record_ns(clock() - started[0])
+
+    gc.callbacks.append(hook)
+    _gc_hook = hook
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,9 @@ CHECKPOINT_WRITE_SECONDS = "repro_checkpoint_write_seconds"
 #: replica side: applying one shipped replication record batch
 REPL_APPLY_SECONDS = "repro_repl_apply_seconds"
 
+#: one cyclic garbage collection, labeled ``generation=0|1|2``
+GC_PAUSE_SECONDS = "repro_gc_pause_seconds"
+
 # --- counter series ---------------------------------------------------
 
 #: primary side: WAL records published to the replication hub
@@ -92,6 +95,7 @@ HISTOGRAM_NAMES = (
     WAL_FSYNC_SECONDS,
     CHECKPOINT_WRITE_SECONDS,
     REPL_APPLY_SECONDS,
+    GC_PAUSE_SECONDS,
 )
 
 #: every counter series name above

@@ -13,7 +13,9 @@ with a monotone global *ship position* (one sequence across every
 session, unlike the per-session WAL seqs).  The
 hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
-so the shipped stream is always a prefix of the durable log.
+so the shipped stream is always a prefix of the durable log.  A ringed
+ingest record keeps its events as the JSON text the WAL line embeds;
+``repl_subscribe`` decodes only the records it returns.
 
 Each **replica** is itself a durable server (its own data dir and
 WALs) started read-only with ``--replicate-from``.  Its
@@ -49,6 +51,7 @@ write the new timeline does not contain.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -88,6 +91,13 @@ _c_applied = default_registry().counter(REPL_RECORDS_APPLIED_TOTAL)
 
 class _ResetNeeded(ReproError):
     """Replica-internal: the incremental stream cannot apply; resync."""
+
+
+def _decoded(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A ringed record as ``repl_subscribe`` ships it: events decoded."""
+    if record["kind"] != "ingest":
+        return dict(record)
+    return {**record, "events": json.loads(record["events"])}
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +152,14 @@ class ReplicationHub:
         session: Session,
         start: int,
         version: int,
-        events: List[Dict[str, Any]],
+        events: str,
     ) -> None:
-        """Ring one durably appended ingest batch for shipping."""
+        """Ring one durably appended ingest batch for shipping.
+
+        ``events`` is the batch's events as JSON text, kept as it is:
+        text is one flat object, where decoded events would be several
+        containers each for the garbage collector to walk.
+        """
         with self._cond:
             record = {
                 "pos": self._seq,
@@ -204,32 +219,35 @@ class ReplicationHub:
             )
         wait = min(max(0.0, float(wait)), 30.0)
         with self._cond:
-            if from_seq < 0 or from_seq < self._min_seq:
-                reset_to = self._seq
-            else:
+            reset = from_seq < 0 or from_seq < self._min_seq
+            if not reset:
                 deadline = time.monotonic() + wait
                 while self._seq <= from_seq:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
                     self._cond.wait(remaining)
-                records = [
-                    dict(record)
+                shipped = [
+                    record
                     for record in self._ring
                     if record["pos"] >= from_seq
                 ]
-                return {
-                    "records": records,
-                    "seq": self._seq,
-                    "epoch": self.store.epoch,
-                }
+            seq = self._seq
+        if not reset:
+            # ringed records never change, so they are decoded after
+            # the hub lock is released: publish() never waits on it
+            return {
+                "records": [_decoded(record) for record in shipped],
+                "seq": seq,
+                "epoch": self.store.epoch,
+            }
         # reset path: assemble the snapshot WITHOUT the hub lock (the
         # session locks it takes are the ones publish() holds *before*
         # taking the hub lock).  Records published meanwhile may overlap
         # the snapshot; prefix-idempotent apply absorbs the overlap.
         return {
             "reset": True,
-            "seq": reset_to,
+            "seq": seq,
             "epoch": self.store.epoch,
             "snapshot": self._snapshot_all(),
         }

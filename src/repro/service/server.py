@@ -399,7 +399,7 @@ class ReproService:
             )
         session = self.manager.get(name)
         end = self.store.log_length_at(session, as_of)
-        prefix = {event.vid for event in session.log[:end]}
+        prefix = {row[0] for row in session.log[:end]}
         for pair in pairs:
             for vid in pair:
                 if vid not in prefix:

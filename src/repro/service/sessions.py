@@ -4,7 +4,13 @@ A :class:`Session` owns everything one running workflow needs -- the
 specification, a pluggable *dynamic* labeling scheme resolved by name
 through :mod:`repro.schemes.registry` (DRL by default), the raw
 insertion log (kept for checkpoint exports and time travel) and a lock
-serializing writers.  A :class:`SessionManager` hosts many sessions
+serializing writers.  The log keeps each event as one tuple of atoms
+and tuples of atoms, ``(vid, name, sorted preds, origin, slot)``,
+rather than as an :class:`~repro.workflow.execution.Insertion`: the
+cyclic garbage collector stops tracking such a tuple once it has seen
+its inner tuples untracked (by the generation-1 collection after the
+ingest), so a long-lived session adds nothing to the walk of every
+later full collection.  A :class:`SessionManager` hosts many sessions
 under distinct names so a single service process can track many
 concurrent workflow executions, the way a workflow engine tracks many
 active runs.
@@ -37,11 +43,11 @@ from repro.datasets import spec_by_name
 from repro.errors import ServiceError, SessionNotFoundError
 from repro.labeling.drl import Label
 from repro.obs.logs import log_event
-from repro.obs.metrics import default_registry
+from repro.obs.metrics import default_registry, observe_gc_pauses
 from repro.obs.names import ENGINE_STAGE_SECONDS, STAGE_LABEL_BUILD
 from repro.obs.trace import current_trace
 from repro.schemes import registry as scheme_registry
-from repro.workflow.execution import Insertion
+from repro.workflow.execution import Insertion, LogOrigin
 from repro.workflow.specification import Specification
 
 _logger = logging.getLogger("repro.service.sessions")
@@ -54,10 +60,36 @@ _label_build_hist = default_registry().histogram(
     ENGINE_STAGE_SECONDS, stage=STAGE_LABEL_BUILD
 )
 
+# collector pauses land in the same registry: the hook is installed
+# once per process, here, so every process hosting sessions reports
+observe_gc_pauses()
+
 SpecLike = Union[Specification, str]
 
 # (session, applied events, log index of the first event, new version)
 IngestHook = Callable[["Session", List[Insertion], int, int], None]
+
+# one insertion-log row: (vid, name, sorted preds, origin, slot)
+LogRow = Tuple[
+    int, str, Tuple[int, ...], Optional[LogOrigin], Optional[Tuple[int, int]]
+]
+
+
+def _log_row(insertion: Insertion) -> LogRow:
+    """The insertion-log row of one event (see :attr:`Session.log`)."""
+    return (
+        insertion.vid,
+        insertion.name,
+        tuple(sorted(insertion.preds)),
+        insertion.origin,
+        insertion.slot,
+    )
+
+
+def _row_insertion(row: LogRow) -> Insertion:
+    """The event an insertion-log row records."""
+    vid, name, preds, origin, slot = row
+    return Insertion(vid, name, frozenset(preds), origin, slot)
 
 
 def resolve_spec(spec: SpecLike) -> Specification:
@@ -112,7 +144,8 @@ class Session:
         )
         self.lock = threading.Lock()
         self.version = 0
-        self.log: List[Insertion] = []
+        # one row per applied event, in order (see _log_row)
+        self.log: List[LogRow] = []
         self.closed = False
         # durability hook: called under the session lock after a batch
         # is applied, with (session, applied events, log index of the
@@ -135,8 +168,9 @@ class Session:
         """Insert one vertex; its label is final immediately."""
         with self.lock:
             self._check_open()
+            row = _log_row(insertion)
             label = self.scheme.insert(insertion)
-            self.log.append(insertion)
+            self.log.append(row)
             self.version += 1
             if self.on_ingest is not None:
                 self.on_ingest(
@@ -157,14 +191,17 @@ class Session:
         """
         with self.lock:
             self._check_open()
-            count = 0
+            applied: List[Insertion] = []
             failure = None
             build_started = time.perf_counter()
             try:
                 for insertion in insertions:
+                    # the row first: an event that cannot be logged is
+                    # refused before the labeler accepts it
+                    row = _log_row(insertion)
                     self.scheme.insert(insertion)
-                    self.log.append(insertion)
-                    count += 1
+                    self.log.append(row)
+                    applied.append(insertion)
             except BaseException as exc:
                 failure = exc
                 raise
@@ -176,7 +213,7 @@ class Session:
                     trace.add_span(
                         STAGE_LABEL_BUILD, build_started, build_ended
                     )
-                if count:
+                if applied:
                     self.version += 1
                     if self.on_ingest is not None:
                         # the applied prefix of a failed batch is logged
@@ -185,8 +222,8 @@ class Session:
                         try:
                             self.on_ingest(
                                 self,
-                                self.log[-count:],
-                                len(self.log) - count,
+                                applied,
+                                len(self.log) - len(applied),
                                 self.version,
                             )
                         except Exception:
@@ -195,7 +232,7 @@ class Session:
                             # ingests fail loudly rather than diverge
                             if failure is None:
                                 raise
-            return count
+            return len(applied)
 
     def _check_open(self) -> None:
         if self.closed:
@@ -209,9 +246,16 @@ class Session:
         return self.scheme.label_of(vid)
 
     def snapshot_state(self) -> Tuple[int, Dict[int, Label], List[Insertion]]:
-        """A consistent ``(version, labels, log)`` copy for checkpointing."""
+        """A consistent ``(version, labels, insertions)`` copy.
+
+        Checkpoint exports and replication snapshots read it; the
+        insertions are rebuilt from the log rows outside the lock.
+        """
         with self.lock:
-            return self.version, dict(self.scheme.labels), list(self.log)
+            version, labels, rows = (
+                self.version, dict(self.scheme.labels), list(self.log)
+            )
+        return version, labels, [_row_insertion(row) for row in rows]
 
     def __len__(self) -> int:
         return len(self.scheme.labels)

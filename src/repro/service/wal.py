@@ -30,7 +30,9 @@ service mounts under a ``--data-dir``:
   the recorded scheme, checking each record's label fingerprint as it
   goes.  A torn WAL tail (the crash interrupted an append) is dropped
   and reported with its resume point; the file is truncated to the
-  valid prefix before new appends continue.
+  valid prefix before new appends continue.  Replay runs with the
+  cyclic garbage collector paused: it makes no cyclic garbage, so
+  every collection would only re-walk the sessions being rebuilt.
 
 Time travel comes from the same log: the store keeps the
 ``(version, log length)`` pair of every record, so ``as_of`` reads
@@ -44,6 +46,7 @@ lock and appends.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import marshal
@@ -59,7 +62,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import quote, unquote
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.faults import FAILPOINTS
 from repro.io.jsonio import (
     insertion_from_json,
@@ -229,7 +232,12 @@ def replay_wal(path) -> WalReplay:
         raise TornWalError(
             f"write-ahead log {path} has an unreadable header: {exc}"
         ) from None
-    if not isinstance(header, dict) or header.get("format") != _WAL_FORMAT:
+    if not isinstance(header, dict):
+        raise ServiceError(
+            f"{path} is not a write-ahead log (its header is JSON "
+            f"{type(header).__name__}, not an object)"
+        )
+    if header.get("format") != _WAL_FORMAT:
         raise ServiceError(
             f"{path} is not a write-ahead log "
             f"(format {header.get('format')!r})"
@@ -408,9 +416,15 @@ class WriteAheadLog:
 
     def append(
         self, start: int, version: int, events: List[Dict[str, Any]],
-        crc: int,
+        crc: int, encoded: Optional[str] = None,
     ) -> int:
         """Log one acknowledged ingest batch; returns its ``seq``.
+
+        ``encoded`` is ``json.dumps(events)`` when the caller already
+        has it (the store encodes a batch once, for this log and for
+        the replication ring).  Either way the line is exactly
+        ``json.dumps`` of the record ``{seq, start, version, events,
+        crc[, trace_id]}``.
 
         A failed append (disk full, I/O error) **poisons** the log:
         every later append raises immediately instead of writing after
@@ -421,25 +435,26 @@ class WriteAheadLog:
         way the session must stop acknowledging; a restart (which
         re-runs recovery) clears the state.
         """
+        if encoded is None:
+            encoded = json.dumps(events)
         with self.lock:
             self._check_open()
-            record = {
-                "seq": self._next_seq,
-                "start": start,
-                "version": version,
-                "events": events,
-                "crc": crc,
-            }
+            # json.dumps of the record, spelled out around the events'
+            # text: the same keys, order and separators
+            line = (
+                f'{{"seq": {self._next_seq}, "start": {start}, '
+                f'"version": {version}, "events": {encoded}, "crc": {crc}'
+            )
             trace = current_trace()
             if trace is not None:
                 # the record carries the request's trace id, so a WAL
                 # line is joinable to the trace/logs that produced it
                 # (replay ignores unknown keys)
-                record["trace_id"] = trace.trace_id
+                line += f', "trace_id": {json.dumps(trace.trace_id)}'
             try:
                 FAILPOINTS.hit("wal.pre_append")
                 append_started = time.perf_counter()
-                self._handle.write(json.dumps(record) + "\n")
+                self._handle.write(line + "}\n")
                 # always flush to the OS: process death never loses an
                 # acknowledged batch, only the fsync policy decides
                 # power-loss durability
@@ -697,7 +712,7 @@ class DurableStore:
         if session.log:
             # an imported session: what it holds so far becomes the
             # log's first record, so it survives a crash like any ingest
-            imported = self._encode(session, session.log)
+            imported = self._encode(session, session.snapshot_state()[2])
         try:
             wal = WriteAheadLog.create(
                 directory / _WAL_FILE,
@@ -760,11 +775,14 @@ class DurableStore:
         if entry is None or entry.session is not session:
             return  # stale hook on a superseded session instance
         payload, crc = self._encode(session, events)
-        entry.wal.append(start, version, payload, crc)
+        # encoded once: the log line embeds this text and the
+        # replication ring keeps it as it is
+        encoded = json.dumps(payload)
+        entry.wal.append(start, version, payload, crc, encoded)
         entry.history.append((version, start + len(events)))
         publish = self.on_append
         if publish is not None:
-            publish(session, start, version, payload)
+            publish(session, start, version, encoded)
 
     # ------------------------------------------------------------------
     # snapshot / sync / close
@@ -849,7 +867,24 @@ class DurableStore:
         ``incomplete-create`` and skipped, and the name may be created
         again.  A directory in the older checkpoint-generation layout is
         refused with a :class:`ServiceError`, never skipped.
+
+        The cyclic garbage collector is paused throughout and left as
+        it was found, also when recovery raises.  Replay makes no
+        cyclic garbage, so a collection could only re-walk the objects
+        of the sessions being rebuilt, again and again as they grow.
+        The objects are not frozen (``gc.freeze``) either: a recovered
+        session closed later leaves parse-tree cycles that only the
+        collector frees.
         """
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return self._recover_all(manager)
+        finally:
+            if collecting:
+                gc.enable()
+
+    def _recover_all(self, manager: SessionManager) -> List[Dict[str, Any]]:
         reports: List[Dict[str, Any]] = []
         for directory in sorted(self.root.iterdir()):
             if not directory.is_dir():
@@ -931,7 +966,13 @@ class DurableStore:
                     f"write-ahead log {wal_path} record {record.seq} "
                     f"holds a malformed event: {exc}"
                 ) from None
-            session.ingest_many(events)
+            try:
+                session.ingest_many(events)
+            except (ReproError, LookupError, TypeError, ValueError) as exc:
+                raise ServiceError(
+                    f"session {name!r}: write-ahead log record "
+                    f"{record.seq} does not relabel: {exc}"
+                ) from exc
             replayed = label_crc([labels[event.vid] for event in events])
             if replayed != record.crc:
                 raise ServiceError(

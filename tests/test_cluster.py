@@ -31,6 +31,7 @@ from repro.errors import ProtocolError, ServiceError
 from repro.graphs.reachability import reaches
 from repro.obs.histogram import HistogramSnapshot
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.names import GC_PAUSE_SECONDS
 from repro.service import ClusterSupervisor, ServiceClient, session_worker
 from repro.service.client import IDEMPOTENT_OPS, RECONNECT_BACKOFF
 from repro.service.cluster import merge_metrics, merge_stats
@@ -260,6 +261,25 @@ class TestClusterRouting:
 
         client.close_session(ALPHA)
         client.close_session(BETA)
+
+    def test_collector_pauses_merge_over_live_workers(self, cluster):
+        """Each worker times its own collections; the router's merged
+        series holds every worker's, with exact integer state."""
+        raw = _raw_lines(cluster.port, [
+            json.dumps({"op": "metrics", "raw": True})
+        ])[0]
+        assert raw["ok"], raw
+        pauses = {
+            entry["labels"]["generation"]: HistogramSnapshot.from_raw(entry)
+            for entry in raw["result"]["histograms"]
+            if entry["name"] == GC_PAUSE_SECONDS
+        }
+        assert sorted(pauses) == ["0", "1", "2"]
+        for snapshot in pauses.values():
+            assert snapshot.count == sum(snapshot.counts)
+        # a worker collects while it imports the service, so the
+        # young generation's merged series is never empty
+        assert pauses["0"].count > 0
 
     def test_cross_worker_batch_rejected(self, cluster, client):
         # alpha lives on worker 0, beta on worker 1: a batch naming

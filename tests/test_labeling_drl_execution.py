@@ -70,6 +70,31 @@ class TestEquivalenceWithDerivationScheme:
         for vid, label in execution_labels.items():
             assert label == derivation_labels[vid]
 
+    def test_logged_mode_fills_no_name_mode_index(self, running_spec):
+        """The log names every copy, so a logged run leaves the four
+        name-inference indexes empty -- and labels exactly as a
+        name-mode run, which needs them."""
+        run = small_run(running_spec, 300, seed=2)
+        exe = execution_from_derivation(run)
+        labelers = {
+            mode: DRLExecutionLabeler(DRL(running_spec), mode=mode)
+            for mode in ("name", "logged")
+        }
+        for labeler in labelers.values():
+            labeler.run(exe)
+
+        def indexes(labeler):
+            return (
+                labeler._expecting,
+                labeler._slots_by_head,
+                labeler._open_loops,
+                labeler._open_forks,
+            )
+
+        assert indexes(labelers["logged"]) == ({}, {}, [], [])
+        assert all(indexes(labelers["name"]))
+        assert labelers["logged"].labels == labelers["name"].labels
+
 
 class TestRandomOrderCorrectness:
     """Arbitrary topological insertion orders still label correctly."""

@@ -14,6 +14,7 @@ accounting.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import random
@@ -47,6 +48,8 @@ from repro.obs import (
     parse_prometheus_text,
 )
 from repro.obs.histogram import NUM_BUCKETS, bucket_bounds, bucket_index
+from repro.obs.metrics import observe_gc_pauses
+from repro.obs.names import GC_PAUSE_SECONDS, series_count
 from repro.service import QueryEngine, ServiceClient, SessionManager
 from repro.service.protocol import Request
 from repro.service.server import ReproServer, ReproService
@@ -300,6 +303,58 @@ class TestMetricsRegistry:
                 )
         finally:
             exporter.stop()
+
+
+class TestCollectorPauses:
+    def pauses(self, generation):
+        return default_registry().histogram(
+            GC_PAUSE_SECONDS, generation=str(generation)
+        )
+
+    def test_every_collection_lands_in_its_generation(self):
+        import repro.service.sessions  # noqa: F401 - installs the hook
+
+        before = self.pauses(2).snapshot().count
+        gc.collect()
+        gc.collect(0)
+        after = self.pauses(2).snapshot()
+        assert after.count == before + 1
+        assert self.pauses(0).snapshot().count >= 1
+        scrape = parse_prometheus_text(
+            default_registry().render_prometheus()
+        )
+        generations = {
+            sample["labels"]["generation"]
+            for sample in scrape[series_count(GC_PAUSE_SECONDS)]
+        }
+        assert generations == {"0", "1", "2"}
+
+    def test_the_hook_is_installed_once(self):
+        observe_gc_pauses()
+        observe_gc_pauses()
+        hooks = [
+            hook for hook in gc.callbacks
+            if getattr(hook, "__module__", None) == "repro.obs.metrics"
+        ]
+        assert len(hooks) == 1
+
+    def test_a_collection_inside_the_histograms_own_lock(self):
+        """The hook records from whatever allocation set a collection
+        off -- possibly a snapshot of the very histogram it records
+        into, on the same thread, holding its lock."""
+        observe_gc_pauses()
+        histogram = self.pauses(2)
+        before = histogram.snapshot().count
+
+        def collect_under_the_lock():
+            with histogram._lock:
+                gc.collect()
+
+        worker = threading.Thread(target=collect_under_the_lock, daemon=True)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive(), "the pause hook deadlocked"
+        assert histogram.snapshot().count == before + 1
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from repro.service.protocol import (
     encode_request,
     encode_response,
     error_response,
+    insertions_to_wire,
     raise_for_response,
 )
 from repro.service.server import ReproService
@@ -491,6 +492,46 @@ class TestProtocol:
                     params={"session": "s", "pairs": [[0, 0], (0, 0)]})
         )
         assert response.ok and len(response.result["answers"]) == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("vid", True),
+        ("vid", "x"),
+        ("vid", 1.0),
+        ("name", 5),
+        ("preds", [True]),
+        ("preds", ["0"]),
+        ("preds", "0"),
+        ("origin.key", 0),
+        ("origin.token", True),
+        ("origin.tv", 2.0),
+        ("slot.token", "1"),
+        ("slot.tv", None),
+    ])
+    def test_ingest_refuses_ill_typed_events(
+        self, running_spec, field, value
+    ):
+        """Ids, predecessors and origin/slot tokens are exact ints, the
+        name and origin key strings; a bad event anywhere in a request
+        refuses all of it before anything is applied."""
+        _, execution = make_execution(running_spec, size=60, seed=4)
+        wire = insertions_to_wire(execution.insertions[:8])
+        bad = next(
+            event for event in wire[1:] if "slot" in event and event["preds"]
+        )
+        outer, _, inner = field.partition(".")
+        if inner:
+            bad[outer][inner] = value
+        else:
+            bad[outer] = value
+        service = ReproService()
+        service.manager.create("s", "running-example")
+        response = service.handle(
+            Request(op="ingest", params={"session": "s", "insertions": wire})
+        )
+        assert not response.ok and response.code == "protocol", response
+        assert outer in response.error
+        session = service.manager.get("s")
+        assert (len(session), session.version) == (0, 0)
 
     def test_unexpected_exceptions_become_responses(self):
         """A poisoned request must never escape handle() and kill the
