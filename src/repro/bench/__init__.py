@@ -3,8 +3,8 @@
 Each ``fig*`` / ``tab*`` function in :mod:`repro.bench.figures` runs one
 experiment and returns a :class:`~repro.bench.harness.Table` whose rows
 mirror the series the paper plots.  ``python -m repro.bench`` runs them
-all and prints the tables (this is how EXPERIMENTS.md is produced);
-``benchmarks/`` wraps the same drivers in pytest-benchmark timers.
+all and prints the tables; ``benchmarks/`` wraps the same experiment
+functions in pytest-benchmark timers.
 
 Scale knob: the environment variable ``REPRO_SCALE`` (default ``1.0``)
 multiplies the largest run size; ``REPRO_SAMPLES`` overrides the number

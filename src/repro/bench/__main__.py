@@ -7,8 +7,7 @@ Usage::
     python -m repro.bench --output results.md   # also write to a file
     REPRO_SCALE=0.25 python -m repro.bench   # smaller run-size ladder
 
-Prints each experiment as an aligned text table; EXPERIMENTS.md records
-one full run of this command.
+Prints each experiment as an aligned text table.
 """
 
 from __future__ import annotations

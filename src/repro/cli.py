@@ -189,7 +189,10 @@ def cmd_normalize(args) -> int:
 def cmd_bench(args) -> int:
     from repro.bench.__main__ import main as bench_main
 
-    return bench_main(["bench"] + args.experiments)
+    argv = ["bench"] + args.experiments
+    if args.output is not None:
+        argv += ["--output", args.output]
+    return bench_main(argv)
 
 
 def _parse_endpoint(value: str, flag: str):
@@ -725,6 +728,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="regenerate the paper's tables")
     p.add_argument("experiments", nargs="*")
+    p.add_argument("--output", default=None, metavar="FILE",
+                   help="also write the tables to FILE")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="run the provenance query service")

@@ -307,29 +307,31 @@ class PackedLabelFactory:
         edge_template_vid: Optional[int],
     ) -> None:
         """Record a new tree node; compute its shared prefix structure."""
-        if node.kind is NodeKind.N:
-            if graph_key is None:
-                raise LabelingError("N nodes must carry a graph key")
-            self._key[node] = graph_key
+        if node.kind is NodeKind.N and graph_key is None:
+            raise LabelingError("N nodes must carry a graph key")
         parent = node.parent
         if parent is None:
             self._indexes[node] = (node.index,)
             self._metas[node] = ()
-            return
-        if parent.kind is NodeKind.N:
-            if edge_template_vid is None:
-                raise LabelingError(
-                    "children of non-special nodes need the edge composite"
-                )
-            parent_meta = self._meta_for(self._key[parent], edge_template_vid)
         else:
-            parent_meta = _KIND_CODE[parent.kind]
-        try:
-            parent_indexes = self._indexes[parent]
-        except KeyError:
-            raise LabelingError("node was never registered") from None
-        self._indexes[node] = parent_indexes + (node.index,)
-        self._metas[node] = self._metas[parent] + (parent_meta,)
+            try:
+                parent_indexes = self._indexes[parent]
+            except KeyError:
+                raise LabelingError("node was never registered") from None
+            if parent.kind is NodeKind.N:
+                if edge_template_vid is None:
+                    raise LabelingError(
+                        "children of non-special nodes need the edge composite"
+                    )
+                parent_meta = self._meta_for(
+                    self._key[parent], edge_template_vid
+                )
+            else:
+                parent_meta = _KIND_CODE[parent.kind]
+            self._indexes[node] = parent_indexes + (node.index,)
+            self._metas[node] = self._metas[parent] + (parent_meta,)
+        if node.kind is NodeKind.N:
+            self._key[node] = graph_key
 
     def label(self, node: ParseNode, template_vid: int) -> PackedLabel:
         """The packed label of vertex ``template_vid`` at ``node``: O(1)."""
@@ -348,6 +350,15 @@ class PackedLabelFactory:
     def node_key(self, node: ParseNode) -> GraphKey:
         """Annotated graph key of a registered N node."""
         return self._key[node]
+
+    def forget(self, node: ParseNode) -> None:
+        """Drop a node's cached prefix when nothing more is labeled under it.
+
+        Labels already built keep their shared tuples.
+        """
+        self._indexes.pop(node, None)
+        self._metas.pop(node, None)
+        self._key.pop(node, None)
 
 
 # ---------------------------------------------------------------------------

@@ -150,23 +150,27 @@ class LabelFactory:
         template vertex of the composite on the edge from a *non-special*
         parent (None for the root and for children of special nodes).
         """
-        if node.kind is NodeKind.N:
-            if graph_key is None:
-                raise LabelingError("N nodes must carry a graph key")
-            self._key[node] = graph_key
+        if node.kind is NodeKind.N and graph_key is None:
+            raise LabelingError("N nodes must carry a graph key")
         parent = node.parent
         if parent is None:
             self._prefix[node] = ()
-            return
-        if parent.kind is NodeKind.N:
-            if edge_template_vid is None:
-                raise LabelingError(
-                    "children of non-special nodes need the edge composite"
-                )
-            base = self._prefix[parent] + (self.entry(parent, edge_template_vid),)
         else:
-            base = self._prefix[parent] + (self.entry(parent, None),)
-        self._prefix[node] = base
+            try:
+                base = self._prefix[parent]
+            except KeyError:
+                raise LabelingError("node was never registered") from None
+            if parent.kind is NodeKind.N:
+                if edge_template_vid is None:
+                    raise LabelingError(
+                        "children of non-special nodes need the edge composite"
+                    )
+                base += (self.entry(parent, edge_template_vid),)
+            else:
+                base += (self.entry(parent, None),)
+            self._prefix[node] = base
+        if node.kind is NodeKind.N:
+            self._key[node] = graph_key
 
     def label(self, node: ParseNode, template_vid: int) -> Label:
         """The reachability label of the vertex ``template_vid`` at ``node``."""
@@ -179,6 +183,14 @@ class LabelFactory:
     def node_key(self, node: ParseNode) -> GraphKey:
         """Annotated graph key of a registered N node."""
         return self._key[node]
+
+    def forget(self, node: ParseNode) -> None:
+        """Drop a node's cached prefix when nothing more is labeled under it.
+
+        Labels already built keep their entries.
+        """
+        self._prefix.pop(node, None)
+        self._key.pop(node, None)
 
 
 class DRL:

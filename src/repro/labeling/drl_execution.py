@@ -20,11 +20,22 @@ Both modes grow the same explicit parse tree as Algorithm 2 (children of
 loop/fork nodes are appended copy by copy instead of all at once) and use
 the same :class:`~repro.labeling.drl.LabelFactory`, so they assign exactly
 the same labels as the derivation-based scheme.
+
+The labeler keeps only the open frontier of that tree.  Insertions
+arrive in topological order, and every vertex of a copy -- and of every
+expansion inside it -- reaches the copy's sink, so once the sink is
+labeled nothing can land in the copy any more.  The copy is then
+*closed*: its state, its tree node and the special nodes under it are
+dropped, and the label factory forgets them.  Labels are tuples that
+point at no parse-tree state, so closing changes no answer (labels are
+final, Theorem 3), and an insertion that names a closed copy is refused
+as malformed.  Hosted memory and the cost of name inference therefore
+follow the number of open copies, not the number of insertions seen.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.graphs.two_terminal import TwoTerminalGraph
@@ -39,16 +50,17 @@ _MODES = ("name", "logged")
 
 class _InstanceState:
     """One announced copy of a specification graph, filling up vertex by
-    vertex as its module executions arrive."""
+    vertex as its module executions arrive, until its sink closes it."""
 
-    __slots__ = ("node", "key", "template", "bound", "slots", "token")
+    __slots__ = ("node", "key", "template", "bound", "slots", "token", "outer")
 
     def __init__(
         self,
         node: ParseNode,
         key: GraphKey,
         template: TwoTerminalGraph,
-        token: Optional[int] = None,
+        token: Optional[int],
+        outer: Optional["_Slot"],
     ) -> None:
         self.node = node
         self.key = key
@@ -56,24 +68,28 @@ class _InstanceState:
         self.bound: Dict[int, int] = {}  # atomic template vid -> run vid
         self.slots: Dict[int, "_Slot"] = {}  # composite template vid -> slot
         self.token = token  # logged-mode copy token
+        self.outer = outer  # name mode: the slot this copy expands
+
+
+# a copy as its name-mode slot keeps it: the state while the copy is
+# open, its sink's run vertex once it is closed (all ``_anchor`` reads)
+_Copy = Union[_InstanceState, int]
 
 
 class _Slot:
     """A composite occurrence awaiting (or undergoing) expansion."""
 
-    __slots__ = ("owner", "tv", "head", "special_node", "copies", "expansion")
+    __slots__ = ("owner", "tv", "head", "key", "special_node", "copies")
 
     def __init__(self, owner: _InstanceState, tv: int, head: str) -> None:
         self.owner = owner
         self.tv = tv
         self.head = head
+        self.key: Optional[GraphKey] = None  # expanding graph; None: pending
         self.special_node: Optional[ParseNode] = None  # L or F node
-        self.copies: List[_InstanceState] = []  # loop/fork copies, in order
-        self.expansion: Optional[_InstanceState] = None  # plain expansion
-
-    @property
-    def is_pending(self) -> bool:
-        return self.special_node is None and self.expansion is None
+        # name mode only: the copies the slot's anchor reads -- every
+        # copy of a fork, the newest copy of a loop or plain expansion
+        self.copies: Optional[List[_Copy]] = None
 
 
 class DRLExecutionLabeler:
@@ -97,7 +113,6 @@ class DRLExecutionLabeler:
         self.factory = scheme.make_factory()
         self.labels: Dict[int, Label] = {}
         self.root: Optional[ParseNode] = None
-        self._root_state: Optional[_InstanceState] = None
         # name mode lookups --------------------------------------------
         # source name -> graph key (condition 2 makes this unique)
         self._source_names: Dict[str, GraphKey] = {}
@@ -108,12 +123,13 @@ class DRLExecutionLabeler:
         # this and the three slot indexes below are filled in name mode
         # only: the log names every copy outright in logged mode
         self._expecting: Dict[str, List[Tuple[_InstanceState, int]]] = {}
-        # logged mode lookup: copy token -> instance state
+        # logged mode lookup: copy token -> open instance state
         self._by_token: Dict[int, _InstanceState] = {}
-        # open slots by head name, for source matching
-        self._slots_by_head: Dict[str, List[_Slot]] = {}
-        self._open_loops: List[_Slot] = []
-        self._open_forks: List[_Slot] = []
+        # the pending slots of open instances by head name, and their
+        # open loop and fork slots, for source matching (ordered sets)
+        self._slots_by_head: Dict[str, Dict[_Slot, None]] = {}
+        self._open_loops: Dict[_Slot, None] = {}
+        self._open_forks: Dict[_Slot, None] = {}
 
     # ------------------------------------------------------------------
     # anchors and frontiers
@@ -122,26 +138,27 @@ class DRLExecutionLabeler:
         """Run vertices acting as the downstream face of template vertex
         ``tv``: the vertex itself when atomic, the sinks of its expansion
         when composite.  None while unresolved."""
-        name = inst.template.name(tv)
-        if self.spec.is_atomic(name):
+        slot = inst.slots.get(tv)
+        if slot is None:
             run_vid = inst.bound.get(tv)
             return None if run_vid is None else frozenset((run_vid,))
-        slot = inst.slots.get(tv)
-        if slot is None or slot.is_pending:
+        if not slot.copies:
             return None
-        if slot.special_node is not None:
-            if slot.special_node.kind is NodeKind.L:
-                last = slot.copies[-1]
-                return self._anchor(last, last.template.sink)
-            sinks: Set[int] = set()
-            for copy in slot.copies:
-                part = self._anchor(copy, copy.template.sink)
-                if part is None:
-                    return None
-                sinks.update(part)
-            return frozenset(sinks)
-        assert slot.expansion is not None
-        return self._anchor(slot.expansion, slot.expansion.template.sink)
+        if slot.special_node is None or slot.special_node.kind is NodeKind.L:
+            return self._sink_anchor(slot.copies[-1])
+        sinks: Set[int] = set()
+        for copy in slot.copies:
+            part = self._sink_anchor(copy)
+            if part is None:
+                return None
+            sinks.update(part)
+        return frozenset(sinks)
+
+    def _sink_anchor(self, copy: _Copy) -> Optional[FrozenSet[int]]:
+        """The downstream face of a whole copy: its sink's anchor."""
+        if isinstance(copy, int):
+            return frozenset((copy,))
+        return self._anchor(copy, copy.template.sink)
 
     def _expected_preds(
         self, inst: _InstanceState, tv: int
@@ -159,11 +176,17 @@ class DRLExecutionLabeler:
     # instance bookkeeping
     # ------------------------------------------------------------------
     def _open_instance(
-        self, node: ParseNode, key: GraphKey, token: Optional[int]
+        self,
+        node: ParseNode,
+        key: GraphKey,
+        token: Optional[int],
+        outer: Optional[_Slot],
     ) -> _InstanceState:
         template = self.spec.graph(key)
-        inst = _InstanceState(node, key, template, token)
         by_name = self.mode == "name"
+        inst = _InstanceState(
+            node, key, template, token, outer if by_name else None
+        )
         for tv in template.vertices():
             name = template.name(tv)
             if self.spec.is_atomic(name):
@@ -173,16 +196,61 @@ class DRLExecutionLabeler:
                 slot = _Slot(inst, tv, name)
                 inst.slots[tv] = slot
                 if by_name:
-                    self._slots_by_head.setdefault(name, []).append(slot)
+                    self._slots_by_head.setdefault(name, {})[slot] = None
         if token is not None:
             self._by_token[token] = inst
+        if by_name and outer is not None:
+            copies = outer.copies
+            if copies is None:
+                outer.copies = [inst]
+            elif outer.special_node.kind is NodeKind.L:
+                copies[-1] = inst  # a loop's anchor is its newest copy's
+            else:
+                copies.append(inst)
         return inst
 
     def _bind(self, inst: _InstanceState, tv: int, vid: int) -> Label:
-        inst.bound[tv] = vid
         label = self.factory.label(inst.node, tv)
+        inst.bound[tv] = vid
         self.labels[vid] = label
+        if tv == inst.template.sink:
+            self._close(inst, vid)
         return label
+
+    def _close(self, inst: _InstanceState, sink: int) -> None:
+        """Drop a copy whose sink ``sink`` was just labeled.
+
+        Nothing can land in the copy or in an expansion inside it any
+        more (see the module docstring), so its state goes, and the
+        factory forgets its node and the special nodes under its slots.
+        A still-open owner keeps only what it reads: a name-mode slot
+        keeps the copy as its sink's run vertex.
+        """
+        forget = self.factory.forget
+        node = inst.node
+        forget(node)
+        parent = node.parent
+        if parent is not None and parent.kind is NodeKind.R and node.index == 1:
+            # a recursion chain's first member encloses all later ones,
+            # so it closes last: the R node goes with it
+            forget(parent)
+        by_name = self.mode == "name"
+        for slot in inst.slots.values():
+            if slot.special_node is not None:
+                forget(slot.special_node)
+            if by_name:
+                self._slots_by_head[slot.head].pop(slot, None)
+                self._open_loops.pop(slot, None)
+                self._open_forks.pop(slot, None)
+        # the slots point back at their owner; emptying the owner's map
+        # frees both now rather than in a later cyclic collection
+        inst.slots.clear()
+        if inst.token is not None and self._by_token.get(inst.token) is inst:
+            del self._by_token[inst.token]
+        outer = inst.outer
+        if outer is not None:
+            copies = outer.copies
+            copies[copies.index(inst)] = sink
 
     # ------------------------------------------------------------------
     # main entry point
@@ -251,8 +319,8 @@ class DRLExecutionLabeler:
             token = insertion.origin[1] if insertion.origin is not None else None
         self.root = ParseNode(NodeKind.N, None)
         self.factory.register_node(self.root, START_KEY, None)
-        self._root_state = self._open_instance(self.root, START_KEY, token)
-        return self._bind(self._root_state, start_template.source, insertion.vid)
+        inst = self._open_instance(self.root, START_KEY, token, None)
+        return self._bind(inst, start_template.source, insertion.vid)
 
     # ------------------------------------------------------------------
     # new instance copies
@@ -270,7 +338,8 @@ class DRLExecutionLabeler:
         owner = self._by_token.get(parent_token)
         if owner is None:
             raise ExecutionError(
-                f"vertex {insertion.vid}: unknown parent copy {parent_token}"
+                f"vertex {insertion.vid}: unknown or closed parent copy "
+                f"{parent_token}"
             )
         slot = owner.slots.get(tv)
         if slot is None:
@@ -278,18 +347,19 @@ class DRLExecutionLabeler:
                 f"vertex {insertion.vid}: template vertex {tv} of "
                 f"{owner.key!r} is not composite"
             )
-        template = self.spec.graph(key)
+        if self.spec.head_of(key) != slot.head:
+            raise ExecutionError(
+                f"vertex {insertion.vid}: graph {key!r} does not implement "
+                f"{slot.head!r}, the module at template vertex {tv} of "
+                f"{owner.key!r}"
+            )
         if slot.special_node is not None:
-            node = ParseNode(NodeKind.N, slot.special_node)
-            self.factory.register_node(node, key, None)
-            inst = self._open_instance(node, key, token)
-            slot.copies.append(inst)
-            return self._bind(inst, template.source, insertion.vid)
-        if not slot.is_pending:
+            return self._add_copy(slot, key, token, insertion.vid)
+        if slot.key is not None:
             raise ExecutionError(
                 f"vertex {insertion.vid}: slot already expanded"
             )
-        return self._expand_fresh(slot, key, template, insertion.vid, token)
+        return self._expand_fresh(slot, key, insertion.vid, token)
 
     def _handle_source(
         self,
@@ -304,27 +374,21 @@ class DRLExecutionLabeler:
             raise ExecutionError(
                 f"vertex {vid}: start graph source {name!r} re-executed"
             )
-        template = self.spec.graph(key)
-        matches: List[Tuple[str, object]] = []
+        matches: List[Tuple[str, _Slot]] = []
         # (a) next copy of an open loop: predecessor is the previous
         # copy's sink.
         for slot in self._open_loops:
-            if slot.copies[0].key != key:
-                continue
-            last = slot.copies[-1]
-            anchor = self._anchor(last, last.template.sink)
-            if anchor == preds:
+            if slot.key == key and self._sink_anchor(slot.copies[-1]) == preds:
                 matches.append(("loop", slot))
         # (b) another copy of an open fork: same frontier as the first.
         for slot in self._open_forks:
-            if slot.copies[0].key != key:
-                continue
-            if self._expected_preds(slot.owner, slot.tv) == preds:
+            if (
+                slot.key == key
+                and self._expected_preds(slot.owner, slot.tv) == preds
+            ):
                 matches.append(("fork", slot))
         # (c) a pending composite occurrence with this frontier.
         for slot in self._slots_by_head.get(head, ()):
-            if not slot.is_pending:
-                continue
             if self._expected_preds(slot.owner, slot.tv) == preds:
                 matches.append(("fresh", slot))
         if not matches:
@@ -338,20 +402,23 @@ class DRLExecutionLabeler:
                 f"({[m[0] for m in matches]})"
             )
         kind_tag, slot = matches[0]
-        assert isinstance(slot, _Slot)
-        if kind_tag == "loop" or kind_tag == "fork":
-            node = ParseNode(NodeKind.N, slot.special_node)
-            self.factory.register_node(node, key, None)
-            inst = self._open_instance(node, key, token)
-            slot.copies.append(inst)
-            return self._bind(inst, template.source, vid)
-        return self._expand_fresh(slot, key, template, vid, token)
+        if kind_tag == "fresh":
+            return self._expand_fresh(slot, key, vid, token)
+        return self._add_copy(slot, key, token, vid)
+
+    def _add_copy(
+        self, slot: _Slot, key: GraphKey, token: Optional[int], vid: int
+    ) -> Label:
+        """Open the next copy under a loop or fork slot's special node."""
+        node = ParseNode(NodeKind.N, slot.special_node)
+        self.factory.register_node(node, key, None)
+        inst = self._open_instance(node, key, token, slot)
+        return self._bind(inst, inst.template.source, vid)
 
     def _expand_fresh(
         self,
         slot: _Slot,
         key: GraphKey,
-        template: TwoTerminalGraph,
         vid: int,
         token: Optional[int],
     ) -> Label:
@@ -372,9 +439,9 @@ class DRLExecutionLabeler:
             slot.special_node = special
             if self.mode == "name":
                 if kind is NodeKind.L:
-                    self._open_loops.append(slot)
+                    self._open_loops[slot] = None
                 else:
-                    self._open_forks.append(slot)
+                    self._open_forks[slot] = None
             node = ParseNode(NodeKind.N, special)
             self.factory.register_node(node, key, None)
         elif self._body_designated(key) is not None:
@@ -385,12 +452,11 @@ class DRLExecutionLabeler:
         else:
             node = ParseNode(NodeKind.N, owner.node)
             self.factory.register_node(node, key, slot.tv)
-        inst = self._open_instance(node, key, token)
-        if slot.special_node is not None:
-            slot.copies.append(inst)
-        else:
-            slot.expansion = inst
-        return self._bind(inst, template.source, vid)
+        slot.key = key
+        if self.mode == "name":
+            del self._slots_by_head[head][slot]
+        inst = self._open_instance(node, key, token, slot)
+        return self._bind(inst, inst.template.source, vid)
 
     def _is_designated(self, inst: _InstanceState, tv: int) -> bool:
         if self.scheme.r_mode == "simplified":
@@ -412,7 +478,18 @@ class DRLExecutionLabeler:
             inst = self._by_token.get(token)
             if inst is None or inst.key != key:
                 raise ExecutionError(
-                    f"vertex {vid}: unknown or mismatched copy token {token}"
+                    f"vertex {vid}: unknown, closed or mismatched copy "
+                    f"token {token}"
+                )
+            if tv in inst.slots or tv not in inst.template:
+                raise ExecutionError(
+                    f"vertex {vid}: template vertex {tv} of {key!r} is "
+                    "not an atomic module"
+                )
+            if tv in inst.bound:
+                raise ExecutionError(
+                    f"vertex {vid}: template vertex {tv} of copy {token} "
+                    f"is already vertex {inst.bound[tv]}"
                 )
             return self._bind(inst, tv, vid)
         candidates = self._expecting.get(name, [])

@@ -51,17 +51,23 @@ class ParseNode:
     """One node of the explicit parse tree.
 
     ``index`` is the prefix-scheme index: 0 for the root, otherwise the
-    1-based position among the parent's children.  Non-special nodes carry
-    their annotated :class:`~repro.workflow.derivation.Instance`;
-    ``edge_composite`` is the run vertex id of the composite annotated on
-    the edge from the parent (None when the parent is a special node or
-    for the root).
+    1-based position among the parent's children, taken from the
+    parent's ``arity`` (the number of children created under it so far).
+    A node points only at its parent, so the execution-based labeler can
+    drop a subtree once no insertion can land in it;
+    :class:`ExplicitParseTree`, which builds whole trees, also lists each
+    node's ``children`` (None otherwise).  Non-special nodes of an
+    explicit tree carry their annotated
+    :class:`~repro.workflow.derivation.Instance`; ``edge_composite`` is
+    the run vertex id of the composite annotated on the edge from the
+    parent (None when the parent is a special node or for the root).
     """
 
     __slots__ = (
         "kind",
         "index",
         "parent",
+        "arity",
         "children",
         "depth",
         "instance",
@@ -77,15 +83,17 @@ class ParseNode:
     ) -> None:
         self.kind = kind
         self.parent = parent
-        self.children: List["ParseNode"] = []
-        self.depth = 0 if parent is None else parent.depth + 1
+        self.arity = 0
+        self.children: Optional[List["ParseNode"]] = None
         self.instance = instance
         self.edge_composite = edge_composite
         if parent is None:
             self.index = 0
+            self.depth = 0
         else:
-            self.index = len(parent.children) + 1
-            parent.children.append(self)
+            parent.arity += 1
+            self.index = parent.arity
+            self.depth = parent.depth + 1
 
     @property
     def is_special(self) -> bool:
@@ -154,8 +162,10 @@ class ExplicitParseTree:
         edge_composite: Optional[int] = None,
     ) -> ParseNode:
         node = ParseNode(kind, parent, instance, edge_composite)
+        node.children = []
         if parent is not None:
-            self.max_outdegree = max(self.max_outdegree, len(parent.children))
+            parent.children.append(node)
+            self.max_outdegree = max(self.max_outdegree, parent.arity)
         self.node_count += 1
         if instance is not None:
             for tv, run_vid in instance.mapping.items():

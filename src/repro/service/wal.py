@@ -873,8 +873,8 @@ class DurableStore:
         cyclic garbage, so a collection could only re-walk the objects
         of the sessions being rebuilt, again and again as they grow.
         The objects are not frozen (``gc.freeze``) either: a recovered
-        session closed later leaves parse-tree cycles that only the
-        collector frees.
+        session closed later leaves the cycles of its open copies'
+        labeler state, which only the collector frees.
         """
         collecting = gc.isenabled()
         gc.disable()

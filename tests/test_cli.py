@@ -122,3 +122,15 @@ class TestBench:
         code, out = run_cli(capsys, "bench", "tab2")
         assert code == 0
         assert "tab2" in out
+
+    def test_bench_writes_the_output_file(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.setenv("REPRO_SAMPLES", "1")
+        monkeypatch.setenv("REPRO_QUERIES", "500")
+        target = tmp_path / "tables.md"
+        code, out = run_cli(capsys, "bench", "tab2", "--output", str(target))
+        assert code == 0
+        assert f"wrote {target}" in out
+        written = target.read_text()
+        assert written.startswith("# repro bench")
+        assert "tab2" in written

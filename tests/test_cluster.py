@@ -879,18 +879,23 @@ class TestPerClientChannels:
                 probe.ingest(ALPHA, execution.insertions)
                 pid = probe.cluster_info()["per_worker"][victim]["pid"]
                 big = _big_batch(ALPHA, vids, seed=41)
-                pipes = [_Pipelined(supervisor.port) for _ in range(2)]
-                for pipe in pipes:
-                    pipe.send(big, big, big)
-                # a client has at most 3 batches in flight, so 4 or more
-                # in flight means both clients have one at the worker
-                _wait_for(lambda: probe.cluster_info()["per_worker"]
-                          [victim]["in_flight"] >= 4, "4 in flight")
-                assert probe.cluster_info()["per_worker"][victim][
-                    "channels"] == 3  # two clients + the probe
                 import os
                 import signal as _signal
-                os.kill(pid, _signal.SIGKILL)
+                # a stopped worker answers nothing, so every batch is
+                # still in flight when it dies: without the stop, a
+                # client's last batch can be answered before the kill
+                # lands
+                os.kill(pid, _signal.SIGSTOP)
+                try:
+                    pipes = [_Pipelined(supervisor.port) for _ in range(2)]
+                    for pipe in pipes:
+                        pipe.send(big, big, big)
+                    _wait_for(lambda: probe.cluster_info()["per_worker"]
+                              [victim]["in_flight"] == 6, "6 in flight")
+                    assert probe.cluster_info()["per_worker"][victim][
+                        "channels"] == 3  # two clients + the probe
+                finally:
+                    os.kill(pid, _signal.SIGKILL)
 
                 for pipe in pipes:
                     replies = [pipe.reply() for _ in range(3)]

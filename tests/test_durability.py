@@ -33,7 +33,7 @@ from repro.service.sessions import Session
 from repro.service import wal as wal_module
 from repro.service.wal import WriteAheadLog, label_crc
 from repro.workflow.derivation import sample_run
-from repro.workflow.execution import execution_from_derivation
+from repro.workflow.execution import Insertion, execution_from_derivation
 
 
 def make_execution(spec, size=120, seed=0):
@@ -728,6 +728,55 @@ class TestDurableStoreRecovery:
                 ReproService(data_dir=tmp_path / "data")
             assert gc.isenabled() is collecting
 
+    def test_event_naming_a_closed_copy_is_refused(
+        self, running_spec, run_and_execution, tmp_path
+    ):
+        """Once a copy's sink is labeled the labeler drops the copy, so
+        an event naming it is malformed: ``ingest`` refuses it, and as a
+        WAL record it refuses the boot with a ServiceError naming the
+        session and the record."""
+        _, execution = run_and_execution
+        events = execution.insertions
+        service = ReproService(data_dir=tmp_path / "data")
+        self.create(service, "s1")
+        self.ingest(service, "s1", events[:20])
+        closed = next(
+            token for key, token, tv in (event.origin for event in events[:20])
+            if token != 0 and tv == running_spec.graph(key).sink
+        )
+        later = next(
+            event for event in events[20:40]
+            if event.origin[2] != running_spec.graph(event.origin[0]).source
+        )
+        key, _, tv = later.origin
+        stale = Insertion(
+            later.vid, later.name, later.preds, (key, closed, tv), later.slot
+        )
+        response = service.handle(
+            Request(
+                "ingest",
+                {"session": "s1", "insertions": insertions_to_wire([stale])},
+            )
+        )
+        assert not response.ok
+        assert f"vertex {later.vid}: unknown, closed" in response.error
+        assert len(service.manager.get("s1")) == 20
+        self.ingest(service, "s1", events[20:40])
+        service.close()
+        wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+        lines = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        for event in record["events"]:
+            if event["vid"] == later.vid:
+                event["origin"]["token"] = closed
+        lines[2] = json.dumps(record) + "\n"
+        wal_path.write_text("".join(lines))
+        with pytest.raises(
+            ServiceError,
+            match=f"'s1'.*record 1 does not relabel.*closed .*token {closed}",
+        ):
+            ReproService(data_dir=tmp_path / "data")
+
     @pytest.mark.parametrize("layout", ["generation", "wal-v1"])
     def test_old_format_directory_is_refused(
         self, layout, running_spec, tmp_path
@@ -896,10 +945,11 @@ class TestCollectorFootprint:
     def test_a_durable_session_leaves_few_tracked_objects_per_event(
         self, running_spec, tmp_path
     ):
-        """What an acknowledged event leaves for the collector is the
-        labeler's parse-tree state (about 3 containers), not copies of
-        the event in the log, the replication ring or name-mode
-        indexes."""
+        """An acknowledged event leaves the collector well under one
+        container: the labeler keeps only its open copies' state (about
+        0.3 per event here, where a 3,000-vertex run is cut at 2,000),
+        and no copies of the event in the log, the replication ring or
+        name-mode indexes."""
         run = sample_run(running_spec, 3000, random.Random(5))
         events = execution_from_derivation(run).insertions[:2000]
         assert len(events) == 2000
@@ -917,7 +967,7 @@ class TestCollectorFootprint:
         gc.collect()
         per_event = (len(gc.get_objects()) - before) / len(events)
         service.close()
-        assert per_event <= 4, per_event
+        assert per_event <= 1, per_event
 
 
 # ---------------------------------------------------------------------------
