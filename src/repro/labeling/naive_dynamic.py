@@ -55,7 +55,6 @@ class NaiveDynamicScheme:
         """Label the next inserted vertex given its predecessors."""
         if vid in self._labels:
             raise ExecutionError(f"vertex {vid} inserted twice")
-        self._count += 1
         ancestors = 0
         for p in preds:
             try:
@@ -66,6 +65,9 @@ class NaiveDynamicScheme:
                 ) from None
             # the predecessor itself, plus everything reaching it
             ancestors |= pred_label.ancestors | (1 << (pred_label.index - 1))
+        # counted only once accepted: a refused vertex takes no rank, so
+        # replaying the accepted stream reassigns the same labels
+        self._count += 1
         label = NaiveLabel(index=self._count, ancestors=ancestors)
         self._labels[vid] = label
         return label

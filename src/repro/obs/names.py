@@ -42,9 +42,6 @@ WAL_APPEND_SECONDS = "repro_wal_append_seconds"
 #: one physical fsync of the WAL file (only when one actually runs)
 WAL_FSYNC_SECONDS = "repro_wal_fsync_seconds"
 
-#: one full checkpoint write (snapshot + staged files + fsyncs)
-CHECKPOINT_WRITE_SECONDS = "repro_checkpoint_write_seconds"
-
 #: replica side: applying one shipped replication record batch
 REPL_APPLY_SECONDS = "repro_repl_apply_seconds"
 
@@ -93,7 +90,6 @@ HISTOGRAM_NAMES = (
     ENGINE_ERRORED_SECONDS,
     WAL_APPEND_SECONDS,
     WAL_FSYNC_SECONDS,
-    CHECKPOINT_WRITE_SECONDS,
     REPL_APPLY_SECONDS,
     GC_PAUSE_SECONDS,
 )

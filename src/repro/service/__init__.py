@@ -6,11 +6,10 @@ hosted concurrently (:mod:`repro.service.sessions`), single and batch
 reachability queries answered straight from the labels
 (:mod:`repro.service.engine`), a JSON-lines wire protocol
 (:mod:`repro.service.protocol`) served over TCP or stdio
-(:mod:`repro.service.server`, :mod:`repro.service.client`),
-checkpoint export/import of live sessions built on the label store
-(:mod:`repro.service.checkpoint`), and -- under a ``--data-dir`` -- a
-per-session write-ahead log with configurable fsync policy and crash
-recovery by log replay (:mod:`repro.service.wal`).
+(:mod:`repro.service.server`, :mod:`repro.service.client`), and a
+per-session write-ahead log with configurable fsync policy, crash
+recovery by log replay under a ``--data-dir``, and checkpoint
+export/import of live sessions as WAL files (:mod:`repro.service.wal`).
 ``repro serve --workers N`` escapes the GIL entirely: a supervisor
 forks N worker processes, each owning a disjoint slice of sessions by
 stable name hash, behind a single-threaded hash-routing frontend that
@@ -22,11 +21,10 @@ still executing* -- the paper's central capability, lifted to a
 serveable system.  Each session's labeling backend is pluggable: the
 wire-visible ``scheme`` field names any registered *dynamic* scheme
 (:mod:`repro.schemes.registry`; DRL by default), the ``schemes``
-protocol op lists the available backends, and checkpoints record and
-restore the scheme they were written under.
+protocol op lists the available backends, and WAL headers (a
+checkpoint is one) record the scheme a session is restored under.
 """
 
-from repro.service.checkpoint import checkpoint_session, restore_session
 from repro.service.client import ServiceClient
 from repro.service.cluster import ClusterSupervisor, session_worker
 from repro.service.engine import QueryEngine, ServiceStats
@@ -36,7 +34,9 @@ from repro.service.sessions import Session, SessionManager
 from repro.service.wal import (
     DurableStore,
     WriteAheadLog,
+    checkpoint_session,
     replay_wal,
+    restore_session,
 )
 
 __all__ = [

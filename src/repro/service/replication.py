@@ -14,8 +14,9 @@ session, unlike the per-session WAL seqs).  The
 hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
 so the shipped stream is always a prefix of the durable log.  A ringed
-ingest record keeps its events as the JSON text the WAL line embeds;
-``repl_subscribe`` decodes only the records it returns.
+ingest record holds the batch's record text, the very ``str`` the
+session logged and the WAL wrote; ``repl_subscribe`` decodes only the
+records it returns.
 
 Each **replica** is itself a durable server (its own data dir and
 WALs) started read-only with ``--replicate-from``.  Its
@@ -24,7 +25,10 @@ primary, applies the returned records through the ordinary session
 ingest path (so the replica's own WALs stay current), and
 reports coverage with ``repl_ack``.  A replica whose position fell off
 the primary's ring (or that never bootstrapped) receives ``reset``
-plus a full snapshot instead and rebuilds from it.  Applies are
+plus a full snapshot instead: each session's WAL header and lines,
+which the replica replays through the same path as boot recovery
+(:func:`repro.service.wal.replay_records`), keeping every batch's
+version so ``as_of`` answers as the primary does.  Applies are
 idempotent: a record whose ``start`` precedes the local insertion log
 length is skipped prefix-wise, so overlap after a snapshot or a retry
 can never double-apply an event.
@@ -63,7 +67,6 @@ from repro.errors import ReproError, ServiceError, SessionNotFoundError
 from repro.faults import FAILPOINTS
 from repro.io.jsonio import (
     insertion_from_json,
-    insertion_to_json,
     specification_from_json,
     specification_to_json,
 )
@@ -75,7 +78,13 @@ from repro.obs.names import (
     REPL_RECORDS_SHIPPED_TOTAL,
 )
 from repro.service.sessions import Session, SessionManager
-from repro.service.wal import DurableStore
+from repro.service.wal import (
+    DurableStore,
+    open_session,
+    parse_record,
+    replay_records,
+    wal_header,
+)
 
 DEFAULT_RING_CAPACITY = 4096
 DEFAULT_ACK_TIMEOUT = 10.0
@@ -94,10 +103,35 @@ class _ResetNeeded(ReproError):
 
 
 def _decoded(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A ringed record as ``repl_subscribe`` ships it: events decoded."""
+    """A ringed record as ``repl_subscribe`` ships it: an ingest's
+    record text decoded into its ``start``, ``version`` and events."""
     if record["kind"] != "ingest":
         return dict(record)
-    return {**record, "events": json.loads(record["events"])}
+    logged = json.loads("{" + record["text"])
+    return {
+        "pos": record["pos"],
+        "kind": "ingest",
+        "session": record["session"],
+        "start": logged["start"],
+        "version": logged["version"],
+        "events": logged["events"],
+    }
+
+
+def _held_records(
+    session: Session, header: Dict[str, Any], records: List[Any]
+) -> Optional[int]:
+    """How many of a session's shipped records the local copy already
+    holds, or ``None`` when it holds no prefix of them."""
+    if wal_header(session) != header:
+        return None  # another incarnation of the name, or another spec
+    held, version = len(session), session.version
+    if held == 0 and version == 0:
+        return 0
+    for count, record in enumerate(records, start=1):
+        if record.start + len(record.events) == held:
+            return count if record.version == version else None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -147,27 +181,20 @@ class ReplicationHub:
     # ------------------------------------------------------------------
     # publishing (called under the session lock; O(1), never blocks)
     # ------------------------------------------------------------------
-    def publish(
-        self,
-        session: Session,
-        start: int,
-        version: int,
-        events: str,
-    ) -> None:
+    def publish(self, session: Session, text: str) -> None:
         """Ring one durably appended ingest batch for shipping.
 
-        ``events`` is the batch's events as JSON text, kept as it is:
-        text is one flat object, where decoded events would be several
-        containers each for the garbage collector to walk.
+        ``text`` is the batch's record text, the object the session's
+        log holds, ringed as it is: no copy, and one flat object where
+        decoded events would be several containers each for the garbage
+        collector to walk.
         """
         with self._cond:
             record = {
                 "pos": self._seq,
                 "kind": "ingest",
                 "session": session.name,
-                "start": start,
-                "version": version,
-                "events": events,
+                "text": text,
             }
             self._append_locked(record)
 
@@ -253,22 +280,24 @@ class ReplicationHub:
         }
 
     def _snapshot_all(self) -> List[Dict[str, Any]]:
+        """Every session's WAL header and lines, as a data dir holds
+        them."""
         snapshots: List[Dict[str, Any]] = []
         for name in self.manager.names():
             try:
                 session = self.manager.get(name)
             except SessionNotFoundError:
                 continue
-            version, _, log = session.snapshot_state()
+            with session.lock:
+                log = list(session.log)
             snapshots.append(
                 {
                     "session": name,
-                    "spec": specification_to_json(session.spec),
-                    "scheme": session.scheme_name,
-                    "skeleton": session.skeleton,
-                    "mode": session.mode,
-                    "version": version,
-                    "events": [insertion_to_json(event) for event in log],
+                    "header": wal_header(session),
+                    "lines": [
+                        f'{{"seq": {seq}, {text}'
+                        for seq, text in enumerate(log)
+                    ],
                 }
             )
         return snapshots
@@ -511,11 +540,11 @@ class ReplicaApplier(threading.Thread):
             ) from None
         start = int(record["start"])
         events = record["events"]
-        skip = len(session.log) - start
+        skip = len(session) - start
         if skip < 0:
             raise _ResetNeeded(
                 f"gap: record starts at {start} but only "
-                f"{len(session.log)} events are applied locally"
+                f"{len(session)} events are applied locally"
             )
         if skip >= len(events):
             return  # fully applied already (snapshot overlap / retry)
@@ -537,54 +566,49 @@ class ReplicaApplier(threading.Thread):
             if name not in shipped:
                 self._apply_close(name)
         for entry in snapshot:
-            name = entry["session"]
-            try:
-                session = self.manager.get(name)
-            except SessionNotFoundError:
-                spec = specification_from_json(entry["spec"])
-                session = self.manager.create(
-                    name,
-                    spec,
-                    scheme=entry.get("scheme", "drl"),
-                    skeleton=entry.get("skeleton", "tcl"),
-                    mode=entry.get("mode", "logged"),
-                )
-                self.store.register(session)
-            events = entry.get("events", [])
-            skip = len(session.log)
-            if skip > len(events):
-                # the local copy is AHEAD of the snapshot: a diverged
-                # timeline (we were primary once); rebuild from scratch
-                self._apply_close(name)
-                self._apply_snapshot_entry_fresh(entry)
-                continue
-            if skip < len(events):
-                session.ingest_many(
-                    [
-                        insertion_from_json(event)
-                        for event in events[skip:]
-                    ]
-                )
-            session.version = int(entry.get("version", session.version))
+            self._apply_snapshot_entry(entry)
         with self._lock:
             self._position = int(response.get("seq", 0))
 
-    def _apply_snapshot_entry_fresh(self, entry: Dict[str, Any]) -> None:
-        spec = specification_from_json(entry["spec"])
-        session = self.manager.create(
-            entry["session"],
-            spec,
-            scheme=entry.get("scheme", "drl"),
-            skeleton=entry.get("skeleton", "tcl"),
-            mode=entry.get("mode", "logged"),
+    def _apply_snapshot_entry(self, entry: Dict[str, Any]) -> None:
+        """Replay one session's shipped WAL header and lines.
+
+        A local copy that holds a prefix of them -- the same header, and
+        it ends where a shipped record ends, at that record's version --
+        replays only the rest; any other local copy (ahead of the
+        snapshot: a diverged timeline, we were primary once) is closed
+        and the session rebuilt from every line.
+        """
+        name = entry["session"]
+        where = "reset snapshot"
+        records = []
+        for seq, line in enumerate(entry["lines"]):
+            try:
+                records.append(parse_record(line, seq))
+            except ValueError as exc:
+                raise ServiceError(
+                    f"session {name!r}: {where} line {seq + 1} {exc}"
+                ) from None
+        try:
+            session = self.manager.get(name)
+        except SessionNotFoundError:
+            session = None
+        held = None if session is None else _held_records(
+            session, entry["header"], records
         )
-        self.store.register(session)
-        events = entry.get("events", [])
-        if events:
-            session.ingest_many(
-                [insertion_from_json(event) for event in events]
-            )
-        session.version = int(entry.get("version", session.version))
+        if held is None:
+            if session is not None:
+                self._apply_close(name)
+            session = open_session(name, entry["header"], where)
+            replay_records(session, records, where)
+            self.store.register(session)
+            self.manager.adopt(session)
+            return
+        try:
+            replay_records(session, records[held:], where)
+        except ServiceError:
+            self._apply_close(name)  # its labels ran past its log
+            raise
 
     # ------------------------------------------------------------------
     # retargeting after a primary death

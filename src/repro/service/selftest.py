@@ -45,7 +45,7 @@ from repro.obs.names import (
     series_count,
 )
 from repro.schemes import registry as scheme_registry
-from repro.service.checkpoint import load_manifest
+from repro.service.wal import replay_wal
 from repro.service.client import ServiceClient
 from repro.service.server import DEFAULT_SHARDS, ReproServer, ReproService
 from repro.workflow.derivation import sample_run
@@ -232,10 +232,10 @@ def run_selftest(
             with tempfile.TemporaryDirectory() as tmp:
                 ckpt = Path(tmp) / "ckpt"
                 client.snapshot("selftest", str(ckpt))
-                manifest = load_manifest(ckpt)
+                header = replay_wal(ckpt / "wal.jsonl").header
                 check(
-                    manifest.get("scheme") == scheme,
-                    f"checkpoint recorded scheme {manifest.get('scheme')!r}, "
+                    header.get("scheme") == scheme,
+                    f"checkpoint recorded scheme {header.get('scheme')!r}, "
                     f"expected {scheme!r}",
                 )
                 restored_info = client.create_session(

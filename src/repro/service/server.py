@@ -36,6 +36,7 @@ import logging
 import socketserver
 import threading
 import time
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -53,10 +54,13 @@ from repro.obs.logs import log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.names import OP_LATENCY_SECONDS, REQUESTS_TOTAL
 from repro.obs.trace import Tracer, activate
-from repro.service.checkpoint import checkpoint_session, restore_session
 from repro.service.engine import QueryEngine
 from repro.service.replication import ReplicaApplier, ReplicationHub
-from repro.service.wal import DurableStore
+from repro.service.wal import (
+    DurableStore,
+    checkpoint_session,
+    restore_session,
+)
 from repro.service.protocol import (
     MAX_BATCH,
     Request,
@@ -283,14 +287,10 @@ class ReproService:
         if checkpoint is not None:
             if not isinstance(checkpoint, str):
                 raise ProtocolError("'checkpoint' must be a directory path")
-            session = restore_session(self.manager, checkpoint, name=name)
-            requested = request.params.get("scheme")
-            if requested is not None and requested != session.scheme_name:
-                self.manager.close(session.name)
-                raise ServiceError(
-                    f"checkpoint was written under scheme "
-                    f"{session.scheme_name!r}, not {requested!r}"
-                )
+            session = restore_session(
+                self.manager, checkpoint, name=name,
+                scheme=request.params.get("scheme"),
+            )
         else:
             spec = request.params.get("spec")
             if not isinstance(spec, str):
@@ -399,7 +399,10 @@ class ReproService:
             )
         session = self.manager.get(name)
         end = self.store.log_length_at(session, as_of)
-        prefix = {row[0] for row in session.log[:end]}
+        # the labeler binds a vertex's label last, so the label map's
+        # first ``end`` keys are the prefix's vertices; the set is built
+        # in one C call, which no ingest thread can interleave
+        prefix = set(islice(session.scheme.labels, end))
         for pair in pairs:
             for vid in pair:
                 if vid not in prefix:

@@ -2,22 +2,23 @@
 
 A :class:`Session` owns everything one running workflow needs -- the
 specification, a pluggable *dynamic* labeling scheme resolved by name
-through :mod:`repro.schemes.registry` (DRL by default), the raw
-insertion log (kept for checkpoint exports and time travel) and a lock
-serializing writers.  The log keeps each event as one tuple of atoms
-and tuples of atoms, ``(vid, name, sorted preds, origin, slot)``,
-rather than as an :class:`~repro.workflow.execution.Insertion`: the
-cyclic garbage collector stops tracking such a tuple once it has seen
-its inner tuples untracked (by the generation-1 collection after the
-ingest), so a long-lived session adds nothing to the walk of every
-later full collection.  A :class:`SessionManager` hosts many sessions
-under distinct names so a single service process can track many
-concurrent workflow executions, the way a workflow engine tracks many
-active runs.
+through :mod:`repro.schemes.registry` (DRL by default), the insertion
+log and a lock serializing writers.  The log is text: one ``str`` per
+applied batch, the batch's write-ahead-log record as
+:func:`record_text` spells it (the events' JSON, the batch's
+``start``, ``version`` and label fingerprint).  A durable session's
+WAL writes that very object, the replication ring holds it, and a
+checkpoint export copies it, so an event is kept in one form: about
+130 bytes of text inside one flat object per batch, nothing per event
+for the cyclic garbage collector to walk.  A
+:class:`SessionManager` hosts many sessions under distinct names so a
+single service process can track many concurrent workflow executions,
+the way a workflow engine tracks many active runs.
 
 The ``scheme`` name is wire-visible (``create_session``), persisted in
-checkpoints, and validated against the registry's dynamic capability:
-static schemes need the frozen run, which a live session never has.
+the WAL header, and validated against the registry's dynamic
+capability: static schemes need the frozen run, which a live session
+never has.
 
 Concurrency model
 -----------------
@@ -32,22 +33,26 @@ from two labels is the same whenever it runs (see
 
 from __future__ import annotations
 
+import json
 import logging
+import marshal
 import threading
 import time
 import zlib
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.datasets import spec_by_name
 from repro.errors import ServiceError, SessionNotFoundError
+from repro.io.jsonio import insertion_to_json
 from repro.labeling.drl import Label
+from repro.labeling.naive_dynamic import NaiveLabel
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry, observe_gc_pauses
 from repro.obs.names import ENGINE_STAGE_SECONDS, STAGE_LABEL_BUILD
 from repro.obs.trace import current_trace
 from repro.schemes import registry as scheme_registry
-from repro.workflow.execution import Insertion, LogOrigin
+from repro.workflow.execution import Insertion
 from repro.workflow.specification import Specification
 
 _logger = logging.getLogger("repro.service.sessions")
@@ -66,30 +71,56 @@ observe_gc_pauses()
 
 SpecLike = Union[Specification, str]
 
-# (session, applied events, log index of the first event, new version)
-IngestHook = Callable[["Session", List[Insertion], int, int], None]
-
-# one insertion-log row: (vid, name, sorted preds, origin, slot)
-LogRow = Tuple[
-    int, str, Tuple[int, ...], Optional[LogOrigin], Optional[Tuple[int, int]]
+# (session, applied events, log index of the first event, new version,
+# label fingerprint, the batch's record text)
+IngestHook = Callable[
+    ["Session", List[Insertion], int, int, int, str], None
 ]
 
+# a logged batch being replayed: (version, label fingerprint, its text)
+Replayed = Tuple[int, int, str]
 
-def _log_row(insertion: Insertion) -> LogRow:
-    """The insertion-log row of one event (see :attr:`Session.log`)."""
-    return (
-        insertion.vid,
-        insertion.name,
-        tuple(sorted(insertion.preds)),
-        insertion.origin,
-        insertion.slot,
+
+class FingerprintMismatch(ServiceError):
+    """A replayed batch's labels do not match its record's fingerprint."""
+
+
+def label_crc(labels: List[Any]) -> int:
+    """CRC-32 of a batch's labels, from their values alone.
+
+    ``marshal`` format 2 writes no back-references, so the bytes depend
+    only on the values -- not on which label tuples happen to share
+    sub-tuples in memory -- and the format is the same on every
+    supported Python.  ``naive`` labels are dataclasses, which marshal
+    refuses, so they go in as ``(index, ancestors)``.
+    """
+    if labels and isinstance(labels[0], NaiveLabel):
+        labels = [(label.index, label.ancestors) for label in labels]
+    return zlib.crc32(marshal.dumps(labels, 2))
+
+
+def record_text(
+    start: int,
+    version: int,
+    events: str,
+    crc: int,
+    trace_id: Optional[str] = None,
+) -> str:
+    """A logged batch as its WAL line spells it after ``{"seq": N, ``.
+
+    ``events`` is the events' JSON array text.  Prefixed with its
+    ``seq``, the text is exactly ``json.dumps`` of the record ``{seq,
+    start, version, events, crc[, trace_id]}`` plus a newline: the same
+    keys, order and separators.  The trace id makes a WAL line joinable
+    to the trace and logs of the request that produced it.
+    """
+    text = (
+        f'"start": {start}, "version": {version}, "events": {events}, '
+        f'"crc": {crc}'
     )
-
-
-def _row_insertion(row: LogRow) -> Insertion:
-    """The event an insertion-log row records."""
-    vid, name, preds, origin, slot = row
-    return Insertion(vid, name, frozenset(preds), origin, slot)
+    if trace_id is not None:
+        text += f', "trace_id": {json.dumps(trace_id)}'
+    return text + "}\n"
 
 
 def resolve_spec(spec: SpecLike) -> Specification:
@@ -144,16 +175,15 @@ class Session:
         )
         self.lock = threading.Lock()
         self.version = 0
-        # one row per applied event, in order (see _log_row)
-        self.log: List[LogRow] = []
+        # one record text per applied batch, in order (see record_text)
+        self.log: List[str] = []
         self.closed = False
         # durability hook: called under the session lock after a batch
-        # is applied, with (session, applied events, log index of the
-        # first event, new version).  The write-ahead log uses it to
-        # persist every applied insertion *before* the ingest call
-        # returns -- if the hook raises (disk full, closed log), the
-        # events stay applied in memory (labels are write-once) but the
-        # caller gets the error instead of an acknowledgement.
+        # is applied and logged (see IngestHook).  The write-ahead log
+        # uses it to persist every applied batch *before* the ingest
+        # call returns -- if the hook raises (disk full, closed log),
+        # the events stay applied in memory (labels are write-once) but
+        # the caller gets the error instead of an acknowledgement.
         self.on_ingest: Optional[IngestHook] = None
 
     @property
@@ -162,23 +192,13 @@ class Session:
         return self.scheme
 
     # ------------------------------------------------------------------
-    # writers (serialized by the session lock)
+    # the writer (serialized by the session lock)
     # ------------------------------------------------------------------
-    def ingest(self, insertion: Insertion) -> Label:
-        """Insert one vertex; its label is final immediately."""
-        with self.lock:
-            self._check_open()
-            row = _log_row(insertion)
-            label = self.scheme.insert(insertion)
-            self.log.append(row)
-            self.version += 1
-            if self.on_ingest is not None:
-                self.on_ingest(
-                    self, [insertion], len(self.log) - 1, self.version
-                )
-            return label
-
-    def ingest_many(self, insertions: Iterable[Insertion]) -> int:
+    def ingest_many(
+        self,
+        insertions: Iterable[Insertion],
+        replayed: Optional[Replayed] = None,
+    ) -> int:
         """Insert a batch under one lock hold; one version bump per batch.
 
         Labels are write-once, so a batch cannot be rolled back: if an
@@ -188,19 +208,28 @@ class Session:
         what was applied -- ``len(session)`` / a checkpoint tells the
         client where to resume.  The version is bumped whenever at least
         one event was applied, including on a failed batch.
+
+        ``replayed`` -- ``(version, crc, text)`` of a logged batch -- is
+        the replay path (:func:`repro.service.wal.replay_records`): the
+        batch must apply whole and relabel to the fingerprint ``crc``
+        (else :class:`FingerprintMismatch`); then the session takes
+        ``version`` and logs ``text`` itself, never a re-encoding.  A
+        replayed batch that fails logs nothing, and its caller discards
+        the session.
         """
         with self.lock:
             self._check_open()
             applied: List[Insertion] = []
+            events: List[Dict[str, Any]] = []
             failure = None
             build_started = time.perf_counter()
             try:
                 for insertion in insertions:
-                    # the row first: an event that cannot be logged is
-                    # refused before the labeler accepts it
-                    row = _log_row(insertion)
+                    if replayed is None:
+                        # encoded first: an event that cannot be logged
+                        # is refused before the labeler accepts it
+                        events.append(insertion_to_json(insertion))
                     self.scheme.insert(insertion)
-                    self.log.append(row)
                     applied.append(insertion)
             except BaseException as exc:
                 failure = exc
@@ -213,26 +242,53 @@ class Session:
                     trace.add_span(
                         STAGE_LABEL_BUILD, build_started, build_ended
                     )
-                if applied:
-                    self.version += 1
-                    if self.on_ingest is not None:
-                        # the applied prefix of a failed batch is logged
-                        # too: it is final in memory, so it must be
-                        # durable as well
-                        try:
-                            self.on_ingest(
-                                self,
-                                applied,
-                                len(self.log) - len(applied),
-                                self.version,
-                            )
-                        except Exception:
-                            # never shadow the batch's own error; the
-                            # hook (the WAL) poisons itself, so later
-                            # ingests fail loudly rather than diverge
-                            if failure is None:
-                                raise
+                if applied and replayed is None:
+                    # the applied prefix of a failed batch is logged
+                    # too: it is final in memory, so it must be durable
+                    # as well
+                    try:
+                        self._log(applied, events, None)
+                    except Exception:
+                        # never shadow the batch's own error; the hook
+                        # (the WAL) poisons itself, so later ingests
+                        # fail loudly rather than diverge
+                        if failure is None:
+                            raise
+            if replayed is not None:
+                self._log(applied, events, replayed)
             return len(applied)
+
+    def _log(
+        self,
+        applied: List[Insertion],
+        events: List[Dict[str, Any]],
+        replayed: Optional[Replayed],
+    ) -> None:
+        """Log an applied batch and hand it to :attr:`on_ingest`."""
+        labels = self.scheme.labels
+        crc = label_crc([labels[insertion.vid] for insertion in applied])
+        start = len(self) - len(applied)
+        if replayed is None:
+            trace = current_trace()
+            text = record_text(
+                start,
+                self.version + 1,
+                json.dumps(events[: len(applied)]),
+                crc,
+                trace.trace_id if trace is not None else None,
+            )
+            self.version += 1
+        else:
+            version, logged_crc, text = replayed
+            if crc != logged_crc:
+                raise FingerprintMismatch(
+                    "the replayed labels do not match the record's "
+                    "fingerprint"
+                )
+            self.version = version
+        self.log.append(text)
+        if self.on_ingest is not None:
+            self.on_ingest(self, applied, start, self.version, crc, text)
 
     def _check_open(self) -> None:
         if self.closed:
@@ -244,18 +300,6 @@ class Session:
     def label(self, vid: int) -> Label:
         """The final label of an already inserted vertex."""
         return self.scheme.label_of(vid)
-
-    def snapshot_state(self) -> Tuple[int, Dict[int, Label], List[Insertion]]:
-        """A consistent ``(version, labels, insertions)`` copy.
-
-        Checkpoint exports and replication snapshots read it; the
-        insertions are rebuilt from the log rows outside the lock.
-        """
-        with self.lock:
-            version, labels, rows = (
-                self.version, dict(self.scheme.labels), list(self.log)
-            )
-        return version, labels, [_row_insertion(row) for row in rows]
 
     def __len__(self) -> int:
         return len(self.scheme.labels)

@@ -1,4 +1,4 @@
-"""Durable sessions: per-session write-ahead logs and crash recovery.
+"""Durable sessions: write-ahead logs, crash recovery, checkpoints.
 
 The paper's labels are write-once and a deterministic function of the
 insertion log, and an insertion only adds edges from vertices that
@@ -14,13 +14,15 @@ service mounts under a ``--data-dir``:
   following line is one ingest batch (``seq``, the insertion-log
   position ``start`` of its first event, the session ``version`` after
   the batch, the events in the execution-log JSON schema, and ``crc``,
-  a fingerprint of the labels the batch was assigned).  The fsync
-  policy decides what "acknowledged" means: ``always`` fsyncs every
-  append (survives power loss), ``batch`` fsyncs every
-  ``batch_records`` appends, and ``never`` leaves flushing to the OS
-  (every policy flushes to the OS per append, so plain process death
-  -- SIGKILL -- never loses an acknowledged insertion under any
-  policy).
+  a fingerprint of the labels the batch was assigned).  Past its
+  ``{"seq": N, `` prefix a line is the session's own log entry, the
+  very ``str`` :attr:`Session.log` holds
+  (:func:`~repro.service.sessions.record_text`).  The fsync policy
+  decides what "acknowledged" means: ``always`` fsyncs every append
+  (survives power loss), ``batch`` fsyncs every ``batch_records``
+  appends, and ``never`` leaves flushing to the OS (every policy
+  flushes to the OS per append, so plain process death -- SIGKILL --
+  never loses an acknowledged insertion under any policy).
 * :class:`DurableStore` -- the per-session directory layout under the
   data dir: the WAL plus, once the session is closed, a ``CLOSED``
   marker.  ``create_session`` is acknowledged only once the header is
@@ -33,6 +35,14 @@ service mounts under a ``--data-dir``:
   valid prefix before new appends continue.  Replay runs with the
   cyclic garbage collector paused: it makes no cyclic garbage, so
   every collection would only re-walk the sessions being rebuilt.
+* :func:`checkpoint_session` / :func:`restore_session` -- a checkpoint
+  is a WAL file: ``snapshot path=D`` writes ``D/wal.jsonl``, the
+  header plus the session's lines, the layout of a session directory
+  under a data dir; ``create_session checkpoint=D`` replays it.
+
+Boot recovery, checkpoint import and a replica reset replay records
+through one function, :func:`replay_records`, which keeps each
+record's text as read.
 
 Time travel comes from the same log: the store keeps the
 ``(version, log length)`` pair of every record, so ``as_of`` reads
@@ -49,29 +59,25 @@ from __future__ import annotations
 import gc
 import json
 import logging
-import marshal
 import math
 import os
 import shutil
 import threading
 import time
-import zlib
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
 
 from repro.errors import ReproError, ServiceError
 from repro.faults import FAILPOINTS
 from repro.io.jsonio import (
     insertion_from_json,
-    insertion_to_json,
     specification_from_json,
     specification_to_json,
 )
 from repro.io.xmlio import FormatError
-from repro.labeling.naive_dynamic import NaiveLabel
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.names import (
@@ -81,10 +87,13 @@ from repro.obs.names import (
     WAL_FSYNC_SECONDS,
 )
 from repro.obs.trace import current_trace
-from repro.service.checkpoint import fsync_dir, fsync_file
-# shim: benchmarks/e2e's trace hook wraps this name (ROADMAP item 3)
-from repro.service.checkpoint import restore_session  # noqa: F401
-from repro.service.sessions import Session, SessionManager
+from repro.service.sessions import (
+    FingerprintMismatch,
+    Session,
+    SessionManager,
+    label_crc,  # noqa: F401 -- the WAL's record fingerprint, re-exported
+    record_text,
+)
 
 FSYNC_POLICIES = ("always", "batch", "never")
 DEFAULT_BATCH_RECORDS = 64
@@ -105,6 +114,8 @@ _CLOSED = "CLOSED"
 _OLD_GENERATION_PREFIX = "ckpt-"
 _DIR_PREFIX = "s-"
 _EPOCH = "EPOCH"
+# the first document of the older four-document checkpoint format
+_OLD_CHECKPOINT_MANIFEST = "manifest.json"
 
 
 class TornWalError(ServiceError):
@@ -146,18 +157,24 @@ def _refuse_old_layout(directory: Path) -> None:
         )
 
 
-def label_crc(labels: List[Any]) -> int:
-    """CRC-32 of a batch's labels, from their values alone.
+def fsync_file(path) -> None:
+    """Flush a written-and-closed file's data to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
-    ``marshal`` format 2 writes no back-references, so the bytes depend
-    only on the values -- not on which label tuples happen to share
-    sub-tuples in memory -- and the format is the same on every
-    supported Python.  ``naive`` labels are dataclasses, which marshal
-    refuses, so they go in as ``(index, ancestors)``.
-    """
-    if labels and isinstance(labels[0], NaiveLabel):
-        labels = [(label.index, label.ancestors) for label in labels]
-    return zlib.crc32(marshal.dumps(labels, 2))
+
+def fsync_dir(path) -> None:
+    """Flush a directory's entries (renames, creates) to stable storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - some filesystems refuse dir fsync
+        pass
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +191,7 @@ class WalRecord:
     version: int    # session version after the batch
     events: List[Dict[str, Any]]  # execution-log JSON schema
     crc: int        # label_crc of the labels the batch was assigned
+    text: str       # the line past ``{"seq": N, ``, kept as read
 
 
 @dataclass
@@ -200,18 +218,71 @@ class WalReplay:
         return sum(len(record.events) for record in self.records)
 
 
+def wal_header(session: Session) -> Dict[str, Any]:
+    """The header line of ``session``'s WAL: enough to rebuild it."""
+    return {
+        "format": _WAL_FORMAT,
+        "version": _WAL_VERSION,
+        "session": session.name,
+        "spec": specification_to_json(session.spec),
+        "scheme": session.scheme_name,
+        "skeleton": session.skeleton,
+        "mode": session.mode,
+    }
+
+
+def parse_record(line: str, seq: int) -> WalRecord:
+    """Decode one record line (newline included) expected at ``seq``.
+
+    Raises :class:`ValueError` saying what is wrong with the line.  The
+    record keeps the line's text past ``{"seq": N, `` as it was read; a
+    line that is valid but not spelled the way the WAL writes it (keys
+    in another order, say) has that text spelled anew.
+    """
+    if not line.endswith("\n"):
+        raise ValueError("is torn (no trailing newline)")
+    try:
+        doc = json.loads(line)
+    except ValueError:
+        raise ValueError("is not valid JSON") from None
+    if (
+        not isinstance(doc, dict)
+        or type(doc.get("seq")) is not int
+        or type(doc.get("start")) is not int
+        or type(doc.get("version")) is not int
+        or not isinstance(doc.get("events"), list)
+        or type(doc.get("crc")) is not int
+    ):
+        raise ValueError("is malformed")
+    if doc["seq"] != seq:
+        raise ValueError(f"has seq {doc['seq']}, expected {seq}")
+    prefix = f'{{"seq": {seq}, '
+    if line.startswith(
+        f'{prefix}"start": {doc["start"]}, "version": {doc["version"]}, '
+        '"events": '
+    ):
+        text = line[len(prefix):]
+    else:
+        text = record_text(
+            doc["start"], doc["version"], json.dumps(doc["events"]),
+            doc["crc"], doc.get("trace_id"),
+        )
+    return WalRecord(
+        seq, doc["start"], doc["version"], doc["events"], doc["crc"], text
+    )
+
+
 def replay_wal(path) -> WalReplay:
     """Read a WAL file, validating structure line by line.
 
     A missing, empty or torn header raises :class:`TornWalError`; a
     header of another format or version raises :class:`ServiceError`.
-    Record lines are consumed while they stay well-formed --
-    newline-terminated JSON objects with a contiguous ``seq``, an
-    ``events`` list and an integer ``crc``; the first violation (a torn
-    final append, a truncated block) drops that line *and everything
-    after it*, recording the reason in ``dropped`` and the byte length
-    of the valid prefix in ``valid_bytes`` so the caller can truncate
-    and resume appending.
+    Record lines are consumed while they stay well-formed (see
+    :func:`parse_record`); the first violation (a torn final append, a
+    truncated block) drops that line *and everything after it*,
+    recording the reason in ``dropped`` and the byte length of the
+    valid prefix in ``valid_bytes`` so the caller can truncate and
+    resume appending.
     """
     try:
         with open(path, "rb") as handle:
@@ -249,50 +320,91 @@ def replay_wal(path) -> WalReplay:
         )
     replay = WalReplay(header=header, valid_bytes=len(lines[0]))
     for index, line in enumerate(lines[1:], start=1):
-        if not line.endswith(b"\n"):
-            replay.dropped = (
-                f"record line {index} is torn (no trailing newline)"
-            )
-            break
-        if not line.strip():
+        if not line.strip() and line.endswith(b"\n"):
             replay.valid_bytes += len(line)
             continue
         try:
-            doc = json.loads(line)
-        except ValueError:
-            replay.dropped = f"record line {index} is not valid JSON"
+            record = parse_record(line.decode(), replay.next_seq)
+        except ValueError as exc:  # UnicodeDecodeError included
+            replay.dropped = f"record line {index} {exc}"
             break
-        if (
-            not isinstance(doc, dict)
-            or not isinstance(doc.get("seq"), int)
-            or not isinstance(doc.get("start"), int)
-            or not isinstance(doc.get("version"), int)
-            or not isinstance(doc.get("events"), list)
-            or not isinstance(doc.get("crc"), int)
-        ):
-            replay.dropped = f"record line {index} is malformed"
-            break
-        if doc["seq"] != replay.next_seq:
-            replay.dropped = (
-                f"record line {index} has seq {doc['seq']}, "
-                f"expected {replay.next_seq}"
-            )
-            break
-        replay.records.append(
-            WalRecord(
-                seq=doc["seq"],
-                start=doc["start"],
-                version=doc["version"],
-                events=doc["events"],
-                crc=doc["crc"],
-            )
-        )
+        replay.records.append(record)
         replay.valid_bytes += len(line)
     if replay.dropped is not None:
         replay.dropped_bytes = (
             sum(len(line) for line in lines) - replay.valid_bytes
         )
     return replay
+
+
+def replay_records(
+    session: Session, records: Iterable[WalRecord], where: str
+) -> None:
+    """Relabel logged batches into ``session``: the one replay path.
+
+    Boot recovery, checkpoint import and replica reset all come here.
+    Each record must start where the session's log ends; its events are
+    relabeled and its label fingerprint checked; the session takes its
+    version, and its text as read becomes the log entry (through
+    :meth:`Session.ingest_many` with ``replayed``).  Any failure raises
+    :class:`ServiceError` naming the session, ``where`` and the record;
+    the session is then unusable and the caller discards it.
+    """
+    for record in records:
+        prefix = f"session {session.name!r}: {where} record {record.seq}"
+        if record.start != len(session):
+            raise ServiceError(
+                f"{prefix} starts at {record.start} but the session has "
+                f"{len(session)} insertions (a gap or an overlap)"
+            )
+        try:
+            events = [insertion_from_json(event) for event in record.events]
+        except FormatError as exc:
+            raise ServiceError(
+                f"{prefix} holds a malformed event: {exc}"
+            ) from None
+        try:
+            session.ingest_many(
+                events, (record.version, record.crc, record.text)
+            )
+        except FingerprintMismatch:
+            raise ServiceError(
+                f"{prefix} is corrupt: the replayed labels do not match "
+                "its fingerprint"
+            ) from None
+        except (ReproError, LookupError, TypeError, ValueError) as exc:
+            raise ServiceError(f"{prefix} does not relabel: {exc}") from exc
+
+
+def open_session(name: str, header: Dict[str, Any], where: str) -> Session:
+    """A fresh, empty session named ``name`` as a WAL header describes."""
+    try:
+        return Session(
+            name,
+            specification_from_json(header["spec"]),
+            scheme=header["scheme"],
+            skeleton=header["skeleton"],
+            mode=header["mode"],
+        )
+    except (KeyError, TypeError, FormatError) as exc:
+        raise ServiceError(f"{where} has an unusable header: {exc}") from None
+
+
+def _write_wal(path: Path, header: Dict[str, Any], log: Sequence[str]) -> None:
+    """Write a whole WAL file -- ``header`` and the records ``log``
+    holds -- staged under a temp name, fsynced, renamed into place and
+    its directory fsynced: a crash leaves the previous file (or none)
+    or every line of this one."""
+    staged = path.with_name(path.name + ".tmp")
+    with open(staged, "w") as handle:
+        handle.write(json.dumps(header) + "\n")
+        for seq, text in enumerate(log):
+            handle.write(f'{{"seq": {seq}, ')
+            handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(staged, path)
+    fsync_dir(path.parent)
 
 
 class WriteAheadLog:
@@ -311,7 +423,8 @@ class WriteAheadLog:
         policy: str = "always",
         batch_records: int = DEFAULT_BATCH_RECORDS,
         _resume: Optional[WalReplay] = None,
-        _first: Optional[Dict[str, Any]] = None,
+        _log: Sequence[str] = (),
+        _events: int = 0,
     ) -> None:
         self.path = Path(path)
         self.policy = check_fsync_policy(policy)
@@ -325,17 +438,10 @@ class WriteAheadLog:
             # the initial file is staged whole and renamed into place: a
             # crash leaves either no log (an unacknowledged create) or
             # every line of it
-            docs = [self.header] + ([_first] if _first is not None else [])
-            staged = self.path.with_name(self.path.name + ".tmp")
-            with open(staged, "w") as handle:
-                handle.write("".join(json.dumps(doc) + "\n" for doc in docs))
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(staged, self.path)
-            fsync_dir(self.path.parent)
+            _write_wal(self.path, self.header, _log)
             self._handle = open(self.path, "a")
-            self._next_seq = self._records = len(docs) - 1
-            self._events = len(_first["events"]) if _first is not None else 0
+            self._next_seq = self._records = len(_log)
+            self._events = _events
         else:
             # truncate any torn tail before appending after it
             with open(self.path, "r+b") as trunc:
@@ -354,31 +460,16 @@ class WriteAheadLog:
         session: Session,
         policy: str = "always",
         batch_records: int = DEFAULT_BATCH_RECORDS,
-        imported: Optional[Tuple[List[Dict[str, Any]], int]] = None,
     ) -> "WriteAheadLog":
         """Start a fresh WAL for ``session``, already durable on return.
 
-        ``imported`` -- ``(events, crc)`` -- logs the insertions an
-        imported session already holds as the first record, written
-        together with the header.
+        The batches an imported or reset session already holds are
+        written together with the header, as the records they are.
         """
-        header = {
-            "format": _WAL_FORMAT,
-            "version": _WAL_VERSION,
-            "session": session.name,
-            "spec": specification_to_json(session.spec),
-            "scheme": session.scheme_name,
-            "skeleton": session.skeleton,
-            "mode": session.mode,
-        }
-        first = None
-        if imported is not None:
-            events, crc = imported
-            first = {"seq": 0, "start": 0, "version": session.version,
-                     "events": events, "crc": crc}
         return cls(
-            path, header, policy=policy, batch_records=batch_records,
-            _first=first,
+            path, wal_header(session), policy=policy,
+            batch_records=batch_records,
+            _log=list(session.log), _events=len(session),
         )
 
     @classmethod
@@ -415,14 +506,16 @@ class WriteAheadLog:
         return self._unsynced
 
     def append(
-        self, start: int, version: int, events: List[Dict[str, Any]],
-        crc: int, encoded: Optional[str] = None,
+        self, start: int, version: int, events: Sequence[Any],
+        crc: int, text: Optional[str] = None,
     ) -> int:
         """Log one acknowledged ingest batch; returns its ``seq``.
 
-        ``encoded`` is ``json.dumps(events)`` when the caller already
-        has it (the store encodes a batch once, for this log and for
-        the replication ring).  Either way the line is exactly
+        ``text`` is the batch as the session logged it
+        (:func:`~repro.service.sessions.record_text` of these same
+        ``start``, ``version``, events and ``crc``), written as it is;
+        without it the record is spelled here from ``events``, a list
+        of execution-log JSON dicts.  Either way the line is exactly
         ``json.dumps`` of the record ``{seq, start, version, events,
         crc[, trace_id]}``.
 
@@ -435,26 +528,19 @@ class WriteAheadLog:
         way the session must stop acknowledging; a restart (which
         re-runs recovery) clears the state.
         """
-        if encoded is None:
-            encoded = json.dumps(events)
+        trace = current_trace()
+        if text is None:
+            text = record_text(
+                start, version, json.dumps(events), crc,
+                trace.trace_id if trace is not None else None,
+            )
         with self.lock:
             self._check_open()
-            # json.dumps of the record, spelled out around the events'
-            # text: the same keys, order and separators
-            line = (
-                f'{{"seq": {self._next_seq}, "start": {start}, '
-                f'"version": {version}, "events": {encoded}, "crc": {crc}'
-            )
-            trace = current_trace()
-            if trace is not None:
-                # the record carries the request's trace id, so a WAL
-                # line is joinable to the trace/logs that produced it
-                # (replay ignores unknown keys)
-                line += f', "trace_id": {json.dumps(trace.trace_id)}'
             try:
                 FAILPOINTS.hit("wal.pre_append")
                 append_started = time.perf_counter()
-                self._handle.write(line + "}\n")
+                self._handle.write(f'{{"seq": {self._next_seq}, ')
+                self._handle.write(text)
                 # always flush to the OS: process death never loses an
                 # acknowledged batch, only the fsync policy decides
                 # power-loss durability
@@ -550,7 +636,19 @@ class _Entry:
     wal: WriteAheadLog
     # (version, insertion-log length) after every logged record, in
     # log order: what each acknowledged version covered, for as_of
-    history: List[Tuple[int, int]] = field(default_factory=list)
+    history: List[Tuple[int, int]]
+
+
+def _history(session: Session) -> List[Tuple[int, int]]:
+    """``(version, insertion-log length)`` after each batch the session
+    has logged, read from the head of each record text."""
+    bounds = []
+    for text in session.log:
+        start, version, _ = text.split(", ", 2)
+        bounds.append((int(start[len('"start": '):]),
+                       int(version[len('"version": '):])))
+    ends = [start for start, _ in bounds[1:]] + [len(session)]
+    return [(version, end) for (_, version), end in zip(bounds, ends)]
 
 
 class DurableStore:
@@ -677,10 +775,10 @@ class DurableStore:
         """Start durably tracking a live session.
 
         Writes and fsyncs the WAL header (the spec, scheme, skeleton and
-        mode: enough to rebuild the session from nothing), logs an
-        imported session's existing insertions as one record, and hooks
-        the session's ingest path.  Must be called before the creating
-        request is acknowledged.
+        mode: enough to rebuild the session from nothing) followed by
+        the batches an imported or reset session already holds, and
+        hooks the session's ingest path.  Must be called before the
+        creating request is acknowledged.
         """
         directory = self.session_dir(session.name)
         if directory.exists():
@@ -708,18 +806,12 @@ class DurableStore:
         # the new directory entry (and any archive rename) must survive
         # power loss before the create is acknowledged
         fsync_dir(self.root)
-        imported = None
-        if session.log:
-            # an imported session: what it holds so far becomes the
-            # log's first record, so it survives a crash like any ingest
-            imported = self._encode(session, session.snapshot_state()[2])
         try:
             wal = WriteAheadLog.create(
                 directory / _WAL_FILE,
                 session,
                 policy=self.fsync,
                 batch_records=self.batch_records,
-                imported=imported,
             )
         except Exception:
             # the create was never acknowledged: remove the half-made
@@ -728,10 +820,7 @@ class DurableStore:
             # incomplete create)
             shutil.rmtree(directory, ignore_errors=True)
             raise
-        entry = _Entry(session=session, directory=directory, wal=wal)
-        if imported is not None:
-            entry.history.append((session.version, len(session.log)))
-        self._arm(entry)
+        self._arm(_Entry(session, directory, wal, _history(session)))
 
     @staticmethod
     def _incomplete_create(directory: Path) -> bool:
@@ -747,23 +836,14 @@ class DurableStore:
             self._entries[entry.session.name] = entry
         entry.session.on_ingest = self._on_ingest
 
-    @staticmethod
-    def _encode(
-        session: Session, events: List[Any]
-    ) -> Tuple[List[Dict[str, Any]], int]:
-        """A batch as logged: its events as JSON, its label fingerprint."""
-        labels = session.scheme.labels
-        return (
-            [insertion_to_json(event) for event in events],
-            label_crc([labels[event.vid] for event in events]),
-        )
-
     def _on_ingest(
         self,
         session: Session,
         events: List[Any],
         start: int,
         version: int,
+        crc: int,
+        text: str,
     ) -> None:
         """The :attr:`Session.on_ingest` hook: log before acknowledging."""
         if self.fenced:
@@ -774,15 +854,11 @@ class DurableStore:
         entry = self._entries.get(session.name)
         if entry is None or entry.session is not session:
             return  # stale hook on a superseded session instance
-        payload, crc = self._encode(session, events)
-        # encoded once: the log line embeds this text and the
-        # replication ring keeps it as it is
-        encoded = json.dumps(payload)
-        entry.wal.append(start, version, payload, crc, encoded)
+        entry.wal.append(start, version, events, crc, text)
         entry.history.append((version, start + len(events)))
         publish = self.on_append
         if publish is not None:
-            publish(session, start, version, encoded)
+            publish(session, text)
 
     # ------------------------------------------------------------------
     # snapshot / sync / close
@@ -936,52 +1012,9 @@ class DurableStore:
                 f"write-ahead log {wal_path} belongs to session "
                 f"{header.get('session')!r}, not {name!r}"
             )
-        try:
-            session = Session(
-                name,
-                specification_from_json(header["spec"]),
-                scheme=header["scheme"],
-                skeleton=header["skeleton"],
-                mode=header["mode"],
-            )
-        except (KeyError, TypeError, FormatError) as exc:
-            raise ServiceError(
-                f"write-ahead log {wal_path} has an unusable header: {exc}"
-            ) from None
-        history: List[Tuple[int, int]] = []
-        labels = session.scheme.labels
-        for record in replay.records:
-            if record.start != len(session.log):
-                raise ServiceError(
-                    f"write-ahead log {wal_path} record {record.seq} "
-                    f"starts at {record.start} but the session has "
-                    f"{len(session.log)} insertions (a gap or an overlap)"
-                )
-            try:
-                events = [
-                    insertion_from_json(event) for event in record.events
-                ]
-            except FormatError as exc:
-                raise ServiceError(
-                    f"write-ahead log {wal_path} record {record.seq} "
-                    f"holds a malformed event: {exc}"
-                ) from None
-            try:
-                session.ingest_many(events)
-            except (ReproError, LookupError, TypeError, ValueError) as exc:
-                raise ServiceError(
-                    f"session {name!r}: write-ahead log record "
-                    f"{record.seq} does not relabel: {exc}"
-                ) from exc
-            replayed = label_crc([labels[event.vid] for event in events])
-            if replayed != record.crc:
-                raise ServiceError(
-                    f"session {name!r}: write-ahead log record "
-                    f"{record.seq} is corrupt: the replayed labels do "
-                    "not match its fingerprint"
-                )
-            session.version = record.version
-            history.append((record.version, len(session.log)))
+        where = f"write-ahead log {wal_path}"
+        session = open_session(name, header, where)
+        replay_records(session, replay.records, where)
         report: Dict[str, Any] = {
             "session": name,
             "status": "recovered",
@@ -1003,7 +1036,7 @@ class DurableStore:
             batch_records=self.batch_records,
         )
         manager.adopt(session)
-        self._arm(_Entry(session, directory, wal, history))
+        self._arm(_Entry(session, directory, wal, _history(session)))
         return report
 
     # ------------------------------------------------------------------
@@ -1050,3 +1083,73 @@ class DurableStore:
             "sessions": sessions,
             "recovered": list(self.recovery),
         }
+
+
+# ---------------------------------------------------------------------------
+# checkpoint export / import: a checkpoint is a WAL file
+# ---------------------------------------------------------------------------
+
+
+def checkpoint_session(session: Session, directory) -> Path:
+    """Export ``session`` into ``directory`` as ``wal.jsonl``.
+
+    The file is a WAL: the session's header followed by its log, the
+    lines a data dir holds for it, copied under the session lock so
+    they reflect one version even while writers keep ingesting.  It is
+    staged, fsynced, renamed into place and the directory fsynced, so a
+    completed export survives power loss and a crash mid-export leaves
+    any earlier export in ``directory`` intact.  Returns the directory.
+    """
+    path = Path(directory)
+    path.mkdir(parents=True, exist_ok=True)
+    with session.lock:
+        log = list(session.log)
+    _write_wal(path / _WAL_FILE, wal_header(session), log)
+    return path
+
+
+def restore_session(
+    manager: SessionManager,
+    directory,
+    name: Optional[str] = None,
+    scheme: Optional[str] = None,
+) -> Session:
+    """Import an exported session (a WAL file) into ``manager``.
+
+    ``directory`` is one :func:`checkpoint_session` wrote.  ``name`` overrides the exported session name (useful when restoring
+    next to a still-live original); ``scheme``, when given, must be the
+    scheme the export records.  Both are checked before the O(n)
+    replay (``adopt`` re-checks the name under its lock, so this is a
+    fast-fail, not the correctness guarantee).  The log is replayed
+    through :func:`replay_records`, every record's label fingerprint
+    checked, and the session keeps every version the export holds.  An
+    export is written whole, so a torn or malformed line refuses the
+    import, as does a directory in the older four-document format
+    (``manifest.json``).
+    """
+    path = Path(directory)
+    if (path / _OLD_CHECKPOINT_MANIFEST).exists():
+        raise ServiceError(
+            f"{path} holds a checkpoint in the older four-document format "
+            f"({_OLD_CHECKPOINT_MANIFEST}) this server cannot import; "
+            "import it with the release that wrote it into a --data-dir "
+            "server, whose data dir this release recovers and can export"
+        )
+    replay = replay_wal(path / _WAL_FILE)
+    where = f"checkpoint {path}"
+    if replay.dropped is not None:
+        raise ServiceError(f"{where} is corrupt: {replay.dropped}")
+    target = name or replay.header.get("session")
+    if not isinstance(target, str):
+        raise ServiceError(f"{where} has an unusable header: no session name")
+    if target in manager:
+        raise ServiceError(f"session {target!r} already exists")
+    recorded = replay.header.get("scheme")
+    if scheme is not None and scheme != recorded:
+        raise ServiceError(
+            f"checkpoint was written under scheme {recorded!r}, "
+            f"not {scheme!r}"
+        )
+    session = open_session(target, replay.header, where)
+    replay_records(session, replay.records, where)
+    return manager.adopt(session)

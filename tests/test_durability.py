@@ -3,8 +3,9 @@
 Covers the durability layer end to end -- WAL append/replay/torn-tail
 handling, the per-record label fingerprint, boot-time recovery by WAL
 replay and its crash windows, the sync/recover_info protocol ops --
-plus the checkpoint export/import hardening: fsynced checkpoint staging
-and restore-validates-before-replay.
+plus checkpoint export/import, a WAL file: fsynced staging,
+restore-validates-before-replay, and the round trip through
+non-durable and durable servers for every dynamic scheme.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ import gc
 import json
 import os
 import random
+import re
+import tracemalloc
 
 import pytest
 
-from repro.errors import ServiceError
+from repro.errors import ReproError, ServiceError
 from repro.graphs.reachability import reaches
 from repro.obs.trace import Tracer, activate
 from repro.service import (
@@ -29,7 +32,7 @@ from repro.service import (
 )
 from repro.service.protocol import Request, insertions_to_wire
 from repro.service.server import ReproService
-from repro.service.sessions import Session
+from repro.service.sessions import Session, record_text, resolve_spec
 from repro.service import wal as wal_module
 from repro.service.wal import WriteAheadLog, label_crc
 from repro.workflow.derivation import sample_run
@@ -67,7 +70,7 @@ def collector(enabled):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint staging durability (satellite 1)
+# checkpoint export: a WAL file, staged and fsynced
 # ---------------------------------------------------------------------------
 
 
@@ -80,20 +83,11 @@ class TestCheckpointDurability:
         synced = []
         real_fsync = os.fsync
         monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        checkpoint_session(session, tmp_path / "ckpt", durable=True)
+        path = checkpoint_session(session, tmp_path / "ckpt")
         monkeypatch.setattr(os, "fsync", real_fsync)
-        # four staged files plus at least the directory itself
-        assert len(synced) >= 5
-
-    def test_durable_false_skips_fsync(
-        self, running_spec, run_and_execution, tmp_path, monkeypatch
-    ):
-        _, execution = run_and_execution
-        _, session = make_session(running_spec, execution.insertions[:30])
-        synced = []
-        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd))
-        checkpoint_session(session, tmp_path / "ckpt", durable=False)
-        assert synced == []
+        # the staged file, then the directory after the rename
+        assert len(synced) >= 2
+        assert sorted(p.name for p in path.iterdir()) == ["wal.jsonl"]
 
     def test_leftover_tmp_files_are_ignored_by_restore(
         self, running_spec, run_and_execution, tmp_path
@@ -101,43 +95,36 @@ class TestCheckpointDurability:
         _, execution = run_and_execution
         _, session = make_session(running_spec, execution.insertions[:40])
         path = checkpoint_session(session, tmp_path / "ckpt")
-        (path / "manifest.json.tmp").write_text("{ torn garbage")
-        (path / "labels.json.tmp").write_text("")
+        (path / "wal.jsonl.tmp").write_text("{ torn garbage")
         restored = restore_session(SessionManager(), path)
         assert len(restored) == 40
 
     def test_crash_mid_stage_keeps_prior_checkpoint(
         self, running_spec, run_and_execution, tmp_path, monkeypatch
     ):
-        """A re-checkpoint that dies while staging leaves the previous
-        checkpoint fully restorable (staged .tmp files are inert)."""
-        import repro.service.checkpoint as checkpoint_module
-
+        """A re-export that dies while staging leaves the previous
+        export fully restorable (the staged .tmp file is inert)."""
         _, execution = run_and_execution
         events = execution.insertions
         _, session = make_session(running_spec, events[:40])
         path = checkpoint_session(session, tmp_path / "ckpt")
         session.ingest_many(events[40:80])
 
-        real_dump = checkpoint_module._dump
+        def dying_fsync(fd):
+            raise OSError("simulated crash while staging")
 
-        def dying_dump(document, target, indent=None):
-            if str(target).endswith("manifest.json.tmp"):
-                raise OSError("simulated crash while staging")
-            return real_dump(document, target, indent=indent)
-
-        monkeypatch.setattr(checkpoint_module, "_dump", dying_dump)
+        monkeypatch.setattr(os, "fsync", dying_fsync)
         with pytest.raises(OSError):
             checkpoint_session(session, path)
-        monkeypatch.setattr(checkpoint_module, "_dump", real_dump)
+        monkeypatch.undo()
 
         assert list(path.glob("*.tmp"))  # the crash left staging litter
         restored = restore_session(SessionManager(), path)
-        assert len(restored) == 40  # the prior generation, intact
+        assert len(restored) == 40  # the prior export, intact
 
 
 # ---------------------------------------------------------------------------
-# restore validates before replaying (satellite 2)
+# restore validates before replaying
 # ---------------------------------------------------------------------------
 
 
@@ -153,9 +140,9 @@ class TestRestoreValidatesFirst:
         calls = []
         real = Session.ingest_many
 
-        def spying(self, insertions):
+        def spying(self, insertions, *rest):
             calls.append(self.name)
-            return real(self, insertions)
+            return real(self, insertions, *rest)
 
         monkeypatch.setattr(Session, "ingest_many", spying)
         return calls
@@ -178,30 +165,40 @@ class TestRestoreValidatesFirst:
             restore_session(manager, checkpoint_dir, name="copy")
         assert replay_spy == []
 
-    def test_missing_label_store_fails_before_replay(
+    def test_missing_wal_fails_before_replay(
         self, checkpoint_dir, replay_spy
     ):
-        (checkpoint_dir / "labels.json").unlink()
+        (checkpoint_dir / "wal.jsonl").unlink()
         with pytest.raises(ServiceError, match="does not exist"):
             restore_session(SessionManager(), checkpoint_dir)
         assert replay_spy == []
 
-    def test_corrupt_label_store_fails_before_replay(
+    def test_corrupt_header_fails_before_replay(
         self, checkpoint_dir, replay_spy
     ):
-        (checkpoint_dir / "labels.json").write_text("{ not json")
-        with pytest.raises(ServiceError, match="unusable"):
+        wal_path = checkpoint_dir / "wal.jsonl"
+        lines = wal_path.read_text().splitlines(keepends=True)
+        wal_path.write_text("".join(["{ not json\n"] + lines[1:]))
+        with pytest.raises(ServiceError, match="unreadable header"):
+            restore_session(SessionManager(), checkpoint_dir)
+        assert replay_spy == []
+
+    def test_torn_line_fails_before_replay(
+        self, checkpoint_dir, replay_spy
+    ):
+        """An export is written whole: a torn line is corruption, not
+        a crash to recover from, so nothing of it is imported."""
+        wal_path = checkpoint_dir / "wal.jsonl"
+        wal_path.write_bytes(wal_path.read_bytes()[:-9])
+        with pytest.raises(ServiceError, match="corrupt.*line 1 is torn"):
             restore_session(SessionManager(), checkpoint_dir)
         assert replay_spy == []
 
     def test_scheme_mismatch_fails_before_replay(
         self, checkpoint_dir, replay_spy
     ):
-        store = json.loads((checkpoint_dir / "labels.json").read_text())
-        store["scheme"] = "naive"
-        (checkpoint_dir / "labels.json").write_text(json.dumps(store))
-        with pytest.raises(ServiceError, match="scheme"):
-            restore_session(SessionManager(), checkpoint_dir)
+        with pytest.raises(ServiceError, match="scheme 'drl', not 'naive'"):
+            restore_session(SessionManager(), checkpoint_dir, scheme="naive")
         assert replay_spy == []
 
 
@@ -276,8 +273,8 @@ class TestWriteAheadLog:
 
     def test_lines_are_json_dumps_of_the_record(self, session, tmp_path):
         """Each line is byte for byte ``json.dumps`` of its record,
-        whether append encodes the events itself or is handed their
-        text, with or without a trace id."""
+        whether append spells the record itself or is handed the
+        session's record text, with or without a trace id."""
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)
         events = [
@@ -287,10 +284,13 @@ class TestWriteAheadLog:
              "slot": {"token": 0, "tv": 1}},
         ]
         wal.append(0, 1, events, 7)
-        wal.append(2, 2, events, 2**32 - 1, json.dumps(events))
+        wal.append(
+            2, 2, events, 2**32 - 1,
+            record_text(2, 2, json.dumps(events), 2**32 - 1),
+        )
         trace = Tracer().start("ingest")
         with activate(trace):
-            wal.append(4, 3, events, 0, json.dumps(events))
+            wal.append(4, 3, events, 0)
         wal.close()
         records = [
             {"seq": 0, "start": 0, "version": 1, "events": events,
@@ -685,9 +685,9 @@ class TestDurableStoreRecovery:
         during = []
         replay = Session.ingest_many
 
-        def spying(session, events):
+        def spying(session, events, *rest):
             during.append(gc.isenabled())
-            return replay(session, events)
+            return replay(session, events, *rest)
 
         monkeypatch.setattr(Session, "ingest_many", spying)
         with collector(collecting):
@@ -911,9 +911,12 @@ class TestCollectorFootprint:
         assert response.ok, response.error
         return response.result
 
-    def test_log_rows_are_untracked_and_the_ring_holds_text(
+    def test_the_ring_and_the_wal_hold_the_log_entries(
         self, run_and_execution, tmp_path
     ):
+        """One form per batch: each ringed record's text *is* the
+        session's log entry, the WAL line is that text behind its seq,
+        and ``repl_subscribe`` decodes the events the WAL holds."""
         _, execution = run_and_execution
         events = execution.insertions
         service = ReproService(data_dir=tmp_path / "data", fsync="never")
@@ -922,25 +925,59 @@ class TestCollectorFootprint:
         for start in range(0, len(events), 50):
             self.handle(service, "ingest", session="s1",
                         insertions=insertions_to_wire(events[start:start + 50]))
-        # a row's own inner tuples are untracked in the first pass that
-        # sees them, but after the row itself: the next pass untracks
-        # the row (in a serving process, the generation-1 collection
-        # after the ingest -- before any full collection walks it)
-        gc.collect()
-        gc.collect()
         log = service.manager.get("s1").log
-        assert len(log) == len(events)
-        assert not any(gc.is_tracked(row) for row in log)
         ringed = [r for r in service.hub._ring if r["kind"] == "ingest"]
-        assert len(ringed) == len(range(0, len(events), 50))
-        assert all(isinstance(r["events"], str) for r in ringed)
-        # repl_subscribe decodes the ringed text: the events the WAL holds
+        assert len(ringed) == len(log) == len(range(0, len(events), 50))
+        assert all(r["text"] is text for r, text in zip(ringed, log))
+        wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+        assert wal_path.read_text().splitlines(keepends=True)[1:] == [
+            f'{{"seq": {seq}, {text}' for seq, text in enumerate(log)
+        ]
         shipped = self.handle(service, "repl_subscribe", from_seq=0)
-        replay = replay_wal(next((tmp_path / "data").glob("s-*/wal.jsonl")))
+        replay = replay_wal(wal_path)
         assert [
             r["events"] for r in shipped["records"] if r["kind"] == "ingest"
         ] == [record.events for record in replay.records]
         service.close()
+
+    def test_a_hosted_event_keeps_few_traced_bytes(
+        self, running_spec, tmp_path
+    ):
+        """Traced memory per hosted event stays at most 500 bytes for a
+        few durable 2,000-event sessions fed as 64-event protocol
+        lines: the labels, the labeler's open frontier and one record
+        text per batch, shared by the log, the WAL and the ring.  (A
+        log of per-event rows beside the ring's text kept about 840.)"""
+        sessions = 3
+        lines = []
+        for index in range(sessions):
+            run = sample_run(running_spec, 3000, random.Random(index))
+            events = execution_from_derivation(run).insertions[:2000]
+            assert len(events) == 2000
+            lines.append([
+                json.dumps({"op": "ingest", "session": f"s{index}",
+                            "insertions": insertions_to_wire(
+                                events[start:start + 64])})
+                for start in range(0, len(events), 64)
+            ])
+        service = ReproService(data_dir=tmp_path / "data", fsync="never")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index, chunks in enumerate(lines):
+                self.handle(service, "create_session", name=f"s{index}",
+                            spec="running-example")
+                for line in chunks:
+                    assert '"ok": true' in service.handle_line(line)
+            gc.collect()
+            per_event = (
+                tracemalloc.get_traced_memory()[0] - before
+            ) / (2000 * sessions)
+        finally:
+            tracemalloc.stop()
+            service.close()
+        assert per_event <= 500, per_event
 
     def test_a_durable_session_leaves_few_tracked_objects_per_event(
         self, running_spec, tmp_path
@@ -968,6 +1005,180 @@ class TestCollectorFootprint:
         per_event = (len(gc.get_objects()) - before) / len(events)
         service.close()
         assert per_event <= 1, per_event
+
+
+# ---------------------------------------------------------------------------
+# the session log: one record text per batch
+# ---------------------------------------------------------------------------
+
+
+#: every dynamic scheme, on a spec it can label
+DYNAMIC_SCHEMES = [
+    ("drl", "running-example"),
+    ("naive", "running-example"),
+    ("path-position", "fig12-path"),
+]
+SCHEME_IDS = [scheme for scheme, _ in DYNAMIC_SCHEMES]
+
+
+def scheme_run(spec_name, size, seed):
+    from repro.datasets import spec_by_name
+
+    run = sample_run(spec_by_name(spec_name), size, random.Random(seed))
+    return run, execution_from_derivation(run).insertions
+
+
+class TestSessionLog:
+    @pytest.mark.parametrize(
+        "scheme,spec_name", DYNAMIC_SCHEMES, ids=SCHEME_IDS
+    )
+    def test_label_order_is_log_order(self, scheme, spec_name):
+        """``as_of`` reads a version's vertices off the label map's key
+        order, so it must be log order -- across a batch refused
+        mid-way too."""
+        _, events = scheme_run(spec_name, 80, 5)
+        session = Session("order", resolve_spec(spec_name), scheme=scheme)
+        session.ingest_many(events[:20])
+        with pytest.raises(Exception):
+            # a repeated vertex is refused after ten events applied
+            session.ingest_many(events[20:30] + [events[0]] + events[30:40])
+        session.ingest_many(events[30:50])
+        logged = [
+            event["vid"]
+            for text in session.log
+            for event in json.loads("{" + text)["events"]
+        ]
+        assert logged == [event.vid for event in events[:50]]
+        assert list(session.scheme.labels) == logged
+        assert len(session.log) == 3 and session.version == 3
+
+    @pytest.mark.parametrize(
+        "scheme,spec_name", DYNAMIC_SCHEMES, ids=SCHEME_IDS
+    )
+    def test_refused_events_replay_to_the_same_labels(
+        self, scheme, spec_name, tmp_path
+    ):
+        """A refused event leaves no trace in the labeler, so replaying
+        the log -- here through an export and an import -- reassigns
+        exactly the live labels and every fingerprint matches."""
+        _, events = scheme_run(spec_name, 80, 5)
+        session = Session("live", resolve_spec(spec_name), scheme=scheme)
+        session.ingest_many(events[:10])
+        for event in events[40:45]:  # its predecessors are not in yet
+            with pytest.raises(ReproError):
+                session.ingest_many([event])
+        session.ingest_many(events[10:30])
+        path = checkpoint_session(session, tmp_path / "export")
+        restored = restore_session(SessionManager(), path)
+        assert restored.scheme.labels == session.scheme.labels
+
+
+# ---------------------------------------------------------------------------
+# checkpoint export/import round trips, for every dynamic scheme
+# ---------------------------------------------------------------------------
+
+
+class TestCheckpointExportImport:
+    def handle(self, service, op, **params):
+        response = service.handle(Request(op, params))
+        assert response.ok, response.error
+        return response.result
+
+    def export(self, tmp_path, scheme, spec_name, events):
+        """Three batches into a non-durable server, exported; returns
+        the directory and ``{version: prefix length}``."""
+        source = ReproService()
+        self.handle(source, "create_session", name="run", spec=spec_name,
+                    scheme=scheme)
+        covered = {}
+        for end in (20, 40, 60):
+            result = self.handle(
+                source, "ingest", session="run",
+                insertions=insertions_to_wire(events[end - 20:end]),
+            )
+            covered[result["version"]] = end
+        exported = self.handle(source, "snapshot", session="run",
+                               path=str(tmp_path / "export"))
+        assert (exported["version"], exported["vertices"]) == (3, 60)
+        return tmp_path / "export", covered
+
+    @pytest.mark.parametrize(
+        "scheme,spec_name", DYNAMIC_SCHEMES, ids=SCHEME_IDS
+    )
+    def test_non_durable_export_imports_durably_and_survives_restart(
+        self, scheme, spec_name, tmp_path
+    ):
+        run, events = scheme_run(spec_name, 90, 7)
+        path, covered = self.export(tmp_path, scheme, spec_name, events)
+        target = ReproService(data_dir=tmp_path / "data")
+        created = self.handle(target, "create_session", name="copy",
+                              checkpoint=str(path), scheme=scheme)
+        assert (created["scheme"], created["vertices"],
+                created["version"]) == (scheme, 60, 3)
+        self.handle(target, "ingest", session="copy",
+                    insertions=insertions_to_wire(events[60:]))
+        target.close()
+
+        revived = ReproService(data_dir=tmp_path / "data")
+        try:
+            vids = [event.vid for event in events]
+            rng = random.Random(8)
+            pairs = [[rng.choice(vids), rng.choice(vids)]
+                     for _ in range(200)]
+            answers = self.handle(revived, "query_batch", session="copy",
+                                  pairs=pairs)["answers"]
+            assert answers == [reaches(run.graph, a, b) for a, b in pairs]
+            # every version the exported session acknowledged
+            for version, end in covered.items():
+                prefix = vids[:end]
+                pairs = [[a, b] for a in prefix[::4] for b in prefix[::3]]
+                got = self.handle(revived, "query_batch", session="copy",
+                                  pairs=pairs, as_of=version)["answers"]
+                assert got == [reaches(run.graph, a, b) for a, b in pairs]
+                response = revived.handle(Request("query", {
+                    "session": "copy", "source": vids[end],
+                    "target": vids[end], "as_of": version,
+                }))
+                assert response.code == "labeling", response.error
+        finally:
+            revived.close()
+
+    @pytest.mark.parametrize(
+        "scheme,spec_name", DYNAMIC_SCHEMES, ids=SCHEME_IDS
+    )
+    def test_flipped_crc_refuses_the_import_naming_the_record(
+        self, scheme, spec_name, tmp_path
+    ):
+        _, events = scheme_run(spec_name, 90, 7)
+        path, _ = self.export(tmp_path, scheme, spec_name, events)
+        wal_path = path / "wal.jsonl"
+        lines = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        record["crc"] ^= 1
+        lines[2] = json.dumps(record) + "\n"
+        wal_path.write_text("".join(lines))
+        for data_dir in (None, tmp_path / "data"):
+            service = ReproService(data_dir=data_dir)
+            response = service.handle(Request("create_session", {
+                "name": "copy", "checkpoint": str(path),
+            }))
+            assert not response.ok
+            assert re.search("'copy'.*record 1 is corrupt", response.error)
+            assert service.manager.names() == []
+            service.close()
+
+    def test_four_document_checkpoint_is_refused_by_name(self, tmp_path):
+        old = tmp_path / "old"
+        old.mkdir()
+        for name in ("manifest.json", "spec.json", "log.json",
+                     "labels.json"):
+            (old / name).write_text("{}")
+        response = ReproService().handle(Request("create_session", {
+            "name": "copy", "checkpoint": str(old),
+        }))
+        assert not response.ok and response.code == "service"
+        assert "four-document" in response.error
+        assert "manifest.json" in response.error
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from repro.errors import ProtocolError, ServiceError
+from repro.errors import ProtocolError, ReproError, ServiceError
 from repro.graphs.reachability import reaches
 from repro.service import ServiceClient
 from repro.service.protocol import (
@@ -80,6 +80,30 @@ def applied_position(port):
     if info is None:
         return -1
     return int(info.get("applied", -1))
+
+
+def replica_service(data_dir, primary):
+    return ReproService(
+        data_dir=str(data_dir),
+        fsync="never",
+        replicate_from=("127.0.0.1", primary.port),
+        replica_id=data_dir.name,
+    )
+
+
+def as_of_answers(port, session, events, version):
+    """``as_of`` answers from the first event to every event, with each
+    refusal as its message."""
+    got = []
+    with ServiceClient("127.0.0.1", port) as client:
+        for event in events:
+            try:
+                got.append(client.query(
+                    session, events[0].vid, event.vid, as_of=version
+                ))
+            except ReproError as exc:
+                got.append(str(exc))
+    return got
 
 
 @pytest.fixture()
@@ -150,13 +174,17 @@ class TestReplicationHub:
             service.manager, service.store, ring_capacity=16
         )
         session = service.manager.get("s")
-        for event in execution.insertions[:20]:
-            hub.publish(session, 0, session.version,
-                        insertions_to_wire([event]))
+        session.ingest_many(execution.insertions[:20])
+        for _ in range(20):
+            hub.publish(session, session.log[0])
         result = hub.subscribe(from_seq=0)
         assert result["reset"] is True
         names = [entry["session"] for entry in result["snapshot"]]
         assert names == ["s"]
+        # the reset ships the session's WAL header and lines
+        (entry,) = result["snapshot"]
+        assert entry["header"]["session"] == "s"
+        assert entry["lines"] == ['{"seq": 0, ' + session.log[0]]
 
     def test_ack_and_wait_covered(self, service):
         hub = ReplicationHub(
@@ -261,6 +289,65 @@ class TestReplicaServesReads:
             assert answers == [reaches(run.graph, a, b) for a, b in pairs]
         finally:
             stop_server(late)
+
+    def test_late_replica_answers_as_of_like_the_primary(
+        self, pair, running_spec, tmp_path
+    ):
+        """A replica bootstrapped by a reset replays the primary's WAL
+        lines with their versions, so for every version its ``as_of``
+        answers and refusals are the primary's."""
+        primary, _ = pair
+        _, execution = make_execution(running_spec, size=80, seed=5)
+        events = execution.insertions[:60]
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.create_session("old", "running-example")
+            for lo in range(0, 60, 20):
+                writer.ingest("old", events[lo:lo + 20])
+        late = start_server(replica_service(tmp_path / "late", primary))
+        try:
+            assert wait_until(lambda: applied_position(late.port) > 0)
+            for version in range(4):
+                expected = as_of_answers(primary.port, "old", events, version)
+                assert as_of_answers(late.port, "old", events, version) == (
+                    expected
+                )
+                refused = sum(isinstance(a, str) for a in expected)
+                assert refused == 60 - 20 * version
+        finally:
+            stop_server(late)
+
+    def test_restarted_replica_keeps_its_prefix_on_reset(
+        self, pair, running_spec, tmp_path
+    ):
+        """A restarted replica recovers its own WAL, then resets: it
+        replays only the shipped lines past what it holds, rebuilding
+        nothing, and answers ``as_of`` like the primary."""
+        primary, _ = pair
+        _, execution = make_execution(running_spec, size=80, seed=5)
+        events = execution.insertions[:60]
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.create_session("run", "running-example")
+            writer.ingest("run", events[:20])
+            writer.ingest("run", events[20:40])
+        replica = start_server(replica_service(tmp_path / "r2", primary))
+        assert wait_until(lambda: applied_position(replica.port) >= 3)
+        stop_server(replica)
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.ingest("run", events[40:60])
+        replica = start_server(replica_service(tmp_path / "r2", primary))
+        try:
+            (report,) = replica.service.store.recovery
+            assert report["vertices"] == 40
+            # the reset covers create + three ingests: position 4
+            assert wait_until(lambda: applied_position(replica.port) >= 4)
+            assert len(replica.service.manager.get("run")) == 60
+            for version in range(4):
+                assert as_of_answers(replica.port, "run", events, version) == (
+                    as_of_answers(primary.port, "run", events, version)
+                )
+            assert not list((tmp_path / "r2").glob("*.closed.*"))
+        finally:
+            stop_server(replica)
 
 
 # ---------------------------------------------------------------------------

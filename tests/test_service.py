@@ -103,14 +103,14 @@ class TestSessionManager:
         session = manager.create("a", running_spec)
         manager.close("a")
         with pytest.raises(ServiceError):
-            session.ingest(execution.insertions[0])
+            session.ingest_many([execution.insertions[0]])
 
     def test_version_bumps(self, running_spec, run_and_execution):
         _, execution = run_and_execution
         manager = SessionManager()
         session = manager.create("a", running_spec)
         assert session.version == 0
-        session.ingest(execution.insertions[0])
+        session.ingest_many([execution.insertions[0]])
         assert session.version == 1
         session.ingest_many(execution.insertions[1:10])
         assert session.version == 2  # one bump per batch
@@ -590,16 +590,19 @@ class TestCheckpoint:
         assert restored.labeler.labels == live.labeler.labels
 
     def test_corrupt_labels_detected(self, running_spec, tmp_path):
+        """A record whose label fingerprint does not match what its
+        events relabel to refuses the import, naming the record."""
         _, execution = make_execution(running_spec, size=80, seed=2)
         manager = SessionManager()
         live = manager.create("live", running_spec)
         live.ingest_many(execution.insertions)
         path = checkpoint_session(live, tmp_path / "ckpt")
-        labels = json.loads((path / "labels.json").read_text())
-        key = next(iter(labels["labels"]))
-        labels["labels"].pop(key)
-        (path / "labels.json").write_text(json.dumps(labels))
-        with pytest.raises(ServiceError):
+        wal_path = path / "wal.jsonl"
+        header, line = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(line)
+        record["crc"] ^= 1 << 7
+        wal_path.write_text(header + json.dumps(record) + "\n")
+        with pytest.raises(ServiceError, match="record 0 is corrupt"):
             restore_session(SessionManager(), path)
 
     def test_not_a_checkpoint(self, tmp_path):
@@ -622,19 +625,21 @@ class TestCheckpoint:
         assert len(restored) == len(events)
 
     def test_mixed_generation_detected(self, running_spec, tmp_path):
-        """A manifest left over from an older generation (crash between
-        staged renames) is reported, not replayed into wrong state."""
+        """Lines of two exports spliced into one file are refused,
+        never replayed into wrong state: the second export's records
+        restart at seq 0."""
         _, execution = make_execution(running_spec, size=120, seed=15)
         events = execution.insertions
         manager = SessionManager()
         live = manager.create("live", running_spec)
         live.ingest_many(events[:40])
         path = checkpoint_session(live, tmp_path / "ckpt")
-        old_manifest = (path / "manifest.json").read_text()
+        older = (path / "wal.jsonl").read_text().splitlines(keepends=True)
         live.ingest_many(events[40:])
         checkpoint_session(live, path)
-        (path / "manifest.json").write_text(old_manifest)  # stale manifest
-        with pytest.raises(ServiceError, match="inconsistent"):
+        with open(path / "wal.jsonl", "a") as handle:
+            handle.writelines(older[1:])
+        with pytest.raises(ServiceError, match="corrupt.*has seq 0"):
             restore_session(SessionManager(), path)
 
 
