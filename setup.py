@@ -35,7 +35,7 @@ setup(
     python_requires=">=3.8",
     install_requires=[],  # stdlib only, by design
     extras_require={
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -15,23 +15,25 @@ hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
 so the shipped stream is always a prefix of the durable log.  A ringed
 ingest record holds the batch's record text, the very ``str`` the
-session logged and the WAL wrote; ``repl_subscribe`` decodes only the
-records it returns.
+session logged and the WAL wrote, and ``repl_subscribe`` ships it as
+it is.  Being text in the WAL's own spelling, it binds primary and
+replicas to one release.
 
 Each **replica** is itself a durable server (its own data dir and
 WALs) started read-only with ``--replicate-from``.  Its
 :class:`ReplicaApplier` thread long-polls ``repl_subscribe`` on the
-primary, applies the returned records through the ordinary session
-ingest path (so the replica's own WALs stay current), and
-reports coverage with ``repl_ack``.  A replica whose position fell off
-the primary's ring (or that never bootstrapped) receives ``reset``
-plus a full snapshot instead: each session's WAL header and lines,
-which the replica replays through the same path as boot recovery
-(:func:`repro.service.wal.replay_records`), keeping every batch's
-version so ``as_of`` answers as the primary does.  Applies are
-idempotent: a record whose ``start`` precedes the local insertion log
-length is skipped prefix-wise, so overlap after a snapshot or a retry
-can never double-apply an event.
+primary and replays each shipped record through the same path as boot
+recovery (:func:`repro.service.wal.replay_records`): start contiguity,
+relabeling, the label fingerprint.  The replica's session keeps the
+record's version and text, so its own WAL line is the primary's, byte
+for byte.  It reports coverage with ``repl_ack``.  A replica whose
+position fell off the primary's ring (or that never bootstrapped)
+receives ``reset`` plus a full snapshot instead: each session's WAL
+header and lines, replayed the same way, keeping every batch's version
+so ``as_of`` answers as the primary does.  Applies are idempotent: a
+record the replica already holds whole is skipped, so overlap after a
+snapshot or a retry can never double-apply an event; a record that
+overlaps it in part, or does not replay, resyncs from a snapshot.
 
 Zero acked loss
 ---------------
@@ -55,7 +57,6 @@ write the new timeline does not contain.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -65,11 +66,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServiceError, SessionNotFoundError
 from repro.faults import FAILPOINTS
-from repro.io.jsonio import (
-    insertion_from_json,
-    specification_from_json,
-    specification_to_json,
-)
+from repro.io.jsonio import specification_from_json, specification_to_json
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.names import (
@@ -100,22 +97,6 @@ _c_applied = default_registry().counter(REPL_RECORDS_APPLIED_TOTAL)
 
 class _ResetNeeded(ReproError):
     """Replica-internal: the incremental stream cannot apply; resync."""
-
-
-def _decoded(record: Dict[str, Any]) -> Dict[str, Any]:
-    """A ringed record as ``repl_subscribe`` ships it: an ingest's
-    record text decoded into its ``start``, ``version`` and events."""
-    if record["kind"] != "ingest":
-        return dict(record)
-    logged = json.loads("{" + record["text"])
-    return {
-        "pos": record["pos"],
-        "kind": "ingest",
-        "session": record["session"],
-        "start": logged["start"],
-        "version": logged["version"],
-        "events": logged["events"],
-    }
 
 
 def _held_records(
@@ -254,6 +235,7 @@ class ReplicationHub:
                     if remaining <= 0:
                         break
                     self._cond.wait(remaining)
+                # ringed records never change: they ship as they are
                 shipped = [
                     record
                     for record in self._ring
@@ -261,10 +243,8 @@ class ReplicationHub:
                 ]
             seq = self._seq
         if not reset:
-            # ringed records never change, so they are decoded after
-            # the hub lock is released: publish() never waits on it
             return {
-                "records": [_decoded(record) for record in shipped],
+                "records": shipped,
                 "seq": seq,
                 "epoch": self.store.epoch,
             }
@@ -371,8 +351,8 @@ class ReplicationHub:
 class ReplicaApplier(threading.Thread):
     """Long-polls the primary and applies shipped records locally.
 
-    Applies go through the ordinary session ingest path, so the
-    replica's own WALs track what it has applied and a
+    Applies replay each shipped record through the session's replay
+    path, so the replica's own WALs hold the primary's lines and a
     replica restart recovers from local state before resubscribing.
     On connection loss (or on being told the primary is fenced) the
     applier probes ``peers`` for the live primary -- the node whose
@@ -532,26 +512,43 @@ class ReplicaApplier(threading.Thread):
         self.store.finalize(session)
 
     def _apply_ingest(self, record: Dict[str, Any]) -> None:
+        """Replay one shipped record text as the session's next record.
+
+        It is parsed as the line the local WAL would hold next and
+        replayed like a recovered one, its fingerprint checked; the
+        session takes its version and text.  A record held whole
+        already is skipped; one that overlaps the local log in part
+        raises :class:`_ResetNeeded`, as does a gap.  A record that does
+        not replay closes the local session, whose labels may now run
+        past its log, and raises; the resync then rebuilds it.
+        """
+        name = record["session"]
         try:
-            session = self.manager.get(record["session"])
+            session = self.manager.get(name)
         except SessionNotFoundError:
+            raise _ResetNeeded(f"session {name!r} unknown locally") from None
+        seq = len(session.log)
+        try:
+            logged = parse_record(f'{{"seq": {seq}, ' + record["text"], seq)
+        except ValueError as exc:
             raise _ResetNeeded(
-                f"session {record['session']!r} unknown locally"
+                f"session {name!r}: shipped record {exc}"
             ) from None
-        start = int(record["start"])
-        events = record["events"]
-        skip = len(session) - start
-        if skip < 0:
+        held = len(session) - logged.start
+        if held and held >= len(logged.events):
+            return  # held whole already (snapshot overlap / retry)
+        if held:
             raise _ResetNeeded(
-                f"gap: record starts at {start} but only "
-                f"{len(session)} events are applied locally"
+                f"session {name!r}: shipped record starts at "
+                f"{logged.start} with {len(logged.events)} insertions but "
+                f"{len(session)} are applied locally (a gap or a partial "
+                "overlap)"
             )
-        if skip >= len(events):
-            return  # fully applied already (snapshot overlap / retry)
-        session.ingest_many(
-            [insertion_from_json(event) for event in events[skip:]]
-        )
-        session.version = int(record["version"])
+        try:
+            replay_records(session, [logged], "shipped")
+        except ServiceError:
+            self._apply_close(name)
+            raise
 
     def _apply_snapshot(self, response: Dict[str, Any]) -> None:
         """Rebuild local state from a full snapshot (reset path)."""

@@ -6,11 +6,14 @@ through :mod:`repro.schemes.registry` (DRL by default), the insertion
 log and a lock serializing writers.  The log is text: one ``str`` per
 applied batch, the batch's write-ahead-log record as
 :func:`record_text` spells it (the events' JSON, the batch's
-``start``, ``version`` and label fingerprint).  A durable session's
-WAL writes that very object, the replication ring holds it, and a
-checkpoint export copies it, so an event is kept in one form: about
-130 bytes of text inside one flat object per batch, nothing per event
-for the cyclic garbage collector to walk.  A
+``start``, ``version`` and label fingerprint).  Each event is one
+positional row, ``[vid, name, preds, origin, slot]``
+(:func:`insertion_to_row`), and :func:`insertion_from_row` reads it
+back.  A durable session's WAL writes that very object, the
+replication ring holds it, and a checkpoint export copies it, so an
+event is kept in one form: about 50 bytes of text inside one flat
+object per batch, nothing per event for the cyclic garbage collector
+to walk.  A
 :class:`SessionManager` hosts many sessions under distinct names so a
 single service process can track many concurrent workflow executions,
 the way a workflow engine tracks many active runs.
@@ -44,7 +47,8 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.datasets import spec_by_name
 from repro.errors import ServiceError, SessionNotFoundError
-from repro.io.jsonio import insertion_to_json
+from repro.io.jsonio import insertion_from_json
+from repro.io.xmlio import FormatError
 from repro.labeling.drl import Label
 from repro.labeling.naive_dynamic import NaiveLabel
 from repro.obs.logs import log_event
@@ -80,6 +84,10 @@ IngestHook = Callable[
 # a logged batch being replayed: (version, label fingerprint, its text)
 Replayed = Tuple[int, int, str]
 
+# one logged event: (vid, name, sorted preds, origin, slot), spelled by
+# json.dumps as the array [vid, name, preds, origin, slot]
+Row = Tuple[int, str, List[int], Optional[tuple], Optional[tuple]]
+
 
 class FingerprintMismatch(ServiceError):
     """A replayed batch's labels do not match its record's fingerprint."""
@@ -99,6 +107,58 @@ def label_crc(labels: List[Any]) -> int:
     return zlib.crc32(marshal.dumps(labels, 2))
 
 
+def insertion_to_row(insertion: Insertion) -> Row:
+    """An event as the log spells it: ``[vid, name, preds, origin, slot]``.
+
+    ``preds`` is sorted, ``origin`` is ``[key, token, tv]``, ``slot`` is
+    ``[token, tv]`` and an absent one is ``null``; ``json.dumps`` spells
+    the tuples as arrays.  ``origin`` and ``slot`` are unpacked to their
+    exact arity, so an event that cannot be logged raises here.
+    """
+    origin, slot = insertion.origin, insertion.slot
+    if origin is not None:
+        key, token, tv = origin
+        origin = (key, token, tv)
+    if slot is not None:
+        token, tv = slot
+        slot = (token, tv)
+    return (
+        insertion.vid, insertion.name, sorted(insertion.preds), origin, slot
+    )
+
+
+def insertion_from_row(event: Any) -> Insertion:
+    """Rebuild a logged event: a row, or a version-2 WAL's event object.
+
+    The inverse of :func:`insertion_to_row` on the row's JSON.  An
+    execution-log object, the spelling of a version-2 WAL, goes through
+    :func:`~repro.io.jsonio.insertion_from_json`.  A row of another
+    arity, or whose ``preds``, ``origin`` or ``slot`` is not an array
+    of its length, raises :class:`FormatError`.
+    """
+    if type(event) is dict:
+        return insertion_from_json(event)
+    if not (
+        type(event) is list
+        and len(event) == 5
+        and type(event[2]) is list
+        and (event[3] is None or type(event[3]) is list and len(event[3]) == 3)
+        and (event[4] is None or type(event[4]) is list and len(event[4]) == 2)
+    ):
+        raise FormatError(
+            f"malformed event row {event!r:.80}: expected [vid, name, "
+            "[preds], [key, token, tv] or null, [token, tv] or null]"
+        )
+    vid, name, preds, origin, slot = event
+    return Insertion(
+        vid,
+        name,
+        frozenset(preds),
+        None if origin is None else tuple(origin),
+        None if slot is None else tuple(slot),
+    )
+
+
 def record_text(
     start: int,
     version: int,
@@ -108,7 +168,8 @@ def record_text(
 ) -> str:
     """A logged batch as its WAL line spells it after ``{"seq": N, ``.
 
-    ``events`` is the events' JSON array text.  Prefixed with its
+    ``events`` is the JSON array text of the events' rows
+    (:func:`insertion_to_row`).  Prefixed with its
     ``seq``, the text is exactly ``json.dumps`` of the record ``{seq,
     start, version, events, crc[, trace_id]}`` plus a newline: the same
     keys, order and separators.  The trace id makes a WAL line joinable
@@ -220,15 +281,15 @@ class Session:
         with self.lock:
             self._check_open()
             applied: List[Insertion] = []
-            events: List[Dict[str, Any]] = []
+            rows: List[Row] = []
             failure = None
             build_started = time.perf_counter()
             try:
                 for insertion in insertions:
                     if replayed is None:
-                        # encoded first: an event that cannot be logged
+                        # spelled first: an event that cannot be logged
                         # is refused before the labeler accepts it
-                        events.append(insertion_to_json(insertion))
+                        rows.append(insertion_to_row(insertion))
                     self.scheme.insert(insertion)
                     applied.append(insertion)
             except BaseException as exc:
@@ -247,7 +308,7 @@ class Session:
                     # too: it is final in memory, so it must be durable
                     # as well
                     try:
-                        self._log(applied, events, None)
+                        self._log(applied, rows, None)
                     except Exception:
                         # never shadow the batch's own error; the hook
                         # (the WAL) poisons itself, so later ingests
@@ -255,13 +316,13 @@ class Session:
                         if failure is None:
                             raise
             if replayed is not None:
-                self._log(applied, events, replayed)
+                self._log(applied, rows, replayed)
             return len(applied)
 
     def _log(
         self,
         applied: List[Insertion],
-        events: List[Dict[str, Any]],
+        rows: List[Row],
         replayed: Optional[Replayed],
     ) -> None:
         """Log an applied batch and hand it to :attr:`on_ingest`."""
@@ -273,7 +334,7 @@ class Session:
             text = record_text(
                 start,
                 self.version + 1,
-                json.dumps(events[: len(applied)]),
+                json.dumps(rows[: len(applied)]),
                 crc,
                 trace.trace_id if trace is not None else None,
             )

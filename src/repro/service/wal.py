@@ -13,8 +13,9 @@ service mounts under a ``--data-dir``:
   :mod:`repro.io.jsonio` schema), the scheme, skeleton and mode.  Every
   following line is one ingest batch (``seq``, the insertion-log
   position ``start`` of its first event, the session ``version`` after
-  the batch, the events in the execution-log JSON schema, and ``crc``,
-  a fingerprint of the labels the batch was assigned).  Past its
+  the batch, the events as positional rows ``[vid, name, preds, origin,
+  slot]``, and ``crc``, a fingerprint of the labels the batch was
+  assigned).  Past its
   ``{"seq": N, `` prefix a line is the session's own log entry, the
   very ``str`` :attr:`Session.log` holds
   (:func:`~repro.service.sessions.record_text`).  The fsync policy
@@ -34,15 +35,18 @@ service mounts under a ``--data-dir``:
   and reported with its resume point; the file is truncated to the
   valid prefix before new appends continue.  Replay runs with the
   cyclic garbage collector paused: it makes no cyclic garbage, so
-  every collection would only re-walk the sessions being rebuilt.
+  every collection would only re-walk the sessions being rebuilt.  A
+  version-2 WAL (events as execution-log objects) still replays, and
+  is then rewritten whole as version 3 before appends continue.
 * :func:`checkpoint_session` / :func:`restore_session` -- a checkpoint
   is a WAL file: ``snapshot path=D`` writes ``D/wal.jsonl``, the
   header plus the session's lines, the layout of a session directory
   under a data dir; ``create_session checkpoint=D`` replays it.
 
-Boot recovery, checkpoint import and a replica reset replay records
-through one function, :func:`replay_records`, which keeps each
-record's text as read.
+Boot recovery, checkpoint import, a replica reset and a replica's
+incremental apply replay records through one function,
+:func:`replay_records`, which keeps each record's text as read (a
+version-2 record's text is spelled anew with rows).
 
 Time travel comes from the same log: the store keeps the
 ``(version, log length)`` pair of every record, so ``as_of`` reads
@@ -67,16 +71,12 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 from urllib.parse import quote, unquote
 
 from repro.errors import ReproError, ServiceError
 from repro.faults import FAILPOINTS
-from repro.io.jsonio import (
-    insertion_from_json,
-    specification_from_json,
-    specification_to_json,
-)
+from repro.io.jsonio import specification_from_json, specification_to_json
 from repro.io.xmlio import FormatError
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
@@ -91,6 +91,8 @@ from repro.service.sessions import (
     FingerprintMismatch,
     Session,
     SessionManager,
+    insertion_from_row,
+    insertion_to_row,
     label_crc,  # noqa: F401 -- the WAL's record fingerprint, re-exported
     record_text,
 )
@@ -108,7 +110,10 @@ _h_append = default_registry().histogram(WAL_APPEND_SECONDS)
 _h_fsync = default_registry().histogram(WAL_FSYNC_SECONDS)
 
 _WAL_FORMAT = "repro-wal"
-_WAL_VERSION = 2
+# 3: each event is a row [vid, name, preds, origin, slot]; 2 spelled it
+# as an execution-log object, and is still read (then rewritten as 3)
+_WAL_VERSION = 3
+_WAL_VERSIONS_READ = (2, _WAL_VERSION)
 _WAL_FILE = "wal.jsonl"
 _CLOSED = "CLOSED"
 _OLD_GENERATION_PREFIX = "ckpt-"
@@ -189,9 +194,10 @@ class WalRecord:
     seq: int
     start: int      # insertion-log index of the first event
     version: int    # session version after the batch
-    events: List[Dict[str, Any]]  # execution-log JSON schema
+    events: List[Any]  # rows; execution-log objects in a version-2 WAL
     crc: int        # label_crc of the labels the batch was assigned
     text: str       # the line past ``{"seq": N, ``, kept as read
+    trace_id: Optional[str] = None
 
 
 @dataclass
@@ -268,7 +274,8 @@ def parse_record(line: str, seq: int) -> WalRecord:
             doc["crc"], doc.get("trace_id"),
         )
     return WalRecord(
-        seq, doc["start"], doc["version"], doc["events"], doc["crc"], text
+        seq, doc["start"], doc["version"], doc["events"], doc["crc"], text,
+        doc.get("trace_id"),
     )
 
 
@@ -276,7 +283,8 @@ def replay_wal(path) -> WalReplay:
     """Read a WAL file, validating structure line by line.
 
     A missing, empty or torn header raises :class:`TornWalError`; a
-    header of another format or version raises :class:`ServiceError`.
+    header of another format, or of a version other than 2 or 3, raises
+    :class:`ServiceError`.
     Record lines are consumed while they stay well-formed (see
     :func:`parse_record`); the first violation (a torn final append, a
     truncated block) drops that line *and everything after it*,
@@ -313,10 +321,11 @@ def replay_wal(path) -> WalReplay:
             f"{path} is not a write-ahead log "
             f"(format {header.get('format')!r})"
         )
-    if header.get("version") != _WAL_VERSION:
+    if header.get("version") not in _WAL_VERSIONS_READ:
         raise ServiceError(
             f"{path} is a version-{header.get('version')} write-ahead "
-            f"log; this server reads version {_WAL_VERSION} only"
+            f"log; this server reads versions "
+            f"{' and '.join(map(str, _WAL_VERSIONS_READ))} only"
         )
     replay = WalReplay(header=header, valid_bytes=len(lines[0]))
     for index, line in enumerate(lines[1:], start=1):
@@ -342,11 +351,15 @@ def replay_records(
 ) -> None:
     """Relabel logged batches into ``session``: the one replay path.
 
-    Boot recovery, checkpoint import and replica reset all come here.
-    Each record must start where the session's log ends; its events are
-    relabeled and its label fingerprint checked; the session takes its
+    Boot recovery, checkpoint import, replica reset and a replica's
+    incremental apply all come here.  Each record must start where the
+    session's log ends; its events are decoded
+    (:func:`~repro.service.sessions.insertion_from_row`), relabeled and
+    their label fingerprint checked; the session takes the record's
     version, and its text as read becomes the log entry (through
-    :meth:`Session.ingest_many` with ``replayed``).  Any failure raises
+    :meth:`Session.ingest_many` with ``replayed``).  A version-2 record
+    -- events as execution-log objects -- has its text spelled anew
+    with rows, so the log holds one spelling.  Any failure raises
     :class:`ServiceError` naming the session, ``where`` and the record;
     the session is then unusable and the caller discards it.
     """
@@ -358,15 +371,20 @@ def replay_records(
                 f"{len(session)} insertions (a gap or an overlap)"
             )
         try:
-            events = [insertion_from_json(event) for event in record.events]
+            events = [insertion_from_row(event) for event in record.events]
         except FormatError as exc:
             raise ServiceError(
                 f"{prefix} holds a malformed event: {exc}"
             ) from None
-        try:
-            session.ingest_many(
-                events, (record.version, record.crc, record.text)
+        text = record.text
+        if dict in map(type, record.events):
+            text = record_text(
+                record.start, record.version,
+                json.dumps([insertion_to_row(event) for event in events]),
+                record.crc, record.trace_id,
             )
+        try:
+            session.ingest_many(events, (record.version, record.crc, text))
         except FingerprintMismatch:
             raise ServiceError(
                 f"{prefix} is corrupt: the replayed labels do not match "
@@ -506,18 +524,16 @@ class WriteAheadLog:
         return self._unsynced
 
     def append(
-        self, start: int, version: int, events: Sequence[Any],
-        crc: int, text: Optional[str] = None,
+        self, start: int, version: int, events: Sized, text: str
     ) -> int:
         """Log one acknowledged ingest batch; returns its ``seq``.
 
         ``text`` is the batch as the session logged it
-        (:func:`~repro.service.sessions.record_text` of these same
-        ``start``, ``version``, events and ``crc``), written as it is;
-        without it the record is spelled here from ``events``, a list
-        of execution-log JSON dicts.  Either way the line is exactly
-        ``json.dumps`` of the record ``{seq, start, version, events,
-        crc[, trace_id]}``.
+        (:func:`~repro.service.sessions.record_text` of this ``start``
+        and ``version``), written as it is behind the record's seq, so
+        the line is exactly ``json.dumps`` of the record ``{seq, start,
+        version, events, crc[, trace_id]}``.  ``events`` are the batch's
+        events, counted into :attr:`events`.
 
         A failed append (disk full, I/O error) **poisons** the log:
         every later append raises immediately instead of writing after
@@ -529,11 +545,6 @@ class WriteAheadLog:
         re-runs recovery) clears the state.
         """
         trace = current_trace()
-        if text is None:
-            text = record_text(
-                start, version, json.dumps(events), crc,
-                trace.trace_id if trace is not None else None,
-            )
         with self.lock:
             self._check_open()
             try:
@@ -854,7 +865,7 @@ class DurableStore:
         entry = self._entries.get(session.name)
         if entry is None or entry.session is not session:
             return  # stale hook on a superseded session instance
-        entry.wal.append(start, version, events, crc, text)
+        entry.wal.append(start, version, events, text)
         entry.history.append((version, start + len(events)))
         publish = self.on_append
         if publish is not None:
@@ -1029,12 +1040,25 @@ class DurableStore:
             report["resume_seq"] = replay.next_seq
             report["torn_bytes_dropped"] = replay.dropped_bytes
             report["torn_last_good_seq"] = replay.last_good_seq
-        wal = WriteAheadLog.resume(
-            wal_path,
-            replay,
-            policy=self.fsync,
-            batch_records=self.batch_records,
-        )
+        if header["version"] == _WAL_VERSION:
+            wal = WriteAheadLog.resume(
+                wal_path,
+                replay,
+                policy=self.fsync,
+                batch_records=self.batch_records,
+            )
+        else:
+            # an older version's log is rewritten whole, staged, in this
+            # version before anything is appended to it: one file never
+            # mixes spellings, and an older release refuses the new
+            # file by its version instead of failing mid-replay
+            report["rewritten_from_version"] = header["version"]
+            wal = WriteAheadLog.create(
+                wal_path,
+                session,
+                policy=self.fsync,
+                batch_records=self.batch_records,
+            )
         manager.adopt(session)
         self._arm(_Entry(session, directory, wal, _history(session)))
         return report

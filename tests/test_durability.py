@@ -11,6 +11,7 @@ non-durable and durable servers for every dynamic scheme.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import json
 import os
@@ -22,7 +23,7 @@ import pytest
 
 from repro.errors import ReproError, ServiceError
 from repro.graphs.reachability import reaches
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import Tracer
 from repro.service import (
     DurableStore,
     SessionManager,
@@ -30,9 +31,16 @@ from repro.service import (
     replay_wal,
     restore_session,
 )
+from repro.io.jsonio import insertion_to_json
 from repro.service.protocol import Request, insertions_to_wire
 from repro.service.server import ReproService
-from repro.service.sessions import Session, record_text, resolve_spec
+from repro.service.sessions import (
+    Session,
+    insertion_from_row,
+    insertion_to_row,
+    record_text,
+    resolve_spec,
+)
 from repro.service import wal as wal_module
 from repro.service.wal import WriteAheadLog, label_crc
 from repro.workflow.derivation import sample_run
@@ -207,6 +215,18 @@ class TestRestoreValidatesFirst:
 # ---------------------------------------------------------------------------
 
 
+def row(vid):
+    """A minimal event row: what a WAL test needs is only its shape."""
+    return [vid, "s0", [], None, None]
+
+
+def logged(start, version, events, crc=0, trace_id=None):
+    """``WriteAheadLog.append``'s arguments for a batch of event rows:
+    its start, version, events and the record text a session spells."""
+    text = record_text(start, version, json.dumps(events), crc, trace_id)
+    return start, version, events, text
+
+
 class TestWriteAheadLog:
     @pytest.fixture()
     def session(self, running_spec):
@@ -216,8 +236,8 @@ class TestWriteAheadLog:
         wal = WriteAheadLog.create(
             tmp_path / "wal.jsonl", session, policy="always"
         )
-        wal.append(0, 1, [{"vid": 0}], 0)
-        wal.append(1, 2, [{"vid": 1}, {"vid": 2}], 0)
+        wal.append(*logged(0, 1, [row(0)]))
+        wal.append(*logged(1, 2, [row(1), row(2)]))
         wal.close()
         replay = replay_wal(tmp_path / "wal.jsonl")
         assert replay.dropped is None
@@ -229,8 +249,8 @@ class TestWriteAheadLog:
     def test_torn_tail_is_dropped_and_reported(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)
-        wal.append(0, 1, [{"vid": 0}], 0)
-        wal.append(1, 2, [{"vid": 1}], 0)
+        wal.append(*logged(0, 1, [row(0)]))
+        wal.append(*logged(1, 2, [row(1)]))
         wal.close()
         whole = path.read_bytes()
         path.write_bytes(whole[:-7])  # tear the final append
@@ -242,13 +262,13 @@ class TestWriteAheadLog:
     def test_resume_truncates_the_torn_tail(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)
-        wal.append(0, 1, [{"vid": 0}], 0)
-        wal.append(1, 2, [{"vid": 1}], 0)
+        wal.append(*logged(0, 1, [row(0)]))
+        wal.append(*logged(1, 2, [row(1)]))
         wal.close()
         path.write_bytes(path.read_bytes()[:-7])
         replay = replay_wal(path)
         resumed = WriteAheadLog.resume(path, replay)
-        resumed.append(1, 2, [{"vid": 1}], 0)  # re-acknowledged after loss
+        resumed.append(*logged(1, 2, [row(1)]))  # re-acknowledged after loss
         resumed.close()
         healed = replay_wal(path)
         assert healed.dropped is None
@@ -257,7 +277,7 @@ class TestWriteAheadLog:
     def test_seq_gap_drops_the_rest(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)
-        wal.append(0, 1, [{"vid": 0}], 0)
+        wal.append(*logged(0, 1, [row(0)]))
         wal.close()
         with open(path, "a") as handle:
             handle.write(
@@ -272,25 +292,19 @@ class TestWriteAheadLog:
         assert [r.seq for r in replay.records] == [0]
 
     def test_lines_are_json_dumps_of_the_record(self, session, tmp_path):
-        """Each line is byte for byte ``json.dumps`` of its record,
-        whether append spells the record itself or is handed the
-        session's record text, with or without a trace id."""
+        """Each line is byte for byte ``json.dumps`` of its record: the
+        session's record text behind its seq, with or without a trace
+        id, events spelled as rows."""
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)
         events = [
-            {"vid": 0, "name": "s\u00e9", "preds": []},
-            {"vid": 4, "name": "t", "preds": [0, 2],
-             "origin": {"key": "g0", "token": 0, "tv": 1},
-             "slot": {"token": 0, "tv": 1}},
+            [0, "s\u00e9", [], None, None],
+            [4, "t", [0, 2], ["g0", 0, 1], [0, 1]],
         ]
-        wal.append(0, 1, events, 7)
-        wal.append(
-            2, 2, events, 2**32 - 1,
-            record_text(2, 2, json.dumps(events), 2**32 - 1),
-        )
         trace = Tracer().start("ingest")
-        with activate(trace):
-            wal.append(4, 3, events, 0)
+        wal.append(*logged(0, 1, events, 7))
+        wal.append(*logged(2, 2, events, 2**32 - 1))
+        wal.append(*logged(4, 3, events, 0, trace.trace_id))
         wal.close()
         records = [
             {"seq": 0, "start": 0, "version": 1, "events": events,
@@ -314,7 +328,7 @@ class TestWriteAheadLog:
         never = WriteAheadLog.create(
             tmp_path / "never.jsonl", session, policy="never"
         )
-        never.append(0, 1, [{"vid": 0}], 0)
+        never.append(*logged(0, 1, [row(0)]))
         assert never.unsynced == 1
         never.sync()
         assert never.unsynced == 0
@@ -322,16 +336,16 @@ class TestWriteAheadLog:
         always = WriteAheadLog.create(
             tmp_path / "always.jsonl", session, policy="always"
         )
-        always.append(0, 1, [{"vid": 0}], 0)
+        always.append(*logged(0, 1, [row(0)]))
         assert always.unsynced == 0
         always.close()
         batch = WriteAheadLog.create(
             tmp_path / "batch.jsonl", session,
             policy="batch", batch_records=2,
         )
-        batch.append(0, 1, [{"vid": 0}], 0)
+        batch.append(*logged(0, 1, [row(0)]))
         assert batch.unsynced == 1
-        batch.append(1, 2, [{"vid": 1}], 0)
+        batch.append(*logged(1, 2, [row(1)]))
         assert batch.unsynced == 0  # the batch threshold fsynced
         batch.close()
 
@@ -346,13 +360,13 @@ class TestWriteAheadLog:
         writing past a possibly-torn line would let recovery silently
         drop acknowledged records behind the tear."""
         wal = WriteAheadLog.create(tmp_path / "wal.jsonl", session)
-        wal.append(0, 1, [{"vid": 0}], 0)
+        wal.append(*logged(0, 1, [row(0)]))
         wal._handle.close()  # force the next write to fail
         with pytest.raises(ServiceError, match="append failed"):
-            wal.append(1, 2, [{"vid": 1}], 0)
+            wal.append(*logged(1, 2, [row(1)]))
         assert wal.failed
         with pytest.raises(ServiceError, match="poisoned"):
-            wal.append(2, 3, [{"vid": 2}], 0)
+            wal.append(*logged(2, 3, [row(2)]))
         with pytest.raises(ServiceError, match="poisoned"):
             wal.sync()
         wal.close()  # teardown of a poisoned log must not raise
@@ -713,12 +727,16 @@ class TestDurableStoreRecovery:
         wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
         lines = wal_path.read_text().splitlines(keepends=True)
         record = json.loads(lines[2])
-        internal = next(
-            event for event in record["events"]
-            if event["origin"]["tv"]
-            != running_spec.graph(event["origin"]["key"]).source
+        events = [insertion_from_row(event) for event in record["events"]]
+        index, internal = next(
+            (index, event) for index, event in enumerate(events)
+            if event.origin[2] != running_spec.graph(event.origin[0]).source
         )
-        internal["origin"]["token"] += 1000
+        key, token, tv = internal.origin
+        events[index] = dataclasses.replace(
+            internal, origin=(key, token + 1000, tv)
+        )
+        record["events"] = [insertion_to_row(event) for event in events]
         lines[2] = json.dumps(record) + "\n"
         wal_path.write_text("".join(lines))
         with collector(collecting):
@@ -766,9 +784,10 @@ class TestDurableStoreRecovery:
         wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
         lines = wal_path.read_text().splitlines(keepends=True)
         record = json.loads(lines[2])
-        for event in record["events"]:
-            if event["vid"] == later.vid:
-                event["origin"]["token"] = closed
+        record["events"] = [
+            insertion_to_row(stale if event.vid == later.vid else event)
+            for event in map(insertion_from_row, record["events"])
+        ]
         lines[2] = json.dumps(record) + "\n"
         wal_path.write_text("".join(lines))
         with pytest.raises(
@@ -916,7 +935,7 @@ class TestCollectorFootprint:
     ):
         """One form per batch: each ringed record's text *is* the
         session's log entry, the WAL line is that text behind its seq,
-        and ``repl_subscribe`` decodes the events the WAL holds."""
+        and ``repl_subscribe`` ships that text as it is."""
         _, execution = run_and_execution
         events = execution.insertions
         service = ReproService(data_dir=tmp_path / "data", fsync="never")
@@ -934,10 +953,9 @@ class TestCollectorFootprint:
             f'{{"seq": {seq}, {text}' for seq, text in enumerate(log)
         ]
         shipped = self.handle(service, "repl_subscribe", from_seq=0)
-        replay = replay_wal(wal_path)
         assert [
-            r["events"] for r in shipped["records"] if r["kind"] == "ingest"
-        ] == [record.events for record in replay.records]
+            r["text"] for r in shipped["records"] if r["kind"] == "ingest"
+        ] == log
         service.close()
 
     def test_a_hosted_event_keeps_few_traced_bytes(
@@ -1044,7 +1062,7 @@ class TestSessionLog:
             session.ingest_many(events[20:30] + [events[0]] + events[30:40])
         session.ingest_many(events[30:50])
         logged = [
-            event["vid"]
+            insertion_from_row(event).vid
             for text in session.log
             for event in json.loads("{" + text)["events"]
         ]
@@ -1179,6 +1197,189 @@ class TestCheckpointExportImport:
         assert not response.ok and response.code == "service"
         assert "four-document" in response.error
         assert "manifest.json" in response.error
+
+
+# ---------------------------------------------------------------------------
+# events as rows (WAL version 3) and the version-2 spelling
+# ---------------------------------------------------------------------------
+
+
+def respell_as_version_2(path):
+    """Rewrite a version-3 WAL file the way the release before rows
+    wrote it: header ``version`` 2 and each event an execution-log
+    object; every other field, ``crc`` included, as it was."""
+    lines = path.read_text().splitlines(keepends=True)
+    header = json.loads(lines[0])
+    assert header["version"] == 3
+    header["version"] = 2
+    respelled = [json.dumps(header) + "\n"]
+    for line in lines[1:]:
+        record = json.loads(line)
+        record["events"] = [
+            insertion_to_json(insertion_from_row(event))
+            for event in record["events"]
+        ]
+        respelled.append(json.dumps(record) + "\n")
+    path.write_text("".join(respelled))
+
+
+class TestEventRows:
+    def handle(self, service, op, **params):
+        response = service.handle(Request(op, params))
+        assert response.ok, response.error
+        return response.result
+
+    def durable_run(self, data_dir, events, batch=20):
+        """A durable server holding ``events`` as session ``s1``, one
+        batch per ``batch`` events, closed; returns its WAL path."""
+        service = ReproService(data_dir=data_dir)
+        self.handle(service, "create_session", name="s1",
+                    spec="running-example")
+        for lo in range(0, len(events), batch):
+            self.handle(service, "ingest", session="s1",
+                        insertions=insertions_to_wire(events[lo:lo + batch]))
+        service.close()
+        return next(data_dir.glob("s-*/wal.jsonl"))
+
+    def test_each_event_is_one_row(self, run_and_execution, tmp_path):
+        _, execution = run_and_execution
+        events = execution.insertions[:40]
+        wal_path = self.durable_run(tmp_path / "data", events)
+        lines = wal_path.read_text().splitlines()
+        assert json.loads(lines[0])["version"] == 3
+        rows = [
+            row for line in lines[1:] for row in json.loads(line)["events"]
+        ]
+        assert rows == [
+            [e.vid, e.name, sorted(e.preds), list(e.origin),
+             None if e.slot is None else list(e.slot)]
+            for e in events
+        ]
+
+    def test_version_2_wal_recovers_and_is_rewritten_as_version_3(
+        self, run_and_execution, tmp_path
+    ):
+        """A data dir a release before rows wrote boots: BFS-equal
+        answers and ``as_of`` at every version, then the WAL is the
+        version-3 file the same ingests write, and it takes ingests and
+        restarts."""
+        run, execution = run_and_execution
+        events = execution.insertions
+        wal_path = self.durable_run(tmp_path / "data", events[:60])
+        written = wal_path.read_text()
+        respell_as_version_2(wal_path)
+        assert '"version": 2' in wal_path.read_text().splitlines()[0]
+        assert '"origin": {"key": ' in wal_path.read_text()
+
+        revived = ReproService(data_dir=tmp_path / "data")
+        (report,) = revived.store.recovery
+        assert report["rewritten_from_version"] == 2
+        assert (report["vertices"], report["version"]) == (60, 3)
+        assert wal_path.read_text() == written
+        vids = [event.vid for event in events]
+        pairs = [[a, b] for a in vids[:60:3] for b in vids[:60:4]]
+        got = self.handle(revived, "query_batch", session="s1",
+                          pairs=pairs)["answers"]
+        assert got == [reaches(run.graph, a, b) for a, b in pairs]
+        for version, end in ((1, 20), (2, 40), (3, 60)):
+            prefix = [[a, b] for a in vids[:end:3] for b in vids[:end:4]]
+            got = self.handle(revived, "query_batch", session="s1",
+                              pairs=prefix, as_of=version)["answers"]
+            assert got == [reaches(run.graph, a, b) for a, b in prefix]
+            if end < 60:
+                response = revived.handle(Request("query", {
+                    "session": "s1", "source": vids[end],
+                    "target": vids[end], "as_of": version,
+                }))
+                assert response.code == "labeling", response.error
+        self.handle(revived, "ingest", session="s1",
+                    insertions=insertions_to_wire(events[60:80]))
+        revived.close()
+
+        again = ReproService(data_dir=tmp_path / "data")
+        try:
+            (report,) = again.store.recovery
+            assert "rewritten_from_version" not in report
+            assert (report["vertices"], report["version"]) == (80, 4)
+            assert json.loads(wal_path.read_text().splitlines()[0])[
+                "version"] == 3
+            pairs = [[a, b] for a in vids[:80:3] for b in vids[:80:5]]
+            got = self.handle(again, "query_batch", session="s1",
+                              pairs=pairs)["answers"]
+            assert got == [reaches(run.graph, a, b) for a, b in pairs]
+        finally:
+            again.close()
+
+    def test_version_2_export_imports(self, running_spec, run_and_execution,
+                                      tmp_path):
+        """An export a release before rows wrote imports, in process and
+        into a durable server, whose WAL then holds rows."""
+        _, execution = run_and_execution
+        _, source = make_session(running_spec, execution.insertions[:30])
+        source.ingest_many(execution.insertions[30:60])
+        path = checkpoint_session(source, tmp_path / "export")
+        respell_as_version_2(path / "wal.jsonl")
+        restored = restore_session(SessionManager(), path)
+        assert restored.scheme.labels == source.scheme.labels
+        assert restored.log == source.log
+        assert restored.version == source.version == 2
+        service = ReproService(data_dir=tmp_path / "data")
+        try:
+            created = self.handle(service, "create_session", name="copy",
+                                  checkpoint=str(path))
+            assert (created["vertices"], created["version"]) == (60, 2)
+            wal_path = next((tmp_path / "data").glob("s-*/wal.jsonl"))
+            lines = wal_path.read_text().splitlines(keepends=True)
+            assert json.loads(lines[0])["version"] == 3
+            assert lines[1:] == [
+                f'{{"seq": {seq}, {text}' for seq, text in
+                enumerate(source.log)
+            ]
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["short", "long", "preds-object", "preds-number"],
+    )
+    def test_malformed_row_refuses_the_boot(
+        self, damage, run_and_execution, tmp_path
+    ):
+        """A row of the wrong arity, or whose preds are no array,
+        refuses the boot with a ServiceError naming the session and the
+        record."""
+        _, execution = run_and_execution
+        wal_path = self.durable_run(
+            tmp_path / "data", execution.insertions[:40]
+        )
+        lines = wal_path.read_text().splitlines(keepends=True)
+        record = json.loads(lines[2])
+        event = record["events"][3]
+        if damage == "short":
+            record["events"][3] = event[:4]
+        elif damage == "long":
+            record["events"][3] = event + [None]
+        elif damage == "preds-object":
+            event[2] = {str(pred): pred for pred in event[2]}
+        else:
+            event[2] = 7
+        lines[2] = json.dumps(record) + "\n"
+        wal_path.write_text("".join(lines))
+        with pytest.raises(
+            ServiceError, match="'s1'.*record 1 holds a malformed event"
+        ):
+            ReproService(data_dir=tmp_path / "data")
+
+    def test_a_logged_event_takes_few_wal_bytes(self, running_spec, tmp_path):
+        """A durable 2,000-event ``running-example`` session, ingested
+        in 64-event batches, writes at most 64 WAL bytes per event,
+        header included.  (Rows take about 50; execution-log objects
+        took about 128.)"""
+        run = sample_run(running_spec, 3000, random.Random(0))
+        events = execution_from_derivation(run).insertions[:2000]
+        assert len(events) == 2000
+        wal_path = self.durable_run(tmp_path / "data", events, batch=64)
+        assert wal_path.stat().st_size / len(events) <= 64
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Each property draws a random grammar shape from the generalized Figure 13
 family, derives a random run and checks an end-to-end invariant:
 label-based answers equal BFS ground truth, execution-based labels equal
 derivation-based ones, the Lemma 4.1 depth bound holds, and label
-serialization round-trips.
+serialization round-trips.  One more draws single events: any event
+round-trips through the write-ahead log's row spelling.
 """
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -17,14 +19,16 @@ from hypothesis import strategies as st
 from repro.datasets.synthetic import layered_spec
 from repro.graphs.random_graphs import random_two_terminal_dag
 from repro.graphs.reachability import reaches
+from repro.io.jsonio import insertion_to_json
 from repro.labeling.drl import DRL
 from repro.labeling.drl_execution import DRLExecutionLabeler
 from repro.labeling.naive_dynamic import NaiveDynamicScheme
 from repro.labeling.serialize import LabelCodec
 from repro.labeling.skl import SKL
 from repro.parsetree.explicit import build_explicit_tree
+from repro.service.sessions import insertion_from_row, insertion_to_row
 from repro.workflow.derivation import DerivationPolicy, random_derivation
-from repro.workflow.execution import execution_from_derivation
+from repro.workflow.execution import Insertion, execution_from_derivation
 from repro.workflow.grammar import analyze_grammar
 
 # ---------------------------------------------------------------------------
@@ -264,3 +268,28 @@ def test_labels_are_dynamic_never_rewritten(params, run_seed):
         for vid, label in snapshot.items():
             assert labeler.labels[vid] == label
         snapshot = dict(labeler.labels)
+
+
+# any JSON integer, the large ones beyond 64 bits drawn on purpose
+json_ints = st.integers() | st.integers(min_value=2**63, max_value=2**200)
+
+insertions = st.builds(
+    Insertion,
+    vid=json_ints,
+    name=st.text(),
+    preds=st.frozensets(json_ints, max_size=6),
+    origin=st.none() | st.tuples(st.text(), json_ints, json_ints),
+    slot=st.none() | st.tuples(json_ints, json_ints),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(insertion=insertions)
+def test_logged_event_round_trips(insertion):
+    """Any event survives its log row through ``json.dumps`` and the
+    decoder -- big ints, non-ASCII names, absent origin or slot -- and
+    so does its version-2 execution-log object."""
+    row = json.loads(json.dumps(insertion_to_row(insertion)))
+    assert insertion_from_row(row) == insertion
+    old = json.loads(json.dumps(insertion_to_json(insertion)))
+    assert insertion_from_row(old) == insertion

@@ -18,6 +18,7 @@ The contract under test, end to end:
 from __future__ import annotations
 
 import random
+import re
 import threading
 import time
 
@@ -348,6 +349,83 @@ class TestReplicaServesReads:
             assert not list((tmp_path / "r2").glob("*.closed.*"))
         finally:
             stop_server(replica)
+
+
+    def test_replica_wal_lines_are_the_primarys(
+        self, pair, running_spec, tmp_path
+    ):
+        """A shipped record is replayed as its text: the replica's WAL
+        is the primary's byte for byte, trace ids included."""
+        primary, replica = pair
+        _, execution = make_execution(running_spec, size=80, seed=5)
+        events = execution.insertions[:60]
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.create_session("run", "running-example")
+            writer.ingest("run", events[:20], trace_id="feed0001")
+            writer.ingest("run", events[20:40])
+            writer.ingest("run", events[40:60], trace_id="feed0003")
+        shipped = primary.service.hub.seq
+        assert wait_until(lambda: applied_position(replica.port) >= shipped)
+        primary_wal = tmp_path / "pri" / "s-run" / "wal.jsonl"
+        replica_wal = tmp_path / "rep" / "s-run" / "wal.jsonl"
+        assert '"trace_id": "feed0003"' in primary_wal.read_text()
+        assert replica_wal.read_bytes() == primary_wal.read_bytes()
+
+    def test_shipped_record_with_a_flipped_crc_forces_a_resync(
+        self, running_spec, tmp_path
+    ):
+        """The replica checks a shipped record's label fingerprint as
+        recovery does: a record whose ``crc`` was flipped in flight is
+        not applied, the replica resyncs from a snapshot, and it ends
+        with the primary's WAL lines and answers."""
+        primary = start_server(
+            ReproService(data_dir=str(tmp_path / "pri"), fsync="never")
+        )
+        hub = primary.service.hub
+        subscribe = hub.subscribe
+        flipped = []
+
+        def flipping(from_seq, **params):
+            response = subscribe(from_seq, **params)
+            records = response.get("records", [])
+            for index, record in enumerate(records):
+                if record["kind"] == "ingest" and not flipped:
+                    flipped.append(record["pos"])
+                    records[index] = dict(record, text=re.sub(
+                        r'"crc": (\d+)',
+                        lambda m: f'"crc": {int(m.group(1)) ^ 1}',
+                        record["text"],
+                    ))
+            return response
+
+        hub.subscribe = flipping
+        replica = start_server(replica_service(tmp_path / "rep", primary))
+        try:
+            _, execution = make_execution(running_spec, size=80, seed=5)
+            events = execution.insertions[:60]
+            with ServiceClient("127.0.0.1", primary.port) as writer:
+                writer.create_session("run", "running-example")
+                for lo in range(0, 60, 20):
+                    writer.ingest("run", events[lo:lo + 20])
+            assert wait_until(
+                lambda: applied_position(replica.port) >= hub.seq
+                and "run" in replica.service.manager
+            )
+            assert flipped
+            errors = replica.service.applier.errors
+            assert any("is corrupt" in error for error in errors), errors
+            # the copy closed at the flipped record was archived
+            assert (tmp_path / "rep" / "s-run.closed.0").is_dir()
+            primary_wal = tmp_path / "pri" / "s-run" / "wal.jsonl"
+            replica_wal = tmp_path / "rep" / "s-run" / "wal.jsonl"
+            assert replica_wal.read_bytes() == primary_wal.read_bytes()
+            for version in range(4):
+                assert as_of_answers(replica.port, "run", events, version) == (
+                    as_of_answers(primary.port, "run", events, version)
+                )
+        finally:
+            stop_server(replica)
+            stop_server(primary)
 
 
 # ---------------------------------------------------------------------------
