@@ -1,7 +1,7 @@
 """``repro.analysis``: the dependency-free AST lint suite.
 
 The service's correctness rests on invariants no type checker sees:
-striped state is only mutated under its stripe lock, WAL bytes are
+the session registry is only mutated under its lock, WAL bytes are
 fsynced before an ack, placement never keys on the salted builtin
 ``hash()``, metric/span names come from one registry, and the
 op tables in the protocol, server, client, cluster and docs all agree.
@@ -39,9 +39,9 @@ ALL_CHECKERS = tuple(FILE_RULES) + tuple(PROJECT_RULES) + \
 RULE_IDS = tuple(checker.rule for checker in ALL_CHECKERS)
 
 
-def lint(paths, rules=None, jobs=1) -> LintReport:
+def lint(paths, rules=None) -> LintReport:
     """Run the full suite (or ``rules``) over ``paths``."""
-    return lint_paths(paths, ALL_CHECKERS, rules=rules, jobs=jobs)
+    return lint_paths(paths, ALL_CHECKERS, rules=rules)
 
 
 __all__ = [

@@ -239,9 +239,6 @@ class LintReport:
     files: int
     rules: List[str]
     suppressed: List[Dict[str, object]] = field(default_factory=list)
-    #: the analysed project (for graph export); never serialised
-    project: Optional["Project"] = field(
-        default=None, repr=False, compare=False)
 
     @property
     def exit_code(self) -> int:
@@ -336,64 +333,17 @@ def _find_anchor_root(path: Path) -> Optional[Path]:
     return None
 
 
-def _file_lint_job(args: Tuple[str, Tuple[str, ...]]) -> List[Finding]:
-    """Worker for ``jobs > 1``: per-file rules over one file."""
-    path_str, rule_ids = args
-    from repro.analysis import ALL_CHECKERS
-
-    source, failure = parse_file(Path(path_str))
-    if failure is not None:
-        return [failure]
-    out: List[Finding] = []
-    for checker in ALL_CHECKERS:
-        if checker.project or checker.rule not in rule_ids:
-            continue
-        out.extend(checker.check(source))
-    return out
-
-
-def _run_file_checkers_parallel(
-    sources: Sequence[SourceFile],
-    file_checkers: Sequence[Checker],
-    jobs: int,
-) -> List[Finding]:
-    """Fan the per-file rules out over a process pool.
-
-    Falls back to serial execution when the platform refuses to give
-    us a pool (restricted sandboxes) -- the lint must never fail for
-    infrastructure reasons.
-    """
-    rule_ids = tuple(checker.rule for checker in file_checkers)
-    job_args = [(str(source.path), rule_ids) for source in sources]
-    try:
-        import multiprocessing
-
-        with multiprocessing.Pool(min(jobs, len(sources))) as pool:
-            buckets = pool.map(_file_lint_job, job_args)
-        return [finding for bucket in buckets for finding in bucket]
-    except (ImportError, OSError, PermissionError,
-            ValueError):  # pragma: no cover - sandbox-dependent
-        out: List[Finding] = []
-        for checker in file_checkers:
-            for source in sources:
-                out.extend(checker.check(source))
-        return out
-
-
 def lint_paths(
     paths: Iterable,
     checkers: Sequence[Checker],
     rules: Optional[Iterable[str]] = None,
-    jobs: int = 1,
 ) -> LintReport:
     """Run ``checkers`` (optionally narrowed to ``rules``) over ``paths``.
 
-    Files are linted in sorted order, each parsed once per run.  With
-    ``jobs > 1`` the per-file rules fan out over a multiprocessing
-    pool (project rules always run in-process -- they need the whole
-    tree).  A *file* argument that lives inside an anchored service
-    tree pulls the rest of the tree in as context, so project rules
-    still apply; findings are then scoped to the requested files.
+    Files are linted in sorted order, each parsed once per run.  A
+    *file* argument that lives inside an anchored service tree pulls
+    the rest of the tree in as context, so project rules still apply;
+    findings are then scoped to the requested files.
     """
     if rules is not None:
         wanted = set(rules)
@@ -446,12 +396,8 @@ def lint_paths(
             context_sources.append(source)
     project = Project(sources + context_sources, cache=cache)
     raw: List[Finding] = []
-    file_checkers = [c for c in checkers if not c.project]
-    if jobs > 1 and file_checkers and len(sources) > 1:
-        raw.extend(_run_file_checkers_parallel(
-            sources, file_checkers, jobs))
-    else:
-        for checker in file_checkers:
+    for checker in checkers:
+        if not checker.project:
             for source in sources:
                 raw.extend(checker.check(source))
     for checker in checkers:
@@ -489,5 +435,4 @@ def lint_paths(
         files=len(sources),
         rules=[checker.rule for checker in checkers],
         suppressed=suppressed,
-        project=project,
     )

@@ -2,7 +2,7 @@
 
 The per-file rules in :mod:`repro.analysis.rules` see one function at
 a time, but the service's scariest failure modes are interprocedural:
-a stripe lock held in ``engine.py`` while a callee in ``wal.py``
+a session lock held in ``sessions.py`` while a callee in ``wal.py``
 blocks on ``os.fsync``, or a lock-acquisition cycle spanning modules.
 This module builds, from a :class:`repro.analysis.core.Project` and
 stdlib ``ast`` alone:
@@ -26,12 +26,11 @@ stdlib ``ast`` alone:
   join) annotated with the locks held around them.
 
 Lock *tokens* name the lock by owning class and attribute
-(``Session.lock``, ``_Shard.lock``, ``WriteAheadLog.lock``); locks
-pulled out of striped collections keep the collection's identity
-(``SessionManager._locks``, ``SessionManager._slot[0]``).  Two
-acquisitions of the same token are assumed to be *potentially* the
-same (or sibling) lock -- exactly the over-approximation a deadlock
-check wants.
+(``Session.lock``, ``SessionManager._lock``, ``WriteAheadLog.lock``);
+a lock pulled out of a collection (``self._locks[i]``) keeps the
+collection's identity.  Two acquisitions of the same token are assumed
+to be *potentially* the same (or sibling) lock -- exactly the
+over-approximation a deadlock check wants.
 
 Everything here is an over-approximation by design: the rules built
 on top (:mod:`repro.analysis.flow_rules`) must never crash on dynamic
@@ -242,8 +241,6 @@ class LockAcquisition:
     token: str
     line: int
     held: Tuple[str, ...]      # tokens already held lexically
-    via_enter_context: bool = False
-    in_loop: bool = False
 
 
 @dataclass
@@ -815,17 +812,6 @@ class FlowAnalysis:
                     origin = self._collection_origin(child.value, func)
                     if origin is not None:
                         origins[target.id] = origin
-                elif isinstance(target, ast.Tuple) and isinstance(
-                        child.value, ast.Call):
-                    # lock, table = self._slot(name): keep the striped
-                    # collection's identity for each unpacked slot
-                    callee = _dotted(child.value.func)
-                    if callee and callee.startswith("self.") and \
-                            func.cls is not None:
-                        base = f"{func.cls.name}.{callee[5:]}"
-                        for index, elt in enumerate(target.elts):
-                            if isinstance(elt, ast.Name):
-                                origins[elt.id] = f"{base}[{index}]"
             elif isinstance(child, ast.For):
                 self._for_target_env(child, env, origins, func)
         return env, origins
@@ -923,17 +909,14 @@ class FlowAnalysis:
                     merged.append(token)
             return tuple(merged)
 
-        def visit_calls(node: ast.AST, held: Tuple[str, ...],
-                        in_loop: bool) -> None:
+        def visit_calls(node: ast.AST, held: Tuple[str, ...]) -> None:
             for child in self._expr_nodes(node):
                 if isinstance(child, ast.Call):
                     self._record_call(child, func, env, origins,
-                                      held_now(held), in_loop,
-                                      sites, acquisitions, blocking,
-                                      sticky)
+                                      held_now(held), sites,
+                                      acquisitions, blocking, sticky)
 
-        def walk(stmts: Sequence[ast.stmt], held: Tuple[str, ...],
-                 in_loop: bool) -> None:
+        def walk(stmts: Sequence[ast.stmt], held: Tuple[str, ...]) -> None:
             for stmt in stmts:
                 if isinstance(stmt, (ast.FunctionDef,
                                      ast.AsyncFunctionDef,
@@ -943,7 +926,7 @@ class FlowAnalysis:
                     tokens: List[str] = []
                     for item in stmt.items:
                         expr = item.context_expr
-                        visit_calls(expr, held + tuple(tokens), in_loop)
+                        visit_calls(expr, held + tuple(tokens))
                         if self._is_lock_expr(expr):
                             token = self._lock_token(
                                 expr, env, origins, func)
@@ -952,32 +935,31 @@ class FlowAnalysis:
                                     function=func.qual, token=token,
                                     line=expr.lineno,
                                     held=held_now(held + tuple(tokens)),
-                                    in_loop=in_loop,
                                 ))
                                 tokens.append(token)
-                    walk(stmt.body, held + tuple(tokens), in_loop)
+                    walk(stmt.body, held + tuple(tokens))
                 elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                    visit_calls(stmt.iter, held, in_loop)
-                    walk(stmt.body, held, True)
-                    walk(stmt.orelse, held, in_loop)
+                    visit_calls(stmt.iter, held)
+                    walk(stmt.body, held)
+                    walk(stmt.orelse, held)
                 elif isinstance(stmt, ast.While):
-                    visit_calls(stmt.test, held, in_loop)
-                    walk(stmt.body, held, True)
-                    walk(stmt.orelse, held, in_loop)
+                    visit_calls(stmt.test, held)
+                    walk(stmt.body, held)
+                    walk(stmt.orelse, held)
                 elif isinstance(stmt, ast.If):
-                    visit_calls(stmt.test, held, in_loop)
-                    walk(stmt.body, held, in_loop)
-                    walk(stmt.orelse, held, in_loop)
+                    visit_calls(stmt.test, held)
+                    walk(stmt.body, held)
+                    walk(stmt.orelse, held)
                 elif isinstance(stmt, ast.Try):
-                    walk(stmt.body, held, in_loop)
+                    walk(stmt.body, held)
                     for handler in stmt.handlers:
-                        walk(handler.body, held, in_loop)
-                    walk(stmt.orelse, held, in_loop)
-                    walk(stmt.finalbody, held, in_loop)
+                        walk(handler.body, held)
+                    walk(stmt.orelse, held)
+                    walk(stmt.finalbody, held)
                 else:
-                    visit_calls(stmt, held, in_loop)
+                    visit_calls(stmt, held)
 
-        walk(func.node.body, (), False)
+        walk(func.node.body, ())
         self.call_sites[func.qual] = sites
         self.acquisitions[func.qual] = acquisitions
         self.blocking[func.qual] = blocking
@@ -996,7 +978,7 @@ class FlowAnalysis:
 
     def _record_call(self, node: ast.Call, func: FunctionInfo,
                      env: Dict[str, object], origins: Dict[str, str],
-                     held: Tuple[str, ...], in_loop: bool,
+                     held: Tuple[str, ...],
                      sites: List[CallSite],
                      acquisitions: List[LockAcquisition],
                      blocking: List[BlockingCall],
@@ -1013,7 +995,6 @@ class FlowAnalysis:
                     acquisitions.append(LockAcquisition(
                         function=func.qual, token=token,
                         line=node.lineno, held=held,
-                        via_enter_context=True, in_loop=in_loop,
                     ))
                     if token not in sticky:
                         sticky.append(token)
@@ -1152,12 +1133,6 @@ class FlowAnalysis:
                         self.entry_held.get(qual, {}).items()):
                     add(token, acq.token, qual, acq.line,
                         witness + ((qual, acq.line),))
-                if acq.via_enter_context and acq.in_loop:
-                    # the ExitStack-in-a-loop idiom holds earlier
-                    # stripes while taking later ones: a self-edge on
-                    # the token, safe only under a frozen total order
-                    add(acq.token, acq.token, qual, acq.line,
-                        ((qual, acq.line),))
         self.lock_edges = list(edges.values())
 
     # ------------------------------------------------------------------
@@ -1284,92 +1259,6 @@ class FlowAnalysis:
                         break
         cycles.sort(key=lambda c: (c[0].function, c[0].line))
         return cycles
-
-    # ------------------------------------------------------------------
-    # DOT dump
-    # ------------------------------------------------------------------
-    def to_dot(self, full: bool = False) -> str:
-        """The call+lock graph in DOT.  ``full`` keeps lock-free code."""
-        interesting: Set[str] = set()
-        for qual, acqs in self.acquisitions.items():
-            if acqs:
-                interesting.add(qual)
-        for qual, calls in self.blocking.items():
-            if calls:
-                interesting.add(qual)
-        for qual, held in self.entry_held.items():
-            if held:
-                interesting.add(qual)
-        if full:
-            interesting = set(self.functions)
-        else:
-            # keep direct callers of interesting functions for context
-            for qual, sites in self.call_sites.items():
-                if any(set(site.targets) & interesting
-                       for site in sites):
-                    interesting.add(qual)
-
-        def node_id(name: str) -> str:
-            return '"%s"' % name.replace('"', "'")
-
-        lines = [
-            "digraph repro_flow {",
-            "  rankdir=LR;",
-            '  node [fontname="monospace", fontsize=10];',
-        ]
-        for qual in sorted(interesting):
-            func = self.functions.get(qual)
-            if func is None:
-                continue
-            lines.append(
-                f"  {node_id(qual)} [label={node_id(func.label)}, "
-                "shape=ellipse];"
-            )
-        tokens = sorted({edge.held for edge in self.lock_edges} |
-                        {edge.acquired for edge in self.lock_edges} |
-                        {acq.token for acqs in self.acquisitions.values()
-                         for acq in acqs})
-        for token in tokens:
-            lines.append(
-                f"  {node_id('lock:' + token)} [label={node_id(token)}, "
-                "shape=box, color=red];"
-            )
-        emitted: Set[Tuple[str, str, str]] = set()
-        for qual in sorted(interesting):
-            for site in self.call_sites.get(qual, ()):
-                for target in site.targets:
-                    if target not in interesting:
-                        continue
-                    style = "dashed" if site.kind in ("may", "hook") \
-                        else "solid"
-                    key = (qual, target, style)
-                    if key in emitted:
-                        continue
-                    emitted.add(key)
-                    lines.append(
-                        f"  {node_id(qual)} -> {node_id(target)} "
-                        f"[style={style}];"
-                    )
-        acq_emitted: Set[Tuple[str, str]] = set()
-        for qual in sorted(self.acquisitions):
-            for acq in self.acquisitions[qual]:
-                key = (qual, acq.token)
-                if key in acq_emitted:
-                    continue
-                acq_emitted.add(key)
-                lines.append(
-                    f"  {node_id(qual)} -> {node_id('lock:' + acq.token)}"
-                    " [style=dotted, color=red];"
-                )
-        for edge in sorted(self.lock_edges,
-                           key=lambda e: (e.held, e.acquired)):
-            lines.append(
-                f"  {node_id('lock:' + edge.held)} -> "
-                f"{node_id('lock:' + edge.acquired)} "
-                "[color=red, penwidth=2];"
-            )
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def render_witness(witness: Tuple[Hop, ...],

@@ -4,12 +4,12 @@ Four rules ride the call-graph + locks-held dataflow:
 
 * ``deadlock-cycle`` -- cycles in the global lock-acquisition-order
   graph, annotated with the witness call path that establishes each
-  edge.  A self-cycle means the same lock *token* (e.g. one stripe of
-  a striped collection) is re-acquired while a sibling may be held --
-  safe only under a frozen total order, which a suppression documents.
+  edge.  A self-cycle means the same lock *token* may be re-acquired
+  while it (or a sibling drawn from the same collection) is held.
 * ``blocking-under-lock`` -- fsync / socket / subprocess / ``sleep`` /
-  ``join`` reachable while a *stripe or session* lock may be held.
-  The WAL's deliberate fsync-before-ack is the canonical suppression.
+  ``join`` reachable while the *session registry's* lock or a
+  *session* lock may be held.  The WAL's deliberate fsync-before-ack
+  is the canonical suppression.
 * ``exception-escape`` -- every ``server.py`` / ``cluster.py``
   handler must provably convert non-``ServiceError`` exceptions into
   structured protocol errors (``error_response``) before the response
@@ -45,23 +45,24 @@ from repro.analysis.flow import (
 __all__ = ["FLOW_RULES"]
 
 
-def _is_stripe_or_session(token: str) -> bool:
-    """Is this lock token a stripe lock or a session lock?
+#: the session registry's one lock: every request's session lookup
+#: takes it
+_REGISTRY_LOCK = "SessionManager._lock"
 
-    Stripe locks guard the hot path (session-manager slots); a session
-    lock is held across whole ingest batches.
-    Matched: ``Session.lock`` (or any ``*session*.lock``), any
-    ``*Shard*.lock``, and locks drawn from striped collections
-    (``..._locks`` / ``..._slot[i]``).
+
+def _is_hot_lock(token: str) -> bool:
+    """Is this lock token the registry's lock or a session lock?
+
+    The registry lock is on every request's path; a session lock is
+    held across whole ingest batches.  Matched: ``SessionManager._lock``
+    and ``Session.lock`` (or any ``*session*.lock``).
     """
-    if "_locks" in token or "_slot" in token:
+    if token == _REGISTRY_LOCK:
         return True
     parts = token.split(".")
     if parts[-1].lower() != "lock":
         return False
     head = parts[0].lower()
-    if "shard" in head:
-        return True
     return head == "session" or head.endswith("session") or \
         head.startswith("session") and "manager" not in head
 
@@ -85,9 +86,10 @@ class DeadlockCycleRule(Checker):
             if len(cycle) == 1 and anchor.held == anchor.acquired:
                 message = (
                     f"lock token {anchor.acquired!r} may be re-acquired "
-                    f"while a sibling is already held "
-                    f"(in {func.label}); two threads taking stripes in "
-                    "opposite orders deadlock"
+                    f"while it is already held (in {func.label}): a "
+                    "non-reentrant lock deadlocks on itself, and two "
+                    "threads taking sibling locks in opposite orders "
+                    "deadlock on each other"
                 )
             else:
                 order = " -> ".join(
@@ -107,8 +109,8 @@ class DeadlockCycleRule(Checker):
 
 class BlockingUnderLockRule(Checker):
     rule = "blocking-under-lock"
-    summary = ("no fsync/socket/subprocess/sleep/join while a stripe "
-               "or session lock may be held")
+    summary = ("no fsync/socket/subprocess/sleep/join while the "
+               "registry lock or a session lock may be held")
     hint = ("move the blocking call outside the lock, or -- if the "
             "blocking is the point, like the WAL's fsync-before-ack -- "
             "suppress at the call site with the reason")
@@ -123,7 +125,7 @@ class BlockingUnderLockRule(Checker):
                 held = analysis.held_at(qual, call.held)
                 watched = sorted(
                     token for token in held
-                    if _is_stripe_or_session(token)
+                    if _is_hot_lock(token)
                 )
                 if not watched:
                     continue

@@ -8,7 +8,7 @@ CI configuration never rot when messages are reworded.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.analysis.core import Checker, Finding, SourceFile
 
@@ -24,16 +24,6 @@ def _call_name(node: ast.Call) -> Optional[str]:
         return func.id
     if isinstance(func, ast.Attribute):
         return func.attr
-    return None
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    """``self._shards`` -> ``"self._shards"`` (None for non-name chains)."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        base = _dotted(node.value)
-        return f"{base}.{node.attr}" if base is not None else None
     return None
 
 
@@ -226,17 +216,15 @@ class BroadExceptRule(Checker):
 
 
 # ---------------------------------------------------------------------------
-# lock discipline over striped shared state
+# lock discipline over the session registry
 # ---------------------------------------------------------------------------
 
-#: files hosting lock-striped shared state
-_STRIPED_FILES = {"engine.py", "sessions.py", "cluster.py"}
+#: files hosting lock-guarded shared state
+_GUARDED_FILES = {"sessions.py"}
 
-#: attributes of self that are striped shared state
-_SHARED_ROOTS = {"_shards", "_tables", "_locks", "_entries"}
-
-#: methods of self that hand out a stripe (their results are shared)
-_STRIPE_DERIVERS = {"_shard_for", "_slot", "_entry"}
+#: attributes of self that are lock-guarded shared state: the session
+#: registry's name -> session dict
+_SHARED_ROOTS = {"_sessions"}
 
 #: container methods that mutate their receiver
 _MUTATOR_METHODS = {
@@ -292,15 +280,7 @@ class _LockScan:
     def expr_taints(self, node: Optional[ast.AST]) -> bool:
         if node is None:
             return False
-        for sub in ast.walk(node):
-            if self.is_shared(sub):
-                return True
-            if (
-                isinstance(sub, ast.Call)
-                and _call_name(sub) in _STRIPE_DERIVERS
-            ):
-                return True
-        return False
+        return any(self.is_shared(sub) for sub in ast.walk(node))
 
     def taint_target(self, target: ast.AST) -> None:
         if isinstance(target, ast.Name):
@@ -316,7 +296,7 @@ class _LockScan:
         self.findings.append(
             self.checker.finding(
                 self.source, node.lineno,
-                f"{what} of striped shared state outside a lock",
+                f"{what} of lock-guarded shared state outside a lock",
                 col=getattr(node, "col_offset", 0),
             )
         )
@@ -363,8 +343,8 @@ class _LockScan:
                 if _is_lock_expr(item.context_expr):
                     inner = True
                 if _is_exitstack(item.context_expr):
-                    # ``stack.enter_context(x.lock)`` in the body is the
-                    # frozen-order all-stripes idiom
+                    # ``stack.enter_context(x.lock)`` in the body holds
+                    # the lock until the block ends
                     stack_lock = any(
                         isinstance(node, ast.Call)
                         and _call_name(node) == "enter_context"
@@ -396,8 +376,8 @@ class _LockScan:
             self.visit_block(stmt.orelse, locked)
             self.visit_block(stmt.finalbody, locked)
             return
-        # simple statement: taint first (so `x = self._slot(n)` then a
-        # later use of x is tracked), then look for unlocked mutations
+        # simple statement: taint first (so `x = self._sessions[n]` then
+        # a later use of x is tracked), then look for unlocked mutations
         if isinstance(stmt, ast.Assign) and self.expr_taints(stmt.value):
             for target in stmt.targets:
                 self.taint_target(target)
@@ -407,21 +387,17 @@ class _LockScan:
 
 
 class LockDisciplineRule(Checker):
-    """In the striped modules, every mutation of striped shared state
-    (``self._shards[...]``/``self._tables[...]``/stripe objects handed
-    out by ``_shard_for``/``_slot``) must happen under a ``with
-    <lock>`` block.  ``__init__`` is exempt: construction
-    happens-before publication."""
+    """In ``sessions.py``, every mutation of the session registry's
+    dict (``self._sessions``, and anything taken out of it) must happen
+    under a ``with <lock>`` block.  ``__init__`` is exempt:
+    construction happens-before publication."""
 
     rule = "lock-discipline"
-    summary = "mutation of striped shared state outside its lock"
-    hint = (
-        "wrap the mutation in 'with <stripe>.lock:' (or enter_context "
-        "over all stripes in frozen index order)"
-    )
+    summary = "mutation of lock-guarded shared state outside its lock"
+    hint = "wrap the mutation in 'with self._lock:'"
 
     def check(self, source: SourceFile) -> Iterator[Finding]:
-        if source.name not in _STRIPED_FILES:
+        if source.name not in _GUARDED_FILES:
             return
         for func in _functions(source.tree):
             if func.name == "__init__":
@@ -431,73 +407,11 @@ class LockDisciplineRule(Checker):
             yield from scan.findings
 
 
-class LockOrderRule(Checker):
-    """Nested acquisition of two stripe locks from the same striped
-    collection (``with self._shards[i].lock: with self._shards[j].lock``)
-    deadlocks as soon as two threads pick opposite orders."""
-
-    rule = "lock-order"
-    summary = "nested stripe-lock acquisition in non-frozen order"
-    hint = (
-        "hold one stripe at a time, or take every stripe in index "
-        "order via ExitStack so all holders agree"
-    )
-
-    @staticmethod
-    def _stripe_base(node: ast.AST) -> Optional[str]:
-        """``self._shards[i].lock`` -> ``"self._shards"``."""
-        if (
-            isinstance(node, ast.Attribute)
-            and "lock" in node.attr.lower()
-            and isinstance(node.value, ast.Subscript)
-        ):
-            return _dotted(node.value.value)
-        return None
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        if source.name not in _STRIPED_FILES:
-            return
-        findings: List[Finding] = []
-
-        def visit(body: Sequence[ast.stmt], held: Tuple[str, ...]) -> None:
-            for stmt in body:
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    acquired = list(held)
-                    for item in stmt.items:
-                        base = self._stripe_base(item.context_expr)
-                        if base is None:
-                            continue
-                        if base in acquired:
-                            findings.append(
-                                self.finding(
-                                    source, item.context_expr.lineno,
-                                    f"acquires a second stripe lock from "
-                                    f"{base} while already holding one",
-                                    col=item.context_expr.col_offset,
-                                )
-                            )
-                        acquired.append(base)
-                    visit(stmt.body, tuple(acquired))
-                elif isinstance(stmt, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)):
-                    visit(stmt.body, ())
-                else:
-                    for block in ("body", "orelse", "finalbody"):
-                        inner = getattr(stmt, block, None)
-                        if inner:
-                            visit(inner, held)
-                    for handler in getattr(stmt, "handlers", []) or []:
-                        visit(handler.body, held)
-
-        visit(source.tree.body, ())
-        yield from findings
-
-
 # ---------------------------------------------------------------------------
 # durability: fsync before ack
 # ---------------------------------------------------------------------------
 
-_DURABLE_FILES = {"wal.py", "checkpoint.py"}
+_DURABLE_FILES = {"wal.py"}
 
 #: calls that put bytes into a file the durability story depends on
 _WRITE_ATTRS = {"write", "writelines", "write_text"}
@@ -662,7 +576,6 @@ class FailpointNamesRule(Checker):
 
 FILE_RULES = (
     LockDisciplineRule(),
-    LockOrderRule(),
     DurabilityFsyncRule(),
     NondetHashRule(),
     NondetTimeRule(),

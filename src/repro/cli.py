@@ -17,12 +17,10 @@ Subcommands::
 ``label`` and ``serve`` take ``--scheme`` to pick any registered
 *dynamic* labeling backend (``drl`` by default; see ``repro schemes``);
 ``query`` reads the scheme back from the label store, which records it.
-``serve`` and ``loadgen`` take ``--shards`` to stripe the session
-registry across independent locks; ``loadgen`` replays
-a named scenario (``repro loadgen --list``) against an in-process
-engine or, with ``--port``, a live server over TCP.  ``serve
---data-dir`` makes the service durable -- sessions recovered on boot
-by replaying their write-ahead logs, every ingest logged under
+``loadgen`` replays a named scenario (``repro loadgen --list``) against
+an in-process engine or, with ``--port``, a live server over TCP.
+``serve --data-dir`` makes the service durable -- sessions recovered on
+boot by replaying their write-ahead logs, every ingest logged under
 ``--fsync`` before it is acknowledged -- and ``loadgen crash-recovery``
 SIGKILLs such a server mid-ingest and verifies that recovery loses no
 acknowledged insertion.
@@ -216,8 +214,6 @@ def cmd_serve(args) -> int:
     from repro.obs.metrics import MetricsExporter
     from repro.service.server import ReproServer, ReproService, serve_stdio
 
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
     if args.workers < 0:
         raise SystemExit("--workers must be >= 0 (0 = in-process)")
     if args.workers and args.stdio:
@@ -260,13 +256,13 @@ def cmd_serve(args) -> int:
 
         if args.scheme == "all":
             return run_selftest_all_dynamic(
-                size=args.size, seed=args.seed, shards=args.shards,
+                size=args.size, seed=args.seed,
                 metrics_port=args.metrics_port, workers=args.workers,
             )
         return run_selftest(
             spec_name=args.spec, size=args.size, seed=args.seed,
-            scheme=args.scheme, shards=args.shards,
-            metrics_port=args.metrics_port, workers=args.workers,
+            scheme=args.scheme, metrics_port=args.metrics_port,
+            workers=args.workers,
         )
     if args.workers:
         from repro.service.cluster import ClusterSupervisor
@@ -275,7 +271,6 @@ def cmd_serve(args) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            shards=args.shards,
             data_dir=args.data_dir,
             fsync=args.fsync,
             slow_threshold=args.slow_threshold,
@@ -283,7 +278,7 @@ def cmd_serve(args) -> int:
         supervisor.start()
         print(
             f"repro cluster listening on {args.host}:{supervisor.port} "
-            f"({args.workers} workers x {args.shards} shards"
+            f"({args.workers} workers"
             + (f", durable under {args.data_dir}" if args.data_dir else "")
             + ")"
         )
@@ -293,7 +288,6 @@ def cmd_serve(args) -> int:
             supervisor.stop()
         return 0
     service = ReproService(
-        shards=args.shards,
         data_dir=args.data_dir,
         fsync=args.fsync,
         slow_threshold=args.slow_threshold,
@@ -442,12 +436,6 @@ def cmd_lint(args) -> int:
     import time
 
     from repro.analysis import ALL_CHECKERS, RULE_IDS, lint
-    from repro.analysis.baseline import (
-        BASELINE_NAME,
-        apply_baseline,
-        load_baseline,
-        write_baseline,
-    )
 
     if args.list_rules:
         width = max(len(rule) for rule in RULE_IDS)
@@ -456,11 +444,11 @@ def cmd_lint(args) -> int:
             print(f"{checker.rule:<{width}}  [{scope:>7}]  "
                   f"{checker.summary}")
         return 0
-    root = os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))))
     paths = args.paths
     if not paths:
         # default: the source tree and the tooling next to this package
+        root = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))))
         paths = [
             candidate
             for candidate in (os.path.join(root, "src"),
@@ -473,46 +461,13 @@ def cmd_lint(args) -> int:
                  if part.strip()]
     started = time.perf_counter()
     try:
-        report = lint(paths, rules=rules, jobs=max(args.jobs, 1))
+        report = lint(paths, rules=rules)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     elapsed = time.perf_counter() - started
 
-    baseline_path = args.baseline or os.path.join(root, BASELINE_NAME)
-    if args.update_baseline:
-        from pathlib import Path
-
-        count = write_baseline(report, Path(baseline_path))
-        print(f"lint: baseline updated with {count} finding(s) "
-              f"-> {baseline_path}")
-        return 0
-    baselined = []
-    if not args.no_baseline:
-        from pathlib import Path
-
-        try:
-            baseline = load_baseline(Path(baseline_path))
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from None
-        report, baselined = apply_baseline(report, baseline)
-
-    if args.graph:
-        from repro.analysis.flow import flow_for
-
-        dot = flow_for(report.project).to_dot(full=args.graph_full)
-        with open(args.graph, "w", encoding="utf-8") as handle:
-            handle.write(dot)
-    if args.sarif:
-        from repro.analysis.sarif import report_to_sarif
-
-        document = report_to_sarif(report, ALL_CHECKERS)
-        with open(args.sarif, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-
     if args.json:
         payload = report.to_dict()
-        payload["baselined"] = baselined
         payload["elapsed_seconds"] = round(elapsed, 6)
         print(json.dumps(payload, indent=2))
         return report.exit_code
@@ -522,13 +477,10 @@ def cmd_lint(args) -> int:
         f", {len(report.suppressed)} suppressed"
         if report.suppressed else ""
     )
-    if baselined:
-        suffix += f", {len(baselined)} baselined"
     print(
         f"lint: {len(report.findings)} finding(s) across "
         f"{report.files} file(s), {len(report.rules)} rule(s)"
         f"{suffix} in {elapsed:.2f}s"
-        + (f" with {args.jobs} jobs" if args.jobs > 1 else "")
     )
     return report.exit_code
 
@@ -563,8 +515,6 @@ def cmd_loadgen(args) -> int:
         print(f"{KILL_WORKER_SCENARIO:<24} {KILL_WORKER_SUMMARY}")
         print(f"{KILL_PRIMARY_SCENARIO:<24} {KILL_PRIMARY_SUMMARY}")
         return 0
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
     if args.scenario in (CRASH_SCENARIO, KILL_WORKER_SCENARIO,
                          KILL_PRIMARY_SCENARIO):
         # not a closed-loop scenario: it owns its server subprocess
@@ -635,9 +585,9 @@ def cmd_loadgen(args) -> int:
     else:
         from repro.service import QueryEngine, SessionManager
 
-        engine = QueryEngine(SessionManager(shards=args.shards))
+        engine = QueryEngine(SessionManager())
         factory = engine_driver_factory(engine)
-        where = f"in-process ({args.shards} shards)"
+        where = "in-process"
     if not args.json:
         print(
             f"loadgen: scenario {scenario.name!r} for {args.duration:.1f}s "
@@ -738,9 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="TCP port (0 picks an ephemeral port)")
     p.add_argument("--stdio", action="store_true",
                    help="speak the protocol over stdin/stdout instead")
-    p.add_argument("--shards", type=int, default=4,
-                   help="lock stripes for the session registry "
-                        "(1 = the classic single lock)")
     p.add_argument("--workers", type=int, default=0,
                    help="fork this many worker processes, each owning "
                         "a disjoint slice of sessions by stable name "
@@ -821,8 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads (default: the scenario's "
                         "session count)")
-    p.add_argument("--shards", type=int, default=4,
-                   help="in-process only: session registry lock stripes")
     p.add_argument("--host", default="127.0.0.1",
                    help="drive a live server at this host (with --port)")
     p.add_argument("--port", type=int, default=0,
@@ -863,28 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit the full report as JSON")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule catalog and exit")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
-                   help="run the per-file rules across N processes "
-                        "(default: 1, serial)")
-    p.add_argument("--graph", default=None, metavar="OUT.dot",
-                   help="write the interprocedural call/lock graph "
-                        "as Graphviz DOT (pruned to lock-relevant "
-                        "functions; --graph-full for everything)")
-    p.add_argument("--graph-full", action="store_true",
-                   help="with --graph: keep every function, not just "
-                        "the lock-relevant slice")
-    p.add_argument("--sarif", default=None, metavar="OUT.sarif",
-                   help="also write the report as SARIF 2.1.0 "
-                        "(GitHub code scanning)")
-    p.add_argument("--baseline", default=None, metavar="FILE",
-                   help="findings baseline to subtract "
-                        "(default: .reprolint-baseline.json next to "
-                        "the anchored tree, when present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore any baseline file")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="accept every current finding into the "
-                        "baseline file and exit 0")
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("stats",

@@ -174,7 +174,6 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
 
     try:
         service = ReproService(
-            shards=config["shards"],
             max_batch=config["max_batch"],
             data_dir=config["data_dir"],
             fsync=config["fsync"],
@@ -314,7 +313,6 @@ class ClusterSupervisor:
         workers: int,
         host: str = "127.0.0.1",
         port: int = 0,
-        shards: int = 4,
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
         fsync: str = "always",
@@ -327,7 +325,6 @@ class ClusterSupervisor:
         self._requested_port = port
         self.data_dir = data_dir
         self._config = {
-            "shards": shards,
             "max_batch": max_batch,
             "data_dir": None,  # per-worker, filled at spawn
             "fsync": fsync,

@@ -131,6 +131,8 @@ class ReplicationHub:
     order of ``publish``, which would otherwise be a lock cycle.
     """
 
+    MAX_WAIT = 30.0  # the longest one ``subscribe`` long-poll waits
+
     def __init__(
         self,
         manager: SessionManager,
@@ -225,7 +227,7 @@ class ReplicationHub:
                 f"fenced: subscriber proved epoch {epoch} > local "
                 f"{self.store.epoch}; this node is no longer primary"
             )
-        wait = min(max(0.0, float(wait)), 30.0)
+        wait = min(max(0.0, float(wait)), self.MAX_WAIT)
         with self._cond:
             reset = from_seq < 0 or from_seq < self._min_seq
             if not reset:

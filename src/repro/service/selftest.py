@@ -47,7 +47,7 @@ from repro.obs.names import (
 from repro.schemes import registry as scheme_registry
 from repro.service.wal import replay_wal
 from repro.service.client import ServiceClient
-from repro.service.server import DEFAULT_SHARDS, ReproServer, ReproService
+from repro.service.server import ReproServer, ReproService
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 
@@ -67,7 +67,6 @@ def run_selftest(
     queries: int = 400,
     seed: int = 0,
     scheme: str = "drl",
-    shards: int = DEFAULT_SHARDS,
     verbose: bool = True,
     metrics_port: Optional[int] = None,
     workers: int = 0,
@@ -97,35 +96,30 @@ def run_selftest(
         # a durable server, so the scrape can also validate the WAL
         # fsync series
         data_tmp = tempfile.TemporaryDirectory(prefix="repro-selftest-")
-        service = ReproService(shards=shards, data_dir=data_tmp.name)
+        service = ReproService(data_dir=data_tmp.name)
         exporter = MetricsExporter(
             service.metrics.render_prometheus, port=metrics_port
         ).start()
         say(f"metrics endpoint on 127.0.0.1:{exporter.port}/metrics")
     elif not workers:
-        service = ReproService(shards=shards)
+        service = ReproService()
     supervisor = None
     if workers:
         from repro.service.cluster import ClusterSupervisor
 
-        supervisor = ClusterSupervisor(
-            workers=workers, port=0, shards=shards
-        ).start()
+        supervisor = ClusterSupervisor(workers=workers, port=0).start()
         thread = threading.Thread(
             target=supervisor.serve_forever, daemon=True
         )
         thread.start()
         port = supervisor.port
-        say(
-            f"cluster router on 127.0.0.1:{port} "
-            f"({workers} workers x {shards} shards)"
-        )
+        say(f"cluster router on 127.0.0.1:{port} ({workers} workers)")
     else:
         server = ReproServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         port = server.port
-        say(f"server listening on 127.0.0.1:{port} ({shards} shards)")
+        say(f"server listening on 127.0.0.1:{port}")
     try:
         with ServiceClient("127.0.0.1", port) as client:
             if workers:
@@ -346,7 +340,6 @@ def run_selftest_all_dynamic(
     size: int = 300,
     queries: int = 400,
     seed: int = 0,
-    shards: int = DEFAULT_SHARDS,
     verbose: bool = True,
     metrics_port: Optional[int] = None,
     workers: int = 0,
@@ -358,8 +351,7 @@ def run_selftest_all_dynamic(
             print(f"selftest: === scheme {scheme!r} ===")
         status |= run_selftest(
             size=size, queries=queries, seed=seed, scheme=scheme,
-            shards=shards, verbose=verbose, metrics_port=metrics_port,
-            workers=workers,
+            verbose=verbose, metrics_port=metrics_port, workers=workers,
         )
     return status
 

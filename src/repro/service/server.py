@@ -13,7 +13,8 @@ drive it:
   embedding and piping recorded executions through ``repro serve``.
 
 A ``shutdown`` request stops the TCP server gracefully: in-flight
-requests finish, then ``serve_forever`` returns.
+requests finish, then ``serve_forever`` returns; ``server_close`` then
+ends every open connection the same way.
 
 Observability
 -------------
@@ -33,6 +34,7 @@ registry as Prometheus text.
 from __future__ import annotations
 
 import logging
+import socket
 import socketserver
 import threading
 import time
@@ -74,7 +76,6 @@ from repro.service.protocol import (
 from repro.service.sessions import SessionManager
 
 DEFAULT_PORT = 7464  # "RL" on a phone keypad, roughly
-DEFAULT_SHARDS = 4
 
 # a query_batch payload: a list of [source, target] pairs of ints
 # (exact types -- JSON true/false must not pass as vertex ids 1/0)
@@ -91,10 +92,9 @@ _server_logger = logging.getLogger("repro.service.server")
 class ReproService:
     """Dispatches protocol requests against hosted sessions.
 
-    ``shards`` stripes the session registry (see
-    :class:`SessionManager`); ``max_batch`` caps the payload size of
-    one ``query_batch``/``ingest`` request -- larger batches get a
-    structured ``protocol`` error telling the client to pipeline chunks.
+    ``max_batch`` caps the payload size of one ``query_batch``/``ingest``
+    request -- larger batches get a structured ``protocol`` error
+    telling the client to pipeline chunks.
 
     ``data_dir`` mounts the durability layer (:mod:`repro.service.wal`):
     every session found under it is recovered on construction (WAL
@@ -119,7 +119,6 @@ class ReproService:
         self,
         manager: Optional[SessionManager] = None,
         engine: Optional[QueryEngine] = None,
-        shards: int = DEFAULT_SHARDS,
         max_batch: int = MAX_BATCH,
         data_dir: Optional[str] = None,
         fsync: str = "always",
@@ -131,7 +130,7 @@ class ReproService:
         repl_min_acks: int = 0,
         replica_id: Optional[str] = None,
     ) -> None:
-        self.manager = manager or SessionManager(shards=shards)
+        self.manager = manager or SessionManager()
         self.metrics = metrics if metrics is not None else default_registry()
         self.tracer = tracer or Tracer(slow_threshold=slow_threshold)
         self.engine = engine or QueryEngine(self.manager, metrics=self.metrics)
@@ -651,14 +650,46 @@ class _LineHandler(socketserver.StreamRequestHandler):
 
 
 class ReproServer(socketserver.ThreadingTCPServer):
-    """Threaded JSON-lines TCP server around a :class:`ReproService`."""
+    """Threaded JSON-lines TCP server around a :class:`ReproService`:
+    one handler thread per connection, each ended by :meth:`server_close`."""
 
     allow_reuse_address = True
-    daemon_threads = True
+    #: server_close's wait for the handlers: a long-poll may take this long
+    CLOSE_TIMEOUT = ReplicationHub.MAX_WAIT + 1.0
 
     def __init__(self, address, service: Optional[ReproService] = None):
         self.service = service or ReproService()
+        self._handlers_lock = threading.Lock()
+        self._handlers: Dict[socket.socket, threading.Thread] = {}
         super().__init__(address, _LineHandler)
+
+    def process_request(self, request, client_address) -> None:
+        thread = threading.Thread(target=self.process_request_thread,
+                                  args=(request, client_address), daemon=True)
+        with self._handlers_lock:
+            self._handlers[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        with self._handlers_lock:  # server_close never shuts a closed socket
+            self._handlers.pop(request, None)
+            super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listener, then each open connection's read side: its
+        handler answers the request in flight, reads EOF and exits.
+        Waits up to :attr:`CLOSE_TIMEOUT` for all of them."""
+        super().server_close()
+        with self._handlers_lock:
+            handlers = list(self._handlers.items())
+            for request, _ in handlers:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:  # the peer already hung up
+                    pass
+        deadline = time.monotonic() + self.CLOSE_TIMEOUT
+        for _, thread in handlers:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def trigger_shutdown(self) -> None:
         """Stop ``serve_forever`` without blocking the handler thread."""

@@ -374,33 +374,13 @@ class Session:
 
 
 class SessionManager:
-    """Hosts many named sessions; thread-safe create/get/close.
-
-    The registry is lock-striped across ``shards`` independent
-    ``(lock, dict)`` slices keyed by CRC-32 of the name (stable across
-    processes, unlike the salted builtin ``hash()``, and therefore the
-    same stripe layout the cluster's session router uses), so
-    create/get/close on *different* sessions never contend on one
-    mutex.  Cross-shard views (:meth:`names`, ``len``) take each shard
-    lock in turn; they are monitoring surfaces and need no global
-    atomicity.
+    """Hosts many named sessions: one dict under one lock, which
+    covers create, adopt, get, close, :meth:`names`, ``len`` and ``in``.
     """
 
-    DEFAULT_SHARDS = 8
-
-    def __init__(self, shards: int = DEFAULT_SHARDS) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self._locks = [threading.Lock() for _ in range(shards)]
-        self._tables: List[Dict[str, Session]] = [{} for _ in range(shards)]
-
-    @property
-    def shards(self) -> int:
-        return len(self._tables)
-
-    def _slot(self, name: str) -> Tuple[threading.Lock, Dict[str, Session]]:
-        index = zlib.crc32(name.encode("utf-8")) % len(self._tables)
-        return self._locks[index], self._tables[index]
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._sessions: Dict[str, Session] = {}
 
     def create(
         self,
@@ -424,20 +404,18 @@ class SessionManager:
 
     def adopt(self, session: Session) -> Session:
         """Register an externally built session (checkpoint restore)."""
-        lock, table = self._slot(session.name)
-        with lock:
-            if session.name in table:
+        with self._lock:
+            if session.name in self._sessions:
                 raise ServiceError(
                     f"session {session.name!r} already exists"
                 )
-            table[session.name] = session
+            self._sessions[session.name] = session
         return session
 
     def get(self, name: str) -> Session:
-        lock, table = self._slot(name)
-        with lock:
+        with self._lock:
             try:
-                return table[name]
+                return self._sessions[name]
             except KeyError:
                 raise SessionNotFoundError(
                     f"no session named {name!r}"
@@ -445,10 +423,9 @@ class SessionManager:
 
     def close(self, name: str) -> Session:
         """Remove a session; its in-memory state becomes unreachable."""
-        lock, table = self._slot(name)
-        with lock:
+        with self._lock:
             try:
-                session = table.pop(name)
+                session = self._sessions.pop(name)
             except KeyError:
                 raise SessionNotFoundError(
                     f"no session named {name!r}"
@@ -462,20 +439,13 @@ class SessionManager:
         return session
 
     def names(self) -> List[str]:
-        collected: List[str] = []
-        for lock, table in zip(self._locks, self._tables):
-            with lock:
-                collected.extend(table)
-        return sorted(collected)
+        with self._lock:
+            return sorted(self._sessions)
 
     def __contains__(self, name: str) -> bool:
-        lock, table = self._slot(name)
-        with lock:
-            return name in table
+        with self._lock:
+            return name in self._sessions
 
     def __len__(self) -> int:
-        total = 0
-        for lock, table in zip(self._locks, self._tables):
-            with lock:
-                total += len(table)
-        return total
+        with self._lock:
+            return len(self._sessions)

@@ -3,13 +3,32 @@
 from __future__ import annotations
 
 import itertools
+import logging
 import random
+from pathlib import Path
 
 import pytest
 
 from repro.datasets import bioaid, running_example, synthetic_spec, theorem1_grammar
 from repro.graphs.reachability import reaches
 from repro.workflow.derivation import sample_run
+
+
+@pytest.fixture(autouse=True)
+def _restore_repro_logging():
+    """Put the ``repro`` logger back as each test found it.
+
+    ``repro serve`` run in-process installs a log handler on the
+    test's captured stderr; left in place, every later log line from
+    any thread goes to a stream pytest has already closed.
+    """
+    logger = logging.getLogger("repro")
+    handlers, level, propagate = list(logger.handlers), logger.level, \
+        logger.propagate
+    yield
+    logger.handlers[:] = handlers
+    logger.setLevel(level)
+    logger.propagate = propagate
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +59,16 @@ def theorem1_spec():
 def synthetic_linear_spec():
     """A small member of the Figure 13 synthetic family."""
     return synthetic_spec(sub_size=10, depth=5, linear=True, seed=11)
+
+
+@pytest.fixture(scope="session")
+def real_tree_report():
+    """``repro lint src tools`` over this repository, run once per test
+    session; every real-tree expectation of the lint tests reads it."""
+    from repro.analysis import lint
+
+    repo = Path(__file__).resolve().parents[1]
+    return lint([repo / "src", repo / "tools"])
 
 
 @pytest.fixture()

@@ -36,7 +36,6 @@ REPO = Path(__file__).resolve().parents[1]
 #: to them by name, so renaming one is a breaking change
 FROZEN_RULE_IDS = {
     "lock-discipline",
-    "lock-order",
     "durability-fsync",
     "nondet-hash",
     "nondet-time",
@@ -216,37 +215,49 @@ def test_broad_except_clean_when_handled_or_narrow(tmp_path):
 # lock discipline
 # ---------------------------------------------------------------------------
 
-# these rules only watch the striped modules, so fixtures must be named
-# engine.py / sessions.py / cluster.py
+# the rule watches only the registry's module, so fixtures must be
+# named sessions.py
+
+def test_lock_discipline_flags_unlocked_registry_write(tmp_path):
+    findings = run_rule(tmp_path, "lock-discipline", """
+        class SessionManager:
+            def adopt(self, session):
+                self._sessions[session.name] = session
+    """, name="sessions.py")
+    assert len(findings) == 1
+    assert "write of lock-guarded shared state outside a lock" in \
+        findings[0].message
+
 
 def test_lock_discipline_flags_unlocked_stripe_write(tmp_path):
+    # a session taken out of the registry is shared state too
     findings = run_rule(tmp_path, "lock-discipline", """
-        class Engine:
-            def put(self, uid, value):
-                shard = self._shard_for(uid)
-                shard.entries[uid] = value
-    """, name="engine.py")
+        class SessionManager:
+            def retag(self, name, tag):
+                session = self._sessions[name]
+                session.tag = tag
+    """, name="sessions.py")
     assert len(findings) == 1
     assert "outside a lock" in findings[0].message
 
 
 def test_lock_discipline_flags_mutator_method_on_shared(tmp_path):
     findings = run_rule(tmp_path, "lock-discipline", """
-        class Registry:
+        class SessionManager:
             def drop(self, name):
-                self._tables[0].pop(name, None)
+                self._sessions.pop(name, None)
     """, name="sessions.py")
     assert len(findings) == 1
 
 
 def test_lock_discipline_clean_under_with_lock(tmp_path):
     findings = run_rule(tmp_path, "lock-discipline", """
-        class Engine:
-            def put(self, uid, value):
-                shard = self._shard_for(uid)
-                with shard.lock:
-                    shard.entries[uid] = value
-    """, name="engine.py")
+        class SessionManager:
+            def retag(self, name, tag):
+                with self._lock:
+                    session = self._sessions[name]
+                    session.tag = tag
+    """, name="sessions.py")
     assert findings == []
 
 
@@ -254,58 +265,32 @@ def test_lock_discipline_clean_under_exitstack(tmp_path):
     findings = run_rule(tmp_path, "lock-discipline", """
         from contextlib import ExitStack
 
-        class Engine:
+        class SessionManager:
             def clear(self):
                 with ExitStack() as stack:
-                    for shard in self._shards:
-                        stack.enter_context(shard.lock)
-                    for shard in self._shards:
-                        shard.entries.clear()
-    """, name="engine.py")
+                    stack.enter_context(self._lock)
+                    self._sessions.clear()
+    """, name="sessions.py")
     assert findings == []
 
 
 def test_lock_discipline_exempts_init_and_other_files(tmp_path):
     code = """
-        class Engine:
-            def __init__(self, shards):
-                self._shards = list(shards)
-                self._shards.append(None)
+        class SessionManager:
+            def __init__(self, sessions):
+                self._sessions = dict(sessions)
+                self._sessions.pop("stale", None)
     """
     assert run_rule(tmp_path, "lock-discipline", code,
-                    name="engine.py") == []
+                    name="sessions.py") == []
     unlocked = """
-        class Engine:
-            def put(self, uid, value):
-                self._shards[0].entries[uid] = value
+        class SessionManager:
+            def adopt(self, session):
+                self._sessions[session.name] = session
     """
-    # same mutation, but not in a striped module -> out of scope
+    # same mutation, but not in the registry's module -> out of scope
     assert run_rule(tmp_path, "lock-discipline", unlocked,
                     name="helpers.py") == []
-
-
-def test_lock_order_flags_nested_stripes(tmp_path):
-    findings = run_rule(tmp_path, "lock-order", """
-        class Engine:
-            def move(self, a, b):
-                with self._shards[a].lock:
-                    with self._shards[b].lock:
-                        pass
-    """, name="engine.py")
-    assert len(findings) == 1
-    assert "second stripe lock" in findings[0].message
-
-
-def test_lock_order_clean_on_sequential_stripes(tmp_path):
-    findings = run_rule(tmp_path, "lock-order", """
-        class Engine:
-            def move(self, a, b):
-                with self._shards[a].lock:
-                    value = self.read(a)
-                with self._shards[b].lock:
-                    self.write(b, value)
-    """, name="engine.py")
-    assert findings == []
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +412,13 @@ def test_noqa_covers_only_named_rules(tmp_path):
 
 
 def test_noqa_multiple_rules_one_comment(tmp_path):
-    target = tmp_path / "engine.py"
+    target = tmp_path / "sessions.py"
     target.write_text(textwrap.dedent("""
         import time
 
-        class Engine:
-            def put(self, uid, value):
-                self._shards[0].entries[uid] = time.time()  # repro: noqa[lock-discipline, nondet-time] -- test fixture
+        class SessionManager:
+            def touch(self, name):
+                self._sessions[name] = time.time()  # repro: noqa[lock-discipline, nondet-time] -- test fixture
     """), encoding="utf-8")
     report = lint([target], rules=["lock-discipline", "nondet-time"])
     assert report.findings == []
@@ -669,11 +654,13 @@ def test_project_rules_noop_without_service_tree(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_real_tree_is_clean():
-    report = lint([REPO / "src", REPO / "tools"])
+def test_real_tree_is_clean(real_tree_report):
+    report = real_tree_report
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"lint findings on the real tree:\n{rendered}"
     assert report.exit_code == 0
+    assert report.to_dict()["ok"] is True
+    assert set(report.rules) == FROZEN_RULE_IDS
     # the deliberate suppressions carry reasons
     assert report.suppressed, "expected the documented noqa sites"
     assert all(s["reason"] for s in report.suppressed)
@@ -697,31 +684,41 @@ def test_real_tree_op_tables_partition_exactly():
 
 
 def test_cli_lint_json_and_exit_codes(tmp_path):
+    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+
+    def repro_lint(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "repro", "lint", *args],
+            capture_output=True, text=True, env=env,
+        )
+
     dirty = tmp_path / "wal.py"
     dirty.write_text(
         "def append(handle, record):\n    handle.write(record)\n",
         encoding="utf-8",
     )
-    env_src = str(REPO / "src")
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--json", str(dirty)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    proc = repro_lint("--json", str(dirty))
     assert proc.returncode == 1, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is False
     assert payload["findings"][0]["rule"] == "durability-fsync"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--json",
-         str(REPO / "src"), str(REPO / "tools")],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": env_src, "PATH": "/usr/bin:/bin"},
-    )
+    # the plain report: each finding, then a summary line with timing
+    proc = repro_lint(str(dirty))
+    assert proc.returncode == 1, proc.stderr
+    summary = proc.stdout.splitlines()[-1]
+    assert summary.startswith("lint: 1 finding(s)") and " in " in summary
+    # a clean anchored tree runs every rule, project rules included
+    root = build_tree(tmp_path / "tree", docs={
+        "docs/SERVICE.md": SERVICE_MD_OK,
+        "docs/API.md": API_MD_OK,
+    })
+    proc = repro_lint("--json", str(root))
     assert proc.returncode == 0, proc.stdout + proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["ok"] is True
     assert set(payload["rules"]) == FROZEN_RULE_IDS
+    assert set(payload) == {"files", "rules", "findings", "suppressed",
+                            "ok", "elapsed_seconds"}
 
 
 def test_cli_lint_rules_filter(tmp_path):

@@ -134,3 +134,22 @@ class TestBench:
         written = target.read_text()
         assert written.startswith("# repro bench")
         assert "tab2" in written
+
+
+class TestRetiredFlags:
+    @pytest.mark.parametrize("argv", [
+        ["serve", "--shards", "2"],
+        ["loadgen", "--shards", "2"],
+        ["lint", "--jobs", "2"],
+        ["lint", "--graph", "out.dot"],
+        ["lint", "--graph-full"],
+        ["lint", "--sarif", "out.sarif"],
+        ["lint", "--baseline", "base.json"],
+        ["lint", "--no-baseline"],
+        ["lint", "--update-baseline"],
+    ])
+    def test_flag_is_refused(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2  # argparse: unrecognized arguments
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -70,7 +70,7 @@ def stop_cluster(supervisor, thread):
 
 @pytest.fixture(scope="module")
 def cluster():
-    supervisor, thread = start_cluster(workers=2, shards=2)
+    supervisor, thread = start_cluster(workers=2)
     yield supervisor
     stop_cluster(supervisor, thread)
 
@@ -438,7 +438,7 @@ class TestDurableCluster:
         owner = session_worker(ALPHA, 2)
 
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:
                 c.create_session(ALPHA, "running-example")
@@ -455,7 +455,7 @@ class TestDurableCluster:
         assert not (other_dir / f"s-{ALPHA}").exists()
 
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:
                 info = c.recover_info()
@@ -474,7 +474,7 @@ class TestDurableCluster:
         owner = session_worker(ALPHA, 2)
 
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:
                 c.create_session(ALPHA, "running-example")
@@ -489,7 +489,7 @@ class TestDurableCluster:
         wal_path.write_bytes(wal_path.read_bytes()[:-9])
 
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:
                 info = c.recover_info()
@@ -736,7 +736,7 @@ class TestClientFailover:
 
 class TestWorkerRestart:
     def test_sigkill_one_worker_restarts_and_serves(self, running_spec):
-        supervisor, thread = start_cluster(workers=2, shards=2)
+        supervisor, thread = start_cluster(workers=2)
         try:
             with ServiceClient("127.0.0.1", supervisor.port,
                                timeout=30.0) as client:
@@ -865,7 +865,7 @@ class TestPerClientChannels:
         self, tmp_path, running_spec
     ):
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=str(tmp_path / "cluster"),
+            workers=2, data_dir=str(tmp_path / "cluster"),
             fsync="always")
         pipes = []
         try:
@@ -957,7 +957,7 @@ class TestPerClientChannels:
         wire = insertions_to_wire(execution.insertions)
         owner = session_worker(ALPHA, 2)
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         a, b = _Pipelined(supervisor.port), _Pipelined(supervisor.port)
         try:
             b.send(json.dumps({"op": "create_session", "id": 1,
@@ -978,7 +978,7 @@ class TestPerClientChannels:
         assert a_ack["ok"] and a_ack["result"]["stopping"] is True
 
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=data_dir, fsync="always")
+            workers=2, data_dir=data_dir, fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:
                 recovered = {
@@ -991,7 +991,7 @@ class TestPerClientChannels:
 
     def test_replication_ops_are_refused_by_the_router(self, tmp_path):
         supervisor, thread = start_cluster(
-            workers=2, shards=2, data_dir=str(tmp_path / "cluster"),
+            workers=2, data_dir=str(tmp_path / "cluster"),
             fsync="always")
         try:
             with ServiceClient("127.0.0.1", supervisor.port) as c:

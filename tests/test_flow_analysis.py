@@ -3,33 +3,18 @@
 Covers the call-graph builder on miniature fixture trees (diamond,
 recursion, unresolved dynamic dispatch), the locks-held dataflow, the
 seeded deadlock-cycle detection, the blocking-under-lock and
-exception-escape and resource-leak rules, SARIF emission, the
-findings baseline, and the real-tree regression pins for the two
-documented suppression sites.
+exception-escape and resource-leak rules, single-file anchoring, and
+the real-tree regression pin for the documented suppression site.
 """
 
 from __future__ import annotations
 
-import json
-import subprocess
-import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import ALL_CHECKERS, lint
-from repro.analysis.baseline import (
-    apply_baseline,
-    compute_fingerprints,
-    load_baseline,
-    write_baseline,
-)
+from repro.analysis import lint
 from repro.analysis.core import ParseCache, Project, iter_python_files
 from repro.analysis.flow import FlowAnalysis, flow_for
-from repro.analysis.sarif import report_to_sarif, validate_sarif
-
-REPO = Path(__file__).resolve().parents[1]
 
 FLOW_RULE_IDS = [
     "deadlock-cycle",
@@ -343,6 +328,35 @@ def test_blocking_under_session_lock_is_flagged(tmp_path):
     assert "fsync" in message and "Session.lock" in message
 
 
+def test_blocking_under_registry_lock_is_flagged(tmp_path):
+    report = lint_tree(tmp_path, {"sessions.py": """
+        import threading
+        import time
+
+        class SessionManager:
+            def __init__(self):
+                self._lock = threading.Lock()
+                self._sessions = {}
+
+            def get(self, name):
+                with self._lock:
+                    time.sleep(0.1)
+                    return self._sessions[name]
+
+        class Tally:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def bump(self):
+                # another class's _lock is not the registry's
+                with self._lock:
+                    time.sleep(0.1)
+    """}, rules=["blocking-under-lock"])
+    assert len(report.findings) == 1
+    message = report.findings[0].message
+    assert "sleep" in message and "SessionManager._lock" in message
+
+
 def test_blocking_under_lock_interprocedural_witness(tmp_path):
     report = lint_tree(tmp_path, {"sess.py": """
         import os
@@ -385,7 +399,8 @@ def test_blocking_without_watched_lock_is_clean(tmp_path):
         STATS_LOCK = threading.Lock()
 
         def flush(handle):
-            # a plain module lock is not a stripe/session lock
+            # a plain module lock is neither the registry's nor a
+            # session's
             with STATS_LOCK:
                 os.fsync(handle.fileno())
     """}, rules=["blocking-under-lock"])
@@ -527,138 +542,20 @@ def test_resource_leak_clean_variants(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_real_tree_pins_the_documented_suppression():
-    report = lint([REPO / "src"],
-                  rules=["deadlock-cycle", "blocking-under-lock"])
-    assert report.findings == [], [
-        f.render() for f in report.findings
-    ]
+def test_real_tree_pins_the_documented_suppression(real_tree_report):
+    flow_rules = {"deadlock-cycle", "blocking-under-lock"}
+    found = [f for f in real_tree_report.findings if f.rule in flow_rules]
+    assert found == [], [f.render() for f in found]
     pinned = {(s["rule"], Path(s["file"]).name, bool(s["reason"]))
-              for s in report.suppressed}
+              for s in real_tree_report.suppressed
+              if s["rule"] in flow_rules}
     # the rule still *detects* the site: it fires and is converted into
     # a documented suppression, never silently missed
     assert pinned == {("blocking-under-lock", "wal.py", True)}
 
 
 # ---------------------------------------------------------------------------
-# DOT export
-# ---------------------------------------------------------------------------
-
-
-def test_to_dot_renders_locks_and_edges(tmp_path):
-    analysis = build_flow(tmp_path, SEEDED_CYCLE)
-    dot = analysis.to_dot()
-    assert dot.startswith("digraph")
-    assert "ALPHA_LOCK" in dot and "BETA_LOCK" in dot
-    full = analysis.to_dot(full=True)
-    assert len(full) >= len(dot)
-
-
-# ---------------------------------------------------------------------------
-# SARIF
-# ---------------------------------------------------------------------------
-
-
-def test_sarif_round_trip_validates(tmp_path):
-    report = lint_tree(tmp_path, SEEDED_CYCLE, rules=["deadlock-cycle"])
-    assert report.findings
-    document = report_to_sarif(report, ALL_CHECKERS)
-    assert validate_sarif(document) == []
-    # survives a JSON round trip untouched
-    assert validate_sarif(json.loads(json.dumps(document))) == []
-    result = document["runs"][0]["results"][0]
-    assert result["ruleId"] == "deadlock-cycle"
-    region = result["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] >= 1
-
-
-def test_sarif_validator_rejects_broken_documents():
-    assert validate_sarif([]) != []
-    assert validate_sarif({"version": "9.9", "runs": []}) != []
-    broken = {
-        "version": "2.1.0",
-        "runs": [{
-            "tool": {"driver": {"name": "x", "rules": []}},
-            "results": [{"ruleId": "", "message": {},
-                         "locations": []}],
-        }],
-    }
-    errors = validate_sarif(broken)
-    assert any("ruleId" in e for e in errors)
-    assert any("message.text" in e for e in errors)
-    assert any("locations" in e for e in errors)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-
-def test_baseline_round_trip_subtracts_known_findings(tmp_path):
-    report = lint_tree(tmp_path, SEEDED_CYCLE, rules=["deadlock-cycle"])
-    assert report.findings
-    path = tmp_path / "baseline.json"
-    count = write_baseline(report, path)
-    assert count == len(report.findings)
-    fresh = lint([tmp_path], rules=["deadlock-cycle"])
-    applied, baselined = apply_baseline(fresh, load_baseline(path))
-    assert applied.findings == []
-    assert len(baselined) == count
-    assert applied.exit_code == 0
-
-
-def test_baseline_does_not_mask_new_findings(tmp_path):
-    report = lint_tree(tmp_path, SEEDED_CYCLE, rules=["deadlock-cycle"])
-    path = tmp_path / "baseline.json"
-    write_baseline(report, path)
-    # a new, unrelated cycle appears in another file: it must not be
-    # absorbed by the recorded fingerprints
-    (tmp_path / "other.py").write_text(textwrap.dedent("""
-        import threading
-
-        GAMMA_LOCK = threading.Lock()
-        DELTA_LOCK = threading.Lock()
-
-        def third():
-            with GAMMA_LOCK:
-                with DELTA_LOCK:
-                    pass
-
-        def fourth():
-            with DELTA_LOCK:
-                with GAMMA_LOCK:
-                    pass
-        """), encoding="utf-8")
-    fresh = lint([tmp_path], rules=["deadlock-cycle"])
-    applied, _ = apply_baseline(fresh, load_baseline(path))
-    assert applied.findings, "the new cycle must survive the baseline"
-
-
-def test_fingerprints_disambiguate_identical_lines(tmp_path):
-    report = lint_tree(tmp_path, {"leaks.py": """
-        import socket
-
-        def one(host):
-            sock = socket.create_connection((host, 80))
-
-        def two(host):
-            sock = socket.create_connection((host, 80))
-    """}, rules=["resource-leak"])
-    assert len(report.findings) == 2
-    fingerprints = compute_fingerprints(report.findings)
-    assert len(set(fingerprints)) == 2
-
-
-def test_load_baseline_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text('{"nope": 1}', encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_baseline(path)
-    assert load_baseline(tmp_path / "absent.json") is None
-
-
-# ---------------------------------------------------------------------------
-# satellites: parse cache, single-file anchoring, --jobs, CLI flags
+# parse cache and single-file anchoring
 # ---------------------------------------------------------------------------
 
 
@@ -680,90 +577,67 @@ def test_iter_python_files_sorted_and_deduped(tmp_path):
     assert names == ["a.py", "b.py"]
 
 
-def test_single_file_inside_anchored_tree_activates_project_rules():
-    # regression: a bare file path must work, and because wal.py
-    # lives inside the anchored service tree the project-wide rules
-    # still run with the tree as context -- the documented
-    # blocking-under-lock suppression site is found, attributed, and
-    # suppressed
-    wal = REPO / "src" / "repro" / "service" / "wal.py"
+#: a session lock held across a WAL append that fsyncs: the finding
+#: lands in wal.py (suppressed there), but only a run that also sees
+#: sessions.py can find it; the sleep in sessions.py is a second,
+#: unsuppressed finding outside wal.py
+ANCHORED_TREE = {
+    "sessions.py": """
+        import threading
+        import time
+
+        class Session:
+            def __init__(self, wal):
+                self.lock = threading.Lock()
+                self.wal = wal
+
+            def ingest(self, record):
+                with self.lock:
+                    self.wal.append_record(record)
+                    time.sleep(0)
+    """,
+    "wal.py": """
+        import os
+
+        class WriteAheadLog:
+            def append_record(self, record):
+                os.fsync(record)  # repro: noqa[blocking-under-lock] -- fsync-before-ack
+    """,
+}
+
+
+def test_single_file_inside_anchored_tree_activates_project_rules(
+        tmp_path):
+    def write_tree(root: Path, anchored: bool) -> Path:
+        service = root / "repro" / "service"
+        service.mkdir(parents=True)
+        if anchored:
+            (service / "protocol.py").write_text("OPS = ()\n",
+                                                 encoding="utf-8")
+        for name, code in ANCHORED_TREE.items():
+            (service / name).write_text(textwrap.dedent(code),
+                                        encoding="utf-8")
+        return service / "wal.py"
+
+    # a bare file path inside the anchored tree: the rest of the tree
+    # is context, so the interprocedural finding in wal.py is found,
+    # attributed and suppressed, and the finding in sessions.py is out
+    # of scope
+    wal = write_tree(tmp_path / "anchored", anchored=True)
     report = lint([wal], rules=["blocking-under-lock"])
     assert report.files == 1
     assert report.findings == []
-    assert any(
-        s["rule"] == "blocking-under-lock" and
-        Path(s["file"]).name == "wal.py"
-        for s in report.suppressed
-    )
-
-
-def test_jobs_fanout_matches_serial(tmp_path):
-    files = {
-        f"pkg/m{i}.py": """
-            import socket
-
-            def probe(host):
-                sock = socket.create_connection((host, 80))
-        """
-        for i in range(4)
-    }
-    for rel, code in files.items():
-        target = tmp_path / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(code), encoding="utf-8")
-    serial = lint([tmp_path], rules=["resource-leak"], jobs=1)
-    fanned = lint([tmp_path], rules=["resource-leak"], jobs=2)
-    key = lambda f: (f.file, f.line, f.rule)  # noqa: E731
-    assert sorted(map(key, serial.findings)) == \
-        sorted(map(key, fanned.findings))
-    assert len(serial.findings) == 4
-
-
-def test_cli_graph_sarif_and_timing(tmp_path):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    (tree / "locks.py").write_text(
-        textwrap.dedent(SEEDED_CYCLE["locks.py"]), encoding="utf-8")
-    graph = tmp_path / "out.dot"
-    sarif = tmp_path / "out.sarif"
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--no-baseline",
-         "--rules", "deadlock-cycle", "--graph", str(graph),
-         "--sarif", str(sarif), str(tree)],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert " in " in proc.stdout.splitlines()[-1]  # timing line
-    assert graph.read_text(encoding="utf-8").startswith("digraph")
-    document = json.loads(sarif.read_text(encoding="utf-8"))
-    assert validate_sarif(document) == []
-    assert document["runs"][0]["results"]
-
-
-def test_cli_update_baseline_then_clean(tmp_path):
-    tree = tmp_path / "tree"
-    tree.mkdir()
-    (tree / "locks.py").write_text(
-        textwrap.dedent(SEEDED_CYCLE["locks.py"]), encoding="utf-8")
-    baseline = tmp_path / "base.json"
-    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--baseline",
-         str(baseline), "--update-baseline", str(tree)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert baseline.is_file()
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--baseline",
-         str(baseline), "--json", str(tree)],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    assert payload["ok"] is True
-    assert payload["baselined"], "baselined findings must be reported"
+    assert [(s["rule"], Path(s["file"]).name)
+            for s in report.suppressed] == [("blocking-under-lock",
+                                             "wal.py")]
+    # the whole tree sees both findings
+    report = lint([wal.parent], rules=["blocking-under-lock"])
+    assert [Path(f.file).name for f in report.findings] == ["sessions.py"]
+    assert len(report.suppressed) == 1
+    # without the anchor a lone file has no context: nothing fires
+    lone = write_tree(tmp_path / "lone", anchored=False)
+    report = lint([lone], rules=["blocking-under-lock"])
+    assert report.findings == [] and report.suppressed == []
 
 
 def test_flow_for_memoises_on_the_project(tmp_path):

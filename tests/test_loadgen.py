@@ -66,7 +66,7 @@ class TestScenarios:
 
 class TestInProcess:
     def test_mixed_run_verified_against_bfs(self):
-        manager = SessionManager(shards=4)
+        manager = SessionManager()
         engine = QueryEngine(manager)
         report = run_scenario(
             smoke_scenario(),
@@ -147,9 +147,7 @@ class TestInProcess:
 
 class TestOverTcp:
     def test_tcp_run_against_live_server(self):
-        server = ReproServer(
-            ("127.0.0.1", 0), ReproService(shards=4)
-        )
+        server = ReproServer(("127.0.0.1", 0), ReproService())
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -187,7 +185,7 @@ class TestCli:
             [
                 "loadgen", "many-small-sessions",
                 "--duration", "0.3", "--workers", "2",
-                "--shards", "2", "--verify", "--json",
+                "--verify", "--json",
             ]
         )
         assert status == 0

@@ -443,7 +443,7 @@ class TestSlowQueryLogEndToEnd:
         records = []
         logger = _capture_logger("test-obs-slow-e2e", records)
         service = ReproService(
-            shards=1, tracer=Tracer(slow_threshold=0.01, logger=logger)
+            tracer=Tracer(slow_threshold=0.01, logger=logger)
         )
         run, execution = run_and_execution
         service.handle(Request(op="create_session", params={
@@ -632,7 +632,7 @@ class TestEngineAccounting:
         """Snapshots taken while query batches are in flight never go
         backwards, and the final count is exactly the pairs answered."""
         run, execution = run_and_execution
-        manager = SessionManager(shards=4)
+        manager = SessionManager()
         engine = QueryEngine(manager, metrics=MetricsRegistry())
         vids = sorted(run.graph.vertices())
         for name in ("s0", "s1", "s2"):
@@ -698,7 +698,7 @@ class TestEngineAccounting:
 class TestTracePropagationOverTCP:
     def test_client_trace_id_reaches_the_wal(self, tmp_path, running_spec):
         run, execution = make_execution(running_spec, size=80, seed=2)
-        service = ReproService(shards=2, data_dir=str(tmp_path))
+        service = ReproService(data_dir=str(tmp_path))
         server = ReproServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -798,7 +798,7 @@ class TestTracePropagationOverTCP:
 def server_fixture():
     """A server over a private registry, so assertions see only its own
     traffic (the process-default registry is shared suite-wide)."""
-    service = ReproService(shards=2, metrics=MetricsRegistry())
+    service = ReproService(metrics=MetricsRegistry())
     server = ReproServer(("127.0.0.1", 0), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -815,7 +815,7 @@ def server_fixture():
 class TestLoadgenLatency:
     def test_report_latency_percentiles_monotonic(self):
         scenario = get_scenario("mixed")
-        engine = QueryEngine(SessionManager(shards=2))
+        engine = QueryEngine(SessionManager())
         report = run_scenario(
             scenario,
             engine_driver_factory(engine),

@@ -324,21 +324,16 @@ class TestQueryEngine:
 
 
 # ---------------------------------------------------------------------------
-# lock striping (the session registry)
+# the session registry: many sessions under one lock
 # ---------------------------------------------------------------------------
 
 
 class TestShardedEngine:
-    def test_invalid_shards_rejected(self):
-        with pytest.raises(ValueError):
-            SessionManager(shards=0)
-
     def test_striped_answers_match_ground_truth(self, running_spec):
-        """Correctness is shard-count independent: many sessions spread
-        across 4 registry stripes answer exactly like a single lock."""
-        manager = SessionManager(shards=4)
+        """Many sessions hosted side by side each answer exactly like
+        BFS on their own run."""
+        manager = SessionManager()
         engine = QueryEngine(manager)
-        assert manager.shards == 4
         for i in range(6):
             name = f"s{i}"
             run, execution = make_execution(
@@ -358,7 +353,7 @@ class TestShardedEngine:
         assert engine.stats().queries == 6 * 2 * 80
 
     def test_sharded_manager_hosts_many_sessions(self, running_spec):
-        manager = SessionManager(shards=4)
+        manager = SessionManager()
         names = [f"run-{i}" for i in range(12)]
         for name in names:
             manager.create(name, running_spec)
@@ -377,8 +372,8 @@ class TestShardedEngine:
 
     def test_sharded_concurrent_create_close(self, running_spec):
         """Create/close storms on distinct names never corrupt the
-        striped registry."""
-        manager = SessionManager(shards=4)
+        registry."""
+        manager = SessionManager()
         errors = []
 
         def churn(worker):
@@ -691,6 +686,30 @@ class TestServer:
             assert stats["queries"] >= 2 * len(pairs) + 1
             assert client.close_session("demo")["closed"] == "demo"
 
+    def test_server_close_ends_every_connection(self):
+        """An idle client connection does not keep its handler thread
+        alive past server_close: the handler is joined, and the client
+        reads EOF."""
+        server = ReproServer(("127.0.0.1", 0))
+        serving = threading.Thread(target=server.serve_forever, daemon=True)
+        serving.start()
+        before = set(threading.enumerate())
+        with socket.create_connection(("127.0.0.1", server.port),
+                                      timeout=5) as sock:
+            reader = sock.makefile("rb")
+            sock.sendall(b'{"op": "ping", "id": 1}\n')
+            assert json.loads(reader.readline())["ok"] is True
+            handlers = [t for t in threading.enumerate() if t not in before]
+            assert handlers, "the connection has a handler thread"
+            server.shutdown()
+            server.server_close()
+            serving.join(timeout=5)
+            assert not serving.is_alive()
+            assert [t for t in handlers if t.is_alive()] == []
+            assert reader.readline() == b""
+            reader.close()
+        server.service.close()
+
     def test_remote_errors_are_mapped(self, server):
         with ServiceClient("127.0.0.1", server.port) as client:
             with pytest.raises(SessionNotFoundError):
@@ -773,7 +792,7 @@ class TestServerRobustness:
 
     @pytest.fixture()
     def small_batch_server(self):
-        service = ReproService(shards=2, max_batch=8)
+        service = ReproService(max_batch=8)
         server = ReproServer(("127.0.0.1", 0), service)
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
@@ -937,9 +956,7 @@ class TestSelftest:
     def test_cli_selftest_single_shard(self, capsys):
         from repro.cli import main
 
-        assert main(
-            ["serve", "--selftest", "--size", "120", "--shards", "1"]
-        ) == 0
+        assert main(["serve", "--selftest", "--size", "120"]) == 0
         assert "all checks passed" in capsys.readouterr().out
 
 
