@@ -58,81 +58,87 @@ Sessions host any *dynamic* scheme (``manager.create(..., scheme="naive")``,
 ``repro serve``/``repro label`` take ``--scheme``).
 """
 
-from repro.errors import (
-    CycleError,
-    DerivationError,
-    ExecutionError,
-    GraphError,
-    LabelingError,
-    NotTwoTerminalError,
-    ProtocolError,
-    ReproError,
-    ServiceError,
-    SessionNotFoundError,
-    SpecificationError,
-    UnsupportedWorkflowError,
-)
-from repro.graphs import (
-    NamedDAG,
-    TwoTerminalGraph,
-    insert_vertex,
-    parallel_composition,
-    random_two_terminal_dag,
-    reaches,
-    replace_vertex,
-    series_composition,
-)
-from repro.workflow import (
-    Derivation,
-    DerivationEngine,
-    DerivationPolicy,
-    Execution,
-    GrammarClass,
-    Insertion,
-    Specification,
-    analyze_grammar,
-    execution_from_derivation,
-    sample_run,
-)
-from repro.workflow.specification import make_spec
-from repro.parsetree import CanonicalParseTree, ExplicitParseTree, NodeKind
-from repro.labeling import (
-    BFSSkeleton,
-    DRL,
-    DRLDerivationLabeler,
-    DRLExecutionLabeler,
-    NaiveDynamicScheme,
-    SKL,
-    TCLSkeleton,
-)
-from repro.datasets import (
-    bioaid,
-    builtin_spec_names,
-    fig12_path_grammar,
-    running_example,
-    spec_by_name,
-    synthetic_spec,
-    theorem1_grammar,
-)
-from repro.provenance import ProvenanceStore
-from repro.schemes import (
-    DynamicScheme,
-    Scheme,
-    SchemeCapabilities,
-    StaticScheme,
-    Workload,
-)
-from repro.service import (
-    QueryEngine,
-    ReproServer,
-    ReproService,
-    ServiceClient,
-    ServiceStats,
-    Session,
-    SessionManager,
-    checkpoint_session,
-    restore_session,
-)
+import importlib as _importlib
+import sys as _sys
+
+
+def _lazy_exports(package, exports):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of module ``package``.
+
+    A package ``__init__`` that re-exported names by importing its
+    submodules would load all of them whenever any one submodule is
+    imported, since the package ``__init__`` runs first.  Instead each
+    package here names where its public names live: ``exports`` maps a
+    module, absolute or relative to ``package``, to the names it
+    defines.  The first read of a name imports its module and binds the
+    value in ``package``'s namespace, so later reads are plain attribute
+    lookups.  Any other name raises :class:`AttributeError`, which is
+    what lets ``from package import submodule`` fall back to importing
+    the submodule.  A process thus loads only what its role runs: a
+    cluster router no labeling code, a server no cluster code.
+    """
+    home = {name: module for module, names in exports.items()
+            for name in names}
+    namespace = _sys.modules[package].__dict__
+
+    def __getattr__(name):
+        try:
+            module = home[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(_importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted(set(namespace) | set(home))
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.errors": (
+        "CycleError", "DerivationError", "ExecutionError", "GraphError",
+        "LabelingError", "NotTwoTerminalError", "ProtocolError",
+        "ReproError", "ServiceError", "SessionNotFoundError",
+        "SpecificationError", "UnsupportedWorkflowError",
+    ),
+    "repro.graphs": (
+        "NamedDAG", "TwoTerminalGraph", "insert_vertex",
+        "parallel_composition", "random_two_terminal_dag", "reaches",
+        "replace_vertex", "series_composition",
+    ),
+    "repro.workflow": (
+        "Derivation", "DerivationEngine", "DerivationPolicy", "Execution",
+        "GrammarClass", "Insertion", "Specification", "analyze_grammar",
+        "execution_from_derivation", "sample_run",
+    ),
+    "repro.workflow.specification": ("make_spec",),
+    "repro.parsetree": (
+        "CanonicalParseTree", "ExplicitParseTree", "NodeKind",
+    ),
+    "repro.labeling": (
+        "BFSSkeleton", "DRL", "DRLDerivationLabeler", "DRLExecutionLabeler",
+        "NaiveDynamicScheme", "SKL", "TCLSkeleton",
+    ),
+    "repro.datasets": (
+        "bioaid", "builtin_spec_names", "fig12_path_grammar",
+        "running_example", "spec_by_name", "synthetic_spec",
+        "theorem1_grammar",
+    ),
+    "repro.provenance": ("ProvenanceStore",),
+    "repro.schemes": (
+        "DynamicScheme", "Scheme", "SchemeCapabilities", "StaticScheme",
+        "Workload",
+    ),
+    "repro.service": (
+        "QueryEngine", "ReproServer", "ReproService", "ServiceClient",
+        "ServiceStats", "Session", "SessionManager", "checkpoint_session",
+        "restore_session",
+    ),
+})
 
 __version__ = "1.0.0"
 

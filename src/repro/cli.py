@@ -39,40 +39,16 @@ chosen by file extension (``.json`` / ``.xml``).
 from __future__ import annotations
 
 import argparse
-import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.io import (
-    load_execution_json,
-    load_execution_xml,
-    load_label_store,
-    save_execution_json,
-    save_execution_xml,
-    save_labels,
-    save_specification_json,
-    save_specification_xml,
-)
 from repro.errors import ReproError, ServiceError
-from repro.schemes import registry as scheme_registry
-from repro.workflow.derivation import sample_run
-from repro.workflow.execution import execution_from_derivation
-from repro.workflow.grammar import analyze_grammar
-from repro.workflow.normalize import normalize_specification
-from repro.workflow.specification import Specification
-from repro.workflow.validation import naming_condition_violations
 
+if TYPE_CHECKING:
+    from repro.workflow.specification import Specification
 
-def _save_spec(spec: Specification, path: str) -> None:
-    if path.endswith(".xml"):
-        save_specification_xml(spec, path)
-    else:
-        save_specification_json(spec, path)
-
-
-def _load_execution(path: str):
-    if path.endswith(".xml"):
-        return load_execution_xml(path)
-    return load_execution_json(path)
+# Each command imports what it runs, so a process loads only its own
+# role's modules: ``serve --workers N`` (the cluster router) loads no
+# labeling, workflow or WAL code, and ``serve`` no cluster code.
 
 
 def _builtin_or_file(name: str) -> Specification:
@@ -85,12 +61,26 @@ def _builtin_or_file(name: str) -> Specification:
         raise SystemExit(str(exc)) from None
 
 
+def _check_dynamic_scheme(name: str, *extra: str) -> None:
+    """Exit unless ``name`` is a registered dynamic scheme or in ``extra``."""
+    from repro.schemes import registry
+
+    valid = registry.available(dynamic=True) + list(extra)
+    if name not in valid:
+        raise SystemExit(
+            f"unknown dynamic scheme {name!r}; expected one of {valid}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_info(args) -> int:
+    from repro.workflow.grammar import analyze_grammar
+    from repro.workflow.validation import naming_condition_violations
+
     spec = _builtin_or_file(args.spec)
     info = analyze_grammar(spec)
     print(f"name:            {spec.name}")
@@ -114,6 +104,12 @@ def cmd_info(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    import random
+
+    from repro.io import save_execution_json, save_execution_xml
+    from repro.workflow.derivation import sample_run
+    from repro.workflow.execution import execution_from_derivation
+
     spec = _builtin_or_file(args.spec)
     run = sample_run(spec, args.size, random.Random(args.seed))
     rng = random.Random(args.seed + 1) if args.shuffle else None
@@ -127,8 +123,15 @@ def cmd_derive(args) -> int:
 
 
 def cmd_label(args) -> int:
+    from repro.io import load_execution_json, load_execution_xml, save_labels
+    from repro.schemes import registry as scheme_registry
+
+    _check_dynamic_scheme(args.scheme)
     spec = _builtin_or_file(args.spec)
-    insertions = _load_execution(args.execution)
+    if args.execution.endswith(".xml"):
+        insertions = load_execution_xml(args.execution)
+    else:
+        insertions = load_execution_json(args.execution)
     try:
         scheme = scheme_registry.open_dynamic(
             args.scheme, spec, skeleton=args.skeleton, mode=args.mode
@@ -147,6 +150,9 @@ def cmd_label(args) -> int:
 
 
 def cmd_query(args) -> int:
+    from repro.io import load_label_store
+    from repro.schemes import registry as scheme_registry
+
     spec = _builtin_or_file(args.spec)
     scheme_name, labels = load_label_store(spec, args.labels)
     scheme = scheme_registry.open_dynamic(
@@ -162,6 +168,8 @@ def cmd_query(args) -> int:
 
 
 def cmd_schemes(args) -> int:
+    from repro.schemes import registry as scheme_registry
+
     for record in scheme_registry.describe():
         kind = "dynamic" if record["dynamic"] else "static"
         exact = "exact" if record["exact"] else "filter+fallback"
@@ -174,9 +182,15 @@ def cmd_schemes(args) -> int:
 
 
 def cmd_normalize(args) -> int:
+    from repro.io import save_specification_json, save_specification_xml
+    from repro.workflow.normalize import normalize_specification
+
     spec = _builtin_or_file(args.spec)
     normalized, name_map = normalize_specification(spec)
-    _save_spec(normalized, args.out)
+    if args.out.endswith(".xml"):
+        save_specification_xml(normalized, args.out)
+    else:
+        save_specification_json(normalized, args.out)
     renamed = len(name_map.to_original)
     print(f"normalized -> {args.out} ({renamed} names rewritten)")
     for new, old in sorted(name_map.to_original.items())[:10]:
@@ -211,8 +225,6 @@ def cmd_serve(args) -> int:
 
     from repro.faults import FAILPOINTS
     from repro.obs.logs import configure_logging
-    from repro.obs.metrics import MetricsExporter
-    from repro.service.server import ReproServer, ReproService, serve_stdio
 
     if args.workers < 0:
         raise SystemExit("--workers must be >= 0 (0 = in-process)")
@@ -254,6 +266,7 @@ def cmd_serve(args) -> int:
     if args.selftest:
         from repro.service.selftest import run_selftest, run_selftest_all_dynamic
 
+        _check_dynamic_scheme(args.scheme, "all")
         if args.scheme == "all":
             return run_selftest_all_dynamic(
                 size=args.size, seed=args.seed,
@@ -287,6 +300,8 @@ def cmd_serve(args) -> int:
         except KeyboardInterrupt:  # pragma: no cover - interactive only
             supervisor.stop()
         return 0
+    from repro.service.server import ReproServer, ReproService, serve_stdio
+
     service = ReproService(
         data_dir=args.data_dir,
         fsync=args.fsync,
@@ -298,6 +313,8 @@ def cmd_serve(args) -> int:
     )
     exporter = None
     if args.metrics_port is not None:
+        from repro.obs.metrics import MetricsExporter
+
         exporter = MetricsExporter(
             service.metrics.render_prometheus, port=args.metrics_port
         ).start()
@@ -648,13 +665,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random topological order instead of deterministic")
     p.set_defaults(func=cmd_derive)
 
-    dynamic_schemes = scheme_registry.available(dynamic=True)
-
     p = sub.add_parser("label", help="label an execution log on-the-fly")
     p.add_argument("spec")
     p.add_argument("execution")
     p.add_argument("-o", "--out", required=True)
-    p.add_argument("--scheme", choices=dynamic_schemes, default="drl",
+    p.add_argument("--scheme", default="drl",
                    help="dynamic labeling backend (see 'repro schemes')")
     p.add_argument("--skeleton", choices=["tcl", "bfs"], default="tcl")
     p.add_argument("--mode", choices=["name", "logged"], default="logged")
@@ -727,7 +742,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'wal.pre_fsync=crash,wal.post_append=raise@2' "
                         "(also read from $REPRO_FAILPOINTS)")
     from repro.obs.logs import LOG_FORMATS, LOG_LEVELS
-    from repro.service.server import DEFAULT_SLOW_THRESHOLD
+    from repro.obs.trace import DEFAULT_SLOW_THRESHOLD
 
     p.add_argument("--metrics-port", type=int, default=None,
                    help="expose Prometheus text metrics on this HTTP "
@@ -744,10 +759,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "span timeline")
     p.add_argument("--selftest", action="store_true",
                    help="run one scripted session end-to-end and exit")
-    p.add_argument("--scheme", choices=dynamic_schemes + ["all"],
-                   default="drl",
+    p.add_argument("--scheme", default="drl",
                    help="selftest: dynamic scheme to exercise "
-                        "('all' sweeps every registered one)")
+                        "('all' sweeps every registered one; see "
+                        "'repro schemes')")
     p.add_argument("--spec", default=None,
                    help="selftest: spec to exercise (default: one the "
                         "chosen scheme supports)")

@@ -58,3 +58,7 @@ class SessionNotFoundError(ServiceError):
 
 class ProtocolError(ServiceError):
     """A malformed or unsupported service protocol message."""
+
+
+class FormatError(ReproError):
+    """Malformed serialized document."""

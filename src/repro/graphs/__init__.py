@@ -15,21 +15,17 @@ This package implements every graph notion used by the paper:
   (:mod:`repro.graphs.random_graphs`).
 """
 
-from repro.graphs.digraph import IdAllocator, NamedDAG
-from repro.graphs.two_terminal import TwoTerminalGraph
-from repro.graphs.ops import (
-    insert_vertex,
-    parallel_composition,
-    replace_vertex,
-    series_composition,
-)
-from repro.graphs.reachability import (
-    TransitiveClosure,
-    ancestors_of,
-    descendants_of,
-    reaches,
-)
-from repro.graphs.random_graphs import random_two_terminal_dag
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".digraph": ("IdAllocator", "NamedDAG"),
+    ".two_terminal": ("TwoTerminalGraph",),
+    ".ops": ("insert_vertex", "parallel_composition", "replace_vertex",
+             "series_composition"),
+    ".reachability": ("TransitiveClosure", "ancestors_of", "descendants_of",
+                      "reaches"),
+    ".random_graphs": ("random_two_terminal_dag",),
+})
 
 __all__ = [
     "IdAllocator",

@@ -10,29 +10,23 @@ equivalent and a binary label store:
   binary codec of :mod:`repro.labeling.serialize`.
 """
 
-from repro.io.jsonio import (
-    execution_from_json,
-    execution_to_json,
-    insertion_from_json,
-    insertion_to_json,
-    load_execution_json,
-    load_specification_json,
-    save_execution_json,
-    save_specification_json,
-    specification_from_json,
-    specification_to_json,
-)
-from repro.io.labelstore import load_label_store, load_labels, save_labels
-from repro.io.xmlio import (
-    execution_from_xml,
-    execution_to_xml,
-    load_execution_xml,
-    load_specification_xml,
-    save_execution_xml,
-    save_specification_xml,
-    specification_from_xml,
-    specification_to_xml,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".jsonio": (
+        "execution_from_json", "execution_to_json", "insertion_from_json",
+        "insertion_to_json", "load_execution_json", "load_specification_json",
+        "save_execution_json", "save_specification_json",
+        "specification_from_json", "specification_to_json",
+    ),
+    ".labelstore": ("load_label_store", "load_labels", "save_labels"),
+    ".xmlio": (
+        "execution_from_xml", "execution_to_xml", "load_execution_xml",
+        "load_specification_xml", "save_execution_xml",
+        "save_specification_xml", "specification_from_xml",
+        "specification_to_xml",
+    ),
+})
 
 __all__ = [
     "specification_to_xml",

@@ -8,10 +8,10 @@ tag and version for forward compatibility.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
+from repro.errors import FormatError, ProtocolError
 from repro.graphs.two_terminal import TwoTerminalGraph
-from repro.io.xmlio import FormatError
 from repro.workflow.execution import Insertion
 from repro.workflow.specification import Specification, make_spec
 
@@ -140,6 +140,65 @@ def insertion_from_json(event: Dict) -> Insertion:
         )
     except (KeyError, TypeError) as exc:
         raise FormatError(f"malformed insertion event: {exc}") from None
+
+
+def insertions_to_wire(insertions: Iterable[Insertion]) -> List[Dict]:
+    """Serialize insertions for a service ``ingest`` request."""
+    return [insertion_to_json(ins) for ins in insertions]
+
+
+def insertions_from_wire(events: Any) -> List[Insertion]:
+    """Decode a service ``ingest`` payload (a list of insertion events).
+
+    Every event is decoded and type-checked before any is returned, so
+    a bad one refuses the whole request, with a
+    :class:`~repro.errors.ProtocolError`, before anything is applied.
+    """
+    if isinstance(events, dict):  # a single bare event is accepted
+        events = [events]
+    if not isinstance(events, list):
+        raise ProtocolError("'insertions' must be an event or event list")
+    try:
+        insertions = [insertion_from_json(event) for event in events]
+    except FormatError as exc:
+        raise ProtocolError(f"bad insertion event: {exc}") from None
+    for index, insertion in enumerate(insertions):
+        problem = _ill_typed(events[index]["preds"], insertion)
+        if problem is not None:
+            raise ProtocolError(f"bad insertion event {index}: {problem}")
+    return insertions
+
+
+def _ill_typed(preds: Any, insertion: Insertion) -> Optional[str]:
+    """What breaks the wire types of one decoded event, if anything.
+
+    ``type() is``, not ``isinstance``: JSON ``true`` decodes to a
+    ``bool``, an ``int`` subclass, but is no vertex id.  ``preds`` is
+    the raw list, because the decoded frozenset has already merged
+    ``1`` and ``true``.
+    """
+    if type(insertion.vid) is not int:
+        return "'vid' must be an integer"
+    if type(insertion.name) is not str:
+        return "'name' must be a string"
+    if type(preds) is not list:
+        return "'preds' must be a list of vertex ids"
+    for pred in preds:
+        if type(pred) is not int:
+            return "'preds' must be a list of vertex ids"
+    origin = insertion.origin
+    if origin is not None and (
+        type(origin[0]) is not str
+        or type(origin[1]) is not int
+        or type(origin[2]) is not int
+    ):
+        return "'origin' needs a string 'key' and integer 'token' and 'tv'"
+    slot = insertion.slot
+    if slot is not None and (
+        type(slot[0]) is not int or type(slot[1]) is not int
+    ):
+        return "'slot' needs integer 'token' and 'tv'"
+    return None
 
 
 def execution_to_json(

@@ -17,7 +17,7 @@ import base64
 import json
 from typing import Dict, Tuple
 
-from repro.io.xmlio import FormatError
+from repro.errors import FormatError
 from repro.labeling.serialize import codec_for_scheme
 from repro.workflow.specification import Specification
 

@@ -29,15 +29,10 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from typing import Iterable, List
 
-from repro.errors import ReproError
+from repro.errors import FormatError
 from repro.graphs.two_terminal import TwoTerminalGraph
 from repro.workflow.execution import Insertion
 from repro.workflow.specification import Specification, make_spec
-
-
-class FormatError(ReproError):
-    """Malformed serialized document."""
-
 
 # ---------------------------------------------------------------------------
 # specifications

@@ -26,27 +26,26 @@ Skeleton schemes for the specification graphs (Section 5.1):
   breadth-first search per query.
 """
 
-from repro.labeling.bits import pointer_bits, uint_bits
-from repro.labeling.skeleton import BFSSkeleton, SkeletonScheme, TCLSkeleton, make_skeleton
-from repro.labeling.drl import DRL, DRLDerivationLabeler, Entry, Label, SkeletonRef
-from repro.labeling.compact import (
-    CompactDRL,
-    PackedLabel,
-    PackedLabelFactory,
-    SkeletonBitsets,
-    pack_label,
-    unpack_label,
-)
-from repro.labeling.drl_execution import DRLExecutionLabeler
-from repro.labeling.naive_dynamic import NaiveDynamicScheme, NaiveLabel
-from repro.labeling.skl import SKL, SKLLabel
-from repro.labeling.chains import ChainIndex
-from repro.labeling.grail import GrailIndex
-from repro.labeling.twohop import TwoHopIndex
-from repro.labeling.tree_transform import TreeTransformIndex
-from repro.labeling.path_position import PathPositionScheme
-from repro.labeling.dewey import DeweyTree
-from repro.labeling.serialize import LabelCodec, PackedLabelCodec
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".bits": ("pointer_bits", "uint_bits"),
+    ".skeleton": ("BFSSkeleton", "SkeletonScheme", "TCLSkeleton",
+                  "make_skeleton"),
+    ".drl": ("DRL", "DRLDerivationLabeler", "Entry", "Label", "SkeletonRef"),
+    ".compact": ("CompactDRL", "PackedLabel", "PackedLabelFactory",
+                 "SkeletonBitsets", "pack_label", "unpack_label"),
+    ".drl_execution": ("DRLExecutionLabeler",),
+    ".naive_dynamic": ("NaiveDynamicScheme", "NaiveLabel"),
+    ".skl": ("SKL", "SKLLabel"),
+    ".chains": ("ChainIndex",),
+    ".grail": ("GrailIndex",),
+    ".twohop": ("TwoHopIndex",),
+    ".tree_transform": ("TreeTransformIndex",),
+    ".path_position": ("PathPositionScheme",),
+    ".dewey": ("DeweyTree",),
+    ".serialize": ("LabelCodec", "PackedLabelCodec"),
+})
 
 __all__ = [
     "uint_bits",

@@ -26,37 +26,19 @@ Everything here is standard library only, by design: observability
 must never be the dependency that keeps the service from booting.
 """
 
+from repro import _lazy_exports
 from repro.obs import names
-from repro.obs.histogram import (
-    Histogram,
-    HistogramSnapshot,
-    bucket_bounds,
-    bucket_index,
-    merge_snapshots,
-)
-from repro.obs.logs import (
-    JsonLineFormatter,
-    TextLineFormatter,
-    configure_logging,
-    log_event,
-)
-from repro.obs.metrics import (
-    NULL,
-    Counter,
-    MetricsExporter,
-    MetricsRegistry,
-    default_registry,
-    parse_prometheus_text,
-)
-from repro.obs.trace import (
-    Span,
-    Trace,
-    Tracer,
-    activate,
-    current_trace,
-    current_trace_id,
-    new_trace_id,
-)
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".histogram": ("Histogram", "HistogramSnapshot", "bucket_bounds",
+                   "bucket_index", "merge_snapshots"),
+    ".logs": ("JsonLineFormatter", "TextLineFormatter", "configure_logging",
+              "log_event"),
+    ".metrics": ("NULL", "Counter", "MetricsExporter", "MetricsRegistry",
+                 "default_registry", "parse_prometheus_text"),
+    ".trace": ("Span", "Trace", "Tracer", "activate", "current_trace",
+               "current_trace_id", "new_trace_id"),
+})
 
 __all__ = [
     "names",

@@ -24,7 +24,6 @@ from __future__ import annotations
 import gc
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.histogram import Histogram, bucket_upper_seconds
@@ -300,6 +299,10 @@ class MetricsExporter:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        # only ``serve --metrics-port`` runs an exporter: every other
+        # process leaves http.server (and what it imports) unloaded
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         exporter = self
 
         class _Handler(BaseHTTPRequestHandler):

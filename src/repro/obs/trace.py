@@ -34,6 +34,11 @@ from repro.obs.names import SLOW_QUERY_LOGGER
 
 _slow_logger = logging.getLogger(SLOW_QUERY_LOGGER)
 
+# a server's slow threshold unless ``repro serve --slow-threshold`` says
+# otherwise: requests slower than this many seconds are retained in the
+# slow ring and dumped to the slow-query log with their span timeline
+DEFAULT_SLOW_THRESHOLD = 0.5
+
 _active = threading.local()
 
 

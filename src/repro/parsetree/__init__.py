@@ -11,9 +11,13 @@
   predicate.
 """
 
-from repro.parsetree.explicit import ExplicitParseTree, NodeKind, ParseNode
-from repro.parsetree.canonical import CanonicalParseTree
-from repro.parsetree.queries import tree_reaches
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".explicit": ("ExplicitParseTree", "NodeKind", "ParseNode"),
+    ".canonical": ("CanonicalParseTree",),
+    ".queries": ("tree_reaches",),
+})
 
 __all__ = [
     "ExplicitParseTree",

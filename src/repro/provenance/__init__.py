@@ -8,6 +8,10 @@ DRL labeler to a small data-item catalog so such queries are answered from
 two labels in constant time, as soon as the relevant data exists.
 """
 
-from repro.provenance.store import DataItem, ModuleRun, ProvenanceStore
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".store": ("DataItem", "ModuleRun", "ProvenanceStore"),
+})
 
 __all__ = ["ProvenanceStore", "DataItem", "ModuleRun"]

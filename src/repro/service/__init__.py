@@ -25,19 +25,20 @@ protocol op lists the available backends, and WAL headers (a
 checkpoint is one) record the scheme a session is restored under.
 """
 
-from repro.service.client import ServiceClient
-from repro.service.cluster import ClusterSupervisor, session_worker
-from repro.service.engine import QueryEngine, ServiceStats
-from repro.service.protocol import Request, Response
-from repro.service.server import ReproServer, ReproService, serve_stdio
-from repro.service.sessions import Session, SessionManager
-from repro.service.wal import (
-    DurableStore,
-    WriteAheadLog,
-    checkpoint_session,
-    replay_wal,
-    restore_session,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".client": ("ServiceClient",),
+    ".cluster": ("ClusterSupervisor", "session_worker"),
+    ".engine": ("QueryEngine", "ServiceStats"),
+    ".protocol": ("Request", "Response"),
+    ".server": ("ReproServer", "ReproService", "serve_stdio"),
+    ".sessions": ("Session", "SessionManager"),
+    ".wal": (
+        "DurableStore", "WriteAheadLog", "checkpoint_session", "replay_wal",
+        "restore_session",
+    ),
+})
 
 __all__ = [
     "Session",

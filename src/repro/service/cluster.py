@@ -85,6 +85,7 @@ import os
 import selectors
 import signal
 import socket
+import time
 import zlib
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union
@@ -363,8 +364,20 @@ class ClusterSupervisor:
             raise ServiceError("cluster already started")
         self._check_manifest()
         self._selector = selectors.DefaultSelector()
-        for worker in self._fleet:
-            self._spawn(worker)
+        # every worker boots at once, so N workers start in about one
+        # worker's boot time; a failed boot takes the others down
+        launched = [(worker, *self._launch(worker)) for worker in self._fleet]
+        deadline = time.monotonic() + WORKER_BOOT_TIMEOUT
+        try:
+            for worker, process, pipe in launched:
+                self._await_ready(worker, process, pipe, deadline)
+        except BaseException:
+            for _worker, process, pipe in launched:
+                pipe.close()
+                if process.is_alive():
+                    process.terminate()
+                process.join(timeout=5)
+            raise
         self._listener = socket.create_server(
             (self.host, self._requested_port), backlog=128,
             reuse_port=False,
@@ -412,6 +425,16 @@ class ClusterSupervisor:
 
     def _spawn(self, worker: _Worker) -> None:
         """Start one worker process, learn its port, watch its death."""
+        process, pipe = self._launch(worker)
+        self._await_ready(worker, process, pipe,
+                          time.monotonic() + WORKER_BOOT_TIMEOUT)
+
+    def _launch(self, worker: _Worker) -> Tuple[
+        multiprocessing.process.BaseProcess,
+        multiprocessing.connection.Connection,
+    ]:
+        """Start one worker process; returns it and the pipe on which
+        it will report its port."""
         parent, child = self._mp.Pipe(duplex=False)
         config = dict(self._config)
         config["data_dir"] = self._worker_dir(worker.index)
@@ -423,14 +446,27 @@ class ClusterSupervisor:
         )
         process.start()
         child.close()
-        if not parent.poll(WORKER_BOOT_TIMEOUT):
-            process.terminate()
-            raise ServiceError(
-                f"worker {worker.index} did not report a port within "
-                f"{WORKER_BOOT_TIMEOUT}s"
-            )
-        status, payload = parent.recv()
-        parent.close()
+        return process, parent
+
+    def _await_ready(
+        self,
+        worker: _Worker,
+        process: multiprocessing.process.BaseProcess,
+        pipe: multiprocessing.connection.Connection,
+        deadline: float,
+    ) -> None:
+        """Learn a launched worker's port by ``deadline`` (a
+        ``time.monotonic()`` instant) and watch its death."""
+        try:
+            if not pipe.poll(max(0.0, deadline - time.monotonic())):
+                process.terminate()
+                raise ServiceError(
+                    f"worker {worker.index} did not report a port within "
+                    f"{WORKER_BOOT_TIMEOUT}s"
+                )
+            status, payload = pipe.recv()
+        finally:
+            pipe.close()
         if status != "ready":
             process.join(timeout=5)
             raise ServiceError(

@@ -119,8 +119,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Type
+from typing import Any, Dict, Optional, Type
 
+from repro import _lazy_exports
 from repro.errors import (
     DerivationError,
     ExecutionError,
@@ -133,9 +134,6 @@ from repro.errors import (
     SpecificationError,
     UnsupportedWorkflowError,
 )
-from repro.io.jsonio import insertion_from_json, insertion_to_json
-from repro.io.xmlio import FormatError
-from repro.workflow.execution import Insertion
 
 OPS = (
     "create_session",
@@ -329,64 +327,10 @@ def raise_for_response(response: Response) -> Any:
     raise exception_for_code(response.code, response.error or "remote error")
 
 
-# ---------------------------------------------------------------------------
-# insertion payloads
-# ---------------------------------------------------------------------------
-
-
-def insertions_to_wire(insertions) -> List[Dict[str, Any]]:
-    """Serialize insertions for an ``ingest`` request."""
-    return [insertion_to_json(ins) for ins in insertions]
-
-
-def insertions_from_wire(events: Any) -> List[Insertion]:
-    """Decode an ``ingest`` payload (a list of insertion events).
-
-    Every event is decoded and type-checked before any is returned, so
-    a bad one refuses the whole request before anything is applied.
-    """
-    if isinstance(events, dict):  # a single bare event is accepted
-        events = [events]
-    if not isinstance(events, list):
-        raise ProtocolError("'insertions' must be an event or event list")
-    try:
-        insertions = [insertion_from_json(event) for event in events]
-    except FormatError as exc:
-        raise ProtocolError(f"bad insertion event: {exc}") from None
-    for index, insertion in enumerate(insertions):
-        problem = _ill_typed(events[index]["preds"], insertion)
-        if problem is not None:
-            raise ProtocolError(f"bad insertion event {index}: {problem}")
-    return insertions
-
-
-def _ill_typed(preds: Any, insertion: Insertion) -> Optional[str]:
-    """What breaks the wire types of one decoded event, if anything.
-
-    ``type() is``, not ``isinstance``: JSON ``true`` decodes to a
-    ``bool``, an ``int`` subclass, but is no vertex id.  ``preds`` is
-    the raw list, because the decoded frozenset has already merged
-    ``1`` and ``true``.
-    """
-    if type(insertion.vid) is not int:
-        return "'vid' must be an integer"
-    if type(insertion.name) is not str:
-        return "'name' must be a string"
-    if type(preds) is not list:
-        return "'preds' must be a list of vertex ids"
-    for pred in preds:
-        if type(pred) is not int:
-            return "'preds' must be a list of vertex ids"
-    origin = insertion.origin
-    if origin is not None and (
-        type(origin[0]) is not str
-        or type(origin[1]) is not int
-        or type(origin[2]) is not int
-    ):
-        return "'origin' needs a string 'key' and integer 'token' and 'tv'"
-    slot = insertion.slot
-    if slot is not None and (
-        type(slot[0]) is not int or type(slot[1]) is not int
-    ):
-        return "'slot' needs integer 'token' and 'tv'"
-    return None
+# the ingest payload codecs need the execution-log schema of
+# repro.io.jsonio, which a cluster router (it forwards lines verbatim)
+# never loads; the server and client modules that run them bind them
+# at import, so no request pays for the import
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.io.jsonio": ("insertions_from_wire", "insertions_to_wire"),
+})

@@ -55,7 +55,7 @@ from repro.faults import FAILPOINTS
 from repro.obs.logs import log_event
 from repro.obs.metrics import MetricsRegistry, default_registry
 from repro.obs.names import OP_LATENCY_SECONDS, REQUESTS_TOTAL
-from repro.obs.trace import Tracer, activate
+from repro.obs.trace import DEFAULT_SLOW_THRESHOLD, Tracer, activate
 from repro.service.engine import QueryEngine
 from repro.service.replication import ReplicaApplier, ReplicationHub
 from repro.service.wal import (
@@ -81,10 +81,6 @@ DEFAULT_PORT = 7464  # "RL" on a phone keypad, roughly
 # (exact types -- JSON true/false must not pass as vertex ids 1/0)
 _PAIR_TYPES = (list, tuple)
 _PAIRS_SHAPE = "'pairs' must be a list of [source, target] vertex ids"
-
-# queries slower than this are retained in the slow ring and dumped to
-# the structured slow-query log with their full span timeline
-DEFAULT_SLOW_THRESHOLD = 0.5
 
 _server_logger = logging.getLogger("repro.service.server")
 

@@ -46,9 +46,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.datasets import spec_by_name
-from repro.errors import ServiceError, SessionNotFoundError
+from repro.errors import FormatError, ServiceError, SessionNotFoundError
 from repro.io.jsonio import insertion_from_json
-from repro.io.xmlio import FormatError
 from repro.labeling.drl import Label
 from repro.labeling.naive_dynamic import NaiveLabel
 from repro.obs.logs import log_event

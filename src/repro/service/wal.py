@@ -74,10 +74,9 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Sized, Tuple
 from urllib.parse import quote, unquote
 
-from repro.errors import ReproError, ServiceError
+from repro.errors import FormatError, ReproError, ServiceError
 from repro.faults import FAILPOINTS
 from repro.io.jsonio import specification_from_json, specification_to_json
-from repro.io.xmlio import FormatError
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.names import (

@@ -15,21 +15,15 @@ Implements Section 2 of the paper:
   model): topological insertion sequences generated from derivations.
 """
 
-from repro.workflow.specification import GraphKey, Specification
-from repro.workflow.grammar import (
-    GrammarClass,
-    GrammarInfo,
-    analyze_grammar,
-)
-from repro.workflow.derivation import (
-    Derivation,
-    DerivationEngine,
-    DerivationPolicy,
-    DerivationStep,
-    Instance,
-    sample_run,
-)
-from repro.workflow.execution import Execution, Insertion, execution_from_derivation
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    ".specification": ("GraphKey", "Specification"),
+    ".grammar": ("GrammarClass", "GrammarInfo", "analyze_grammar"),
+    ".derivation": ("Derivation", "DerivationEngine", "DerivationPolicy",
+                    "DerivationStep", "Instance", "sample_run"),
+    ".execution": ("Execution", "Insertion", "execution_from_derivation"),
+})
 
 __all__ = [
     "Specification",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ExecutionError
 from repro.graphs.digraph import NamedDAG
@@ -35,8 +35,7 @@ from repro.workflow.derivation import Derivation
 LogOrigin = Tuple[str, int, int]
 
 
-@dataclass(frozen=True)
-class Insertion:
+class Insertion(NamedTuple):
     """One step of a graph execution: ``g + (v, C)`` (Definition 3).
 
     ``slot`` is logged-mode metadata identifying which composite occurrence
@@ -44,6 +43,10 @@ class Insertion:
     vertex of the composite inside the parent's graph)``; None for the
     start instance.  Together with ``origin`` it is the full
     run-to-specification mapping a workflow engine logs.
+
+    A named tuple: immutable, hashable, and cheaper to build than a
+    frozen dataclass, and every wire ingest and every replayed WAL event
+    builds one.  It compares equal to the plain tuple of its fields.
     """
 
     vid: int

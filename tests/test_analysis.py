@@ -14,6 +14,7 @@ Three layers:
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -684,7 +685,7 @@ def test_real_tree_op_tables_partition_exactly():
 
 
 def test_cli_lint_json_and_exit_codes(tmp_path):
-    env = {"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
 
     def repro_lint(*args):
         return subprocess.run(

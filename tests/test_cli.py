@@ -136,6 +136,23 @@ class TestBench:
         assert "tab2" in written
 
 
+class TestSchemeCheck:
+    @pytest.mark.parametrize("argv", [
+        ["label", "running-example", "run.json", "-o", "labels.json",
+         "--scheme", "grail"],
+        ["serve", "--selftest", "--scheme", "no-such-scheme"],
+    ])
+    def test_a_scheme_that_is_not_dynamic_is_refused(self, argv):
+        from repro.schemes import registry
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        message = str(exc.value.code)
+        assert message.startswith(f"unknown dynamic scheme {argv[-1]!r}")
+        for name in registry.available(dynamic=True):
+            assert repr(name) in message
+
+
 class TestRetiredFlags:
     @pytest.mark.parametrize("argv", [
         ["serve", "--shards", "2"],

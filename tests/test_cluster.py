@@ -536,6 +536,18 @@ class TestSupervisorLifecycle:
         with pytest.raises(ServiceError):
             ClusterSupervisor(workers=1).serve_forever()
 
+    def test_a_failed_worker_boot_stops_the_booted_workers(self, tmp_path):
+        # the workers boot together; worker 1 cannot mount its store
+        # (its directory is a file), so worker 0 must not outlive start()
+        data_dir = tmp_path / "cluster"
+        data_dir.mkdir()
+        (data_dir / "worker-1").write_text("not a directory\n")
+        supervisor = ClusterSupervisor(workers=2, data_dir=str(data_dir))
+        with pytest.raises(ServiceError, match="worker 1 failed to boot"):
+            supervisor.start()
+        booted = supervisor._fleet[0].process
+        assert booted is not None and not booted.is_alive()
+
 
 # ---------------------------------------------------------------------------
 # client failover (satellite: timeouts + one reconnect for idempotent)

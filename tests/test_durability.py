@@ -11,7 +11,6 @@ non-durable and durable servers for every dynamic scheme.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import json
 import os
@@ -733,9 +732,7 @@ class TestDurableStoreRecovery:
             if event.origin[2] != running_spec.graph(event.origin[0]).source
         )
         key, token, tv = internal.origin
-        events[index] = dataclasses.replace(
-            internal, origin=(key, token + 1000, tv)
-        )
+        events[index] = internal._replace(origin=(key, token + 1000, tv))
         record["events"] = [insertion_to_row(event) for event in events]
         lines[2] = json.dumps(record) + "\n"
         wal_path.write_text("".join(lines))

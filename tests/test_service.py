@@ -953,12 +953,6 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "pipelined query_batch verified" in out
 
-    def test_cli_selftest_single_shard(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "--selftest", "--size", "120"]) == 0
-        assert "all checks passed" in capsys.readouterr().out
-
 
 # ---------------------------------------------------------------------------
 # concurrency soak
