@@ -53,7 +53,7 @@ if TYPE_CHECKING:
 
 def _builtin_or_file(name: str) -> Specification:
     """Resolve a spec argument: a bundled dataset name or a file path."""
-    from repro.service.sessions import resolve_spec
+    from repro.datasets import resolve_spec
 
     try:
         return resolve_spec(name)
@@ -278,6 +278,8 @@ def cmd_serve(args) -> int:
             workers=args.workers,
         )
     if args.workers:
+        import signal
+
         from repro.service.cluster import ClusterSupervisor
 
         supervisor = ClusterSupervisor(
@@ -289,11 +291,16 @@ def cmd_serve(args) -> int:
             slow_threshold=args.slow_threshold,
         )
         supervisor.start()
+        # a process manager's stop signal drains like ``shutdown``; the
+        # workers also stop on their own if the router dies any other way
+        signal.signal(signal.SIGTERM, lambda signum, frame: supervisor.stop())
         print(
             f"repro cluster listening on {args.host}:{supervisor.port} "
             f"({args.workers} workers"
             + (f", durable under {args.data_dir}" if args.data_dir else "")
-            + ")"
+            + ")",
+            # flushed: a supervisor reading a piped stdout waits for it
+            flush=True,
         )
         try:
             supervisor.serve_forever()
@@ -348,7 +355,10 @@ def cmd_serve(args) -> int:
         if args.stdio:
             return serve_stdio(service, sys.stdin, sys.stdout)
         server = ReproServer((args.host, args.port), service)
-        print(f"repro service listening on {args.host}:{server.port}")
+        print(
+            f"repro service listening on {args.host}:{server.port}",
+            flush=True,
+        )
         try:
             server.serve_forever()
         except KeyboardInterrupt:  # pragma: no cover - interactive only

@@ -11,8 +11,11 @@
   recursion).
 """
 
-from typing import Callable, Dict
+from pathlib import Path
+from typing import Callable, Dict, Union
 
+from repro.errors import ServiceError
+from repro.workflow.specification import Specification
 from repro.datasets.examples import (
     fig12_path_grammar,
     running_example,
@@ -54,6 +57,35 @@ def spec_by_name(name: str):
     return factory()
 
 
+def resolve_spec(spec: Union[Specification, str]) -> Specification:
+    """Turn a spec argument into a :class:`Specification`.
+
+    Accepts an already-built specification, the name of a bundled
+    dataset (``bioaid``, ``running-example``, ``synthetic``, ...) or a
+    path to a ``.json`` / ``.xml`` spec file; anything else raises
+    :class:`~repro.errors.ServiceError`.
+    """
+    if isinstance(spec, Specification):
+        return spec
+    try:
+        return spec_by_name(spec)
+    except KeyError:
+        pass
+    path = Path(spec)
+    if not path.exists():
+        raise ServiceError(
+            f"spec {spec!r} is neither a file nor one of "
+            f"{builtin_spec_names()}"
+        )
+    if path.suffix == ".xml":
+        from repro.io import load_specification_xml
+
+        return load_specification_xml(path)
+    from repro.io import load_specification_json
+
+    return load_specification_json(path)
+
+
 __all__ = [
     "running_example",
     "theorem1_grammar",
@@ -62,4 +94,5 @@ __all__ = [
     "synthetic_spec",
     "builtin_spec_names",
     "spec_by_name",
+    "resolve_spec",
 ]

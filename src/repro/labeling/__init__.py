@@ -34,7 +34,8 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
                   "make_skeleton"),
     ".drl": ("DRL", "DRLDerivationLabeler", "Entry", "Label", "SkeletonRef"),
     ".compact": ("CompactDRL", "PackedLabel", "PackedLabelFactory",
-                 "SkeletonBitsets", "pack_label", "unpack_label"),
+                 "PackedLabels", "SkeletonBitsets", "pack_label",
+                 "unpack_label"),
     ".drl_execution": ("DRLExecutionLabeler",),
     ".naive_dynamic": ("NaiveDynamicScheme", "NaiveLabel"),
     ".skl": ("SKL", "SKLLabel"),
@@ -63,6 +64,7 @@ __all__ = [
     "CompactDRL",
     "PackedLabel",
     "PackedLabelFactory",
+    "PackedLabels",
     "SkeletonBitsets",
     "pack_label",
     "unpack_label",

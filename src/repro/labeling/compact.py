@@ -42,16 +42,18 @@ numbering is what lets the serialized form
 (:class:`repro.labeling.serialize.PackedLabelCodec`) store the id
 directly and decode it in a fresh process.
 
-:class:`PackedLabelFactory` mirrors the reference
-:class:`~repro.labeling.drl.LabelFactory` surface (``entry`` aside)
-but shares prefixes structurally: registering a node costs one tuple
-extension (O(depth), once per *parse-tree node*), and labeling a
-vertex after that is O(1) -- one cached-meta dict hit plus one 3-tuple
-allocation, instead of an O(depth) tuple copy per vertex.
+A session holds its packed labels as columns, not as one tuple per
+vertex.  :class:`PackedLabelFactory` appends each parse-tree node to a
+per-session *node table* once -- its index vector and its meta prefix,
+the prefix interned by value -- and :class:`PackedLabels` keeps, per
+vertex, two 32-bit words indexed by vid: the vertex's node row and its
+final meta word.  ``labels[vid]`` still returns the
+:data:`PackedLabel` triple, built on demand from the columns.
 
 :class:`CompactDRL` is a drop-in :class:`~repro.labeling.drl.DRL`
 whose labelers produce packed labels and whose :meth:`CompactDRL.query`
-/ :meth:`CompactDRL.query_many_from` run the tight integer kernels.
+/ :meth:`CompactDRL.query_many_from` run the tight integer kernels;
+the batch kernel reads the columns directly.
 ``pack_label`` / ``unpack_label`` convert between the two
 representations losslessly; the property suite in
 ``tests/test_packed_equivalence.py`` holds the representations to
@@ -60,7 +62,10 @@ answer-for-answer equality.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from collections.abc import Mapping
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import LabelingError
 from repro.labeling.bits import uint_bits
@@ -231,29 +236,167 @@ def unpack_label(bitsets: SkeletonBitsets, packed: PackedLabel) -> Label:
 
 
 # ---------------------------------------------------------------------------
+# the label columns
+# ---------------------------------------------------------------------------
+
+#: The node row of a vid with no label.  It points past the end of any
+#: node table, so reading it raises ``IndexError``; in the bind-order
+#: column it marks a vid kept in the side dict.
+HOLE = 0xFFFFFFFF
+
+#: The columns hold a vid while ``0 <= vid < 4 * labeled + COLUMN_SLACK``.
+COLUMN_SLACK = 8192
+
+_HOLES = array("I", (HOLE,))
+_ZEROS = array("I", (0,))
+
+
+class PackedLabels(Mapping):
+    """A session's packed labels, held as columns indexed by vid.
+
+    Two 32-bit ``array('I')`` columns, indexed by vid, hold each
+    vertex's row in its factory's node table and its final meta word;
+    a vid with no label holds the row :data:`HOLE`.  A third column
+    lists the vids in bind order.  A hosted vertex so costs three
+    32-bit words, each written once, and no Python object.
+
+    A vid lands in the columns while ``0 <= vid < 4 * labeled + 8192``,
+    and the columns grow geometrically up to the largest such vid.  Any
+    other int -- negative, far-sparse or huge -- goes to a side dict,
+    so every Python int is still a valid vid, and stays there: columns
+    that later grow over it keep a hole at its slot.  Dense vids from 0
+    are the fast path: a batch pair that touches a side vid costs
+    1.6-2.4 times one over column vids (docs/PERFORMANCE.md, "Vids that
+    are not dense").
+
+    The store is a read-only ``Mapping``: ``labels[vid]`` builds the
+    :data:`PackedLabel` triple on demand, and ``in``, ``len``, equality
+    and iteration in bind order work as on a dict of labels.  Its one
+    writer is :meth:`PackedLabelFactory.bind`.
+    """
+
+    __slots__ = ("_rows", "_metas", "_order", "_side", "_indexes",
+                 "_prefixes")
+
+    def __init__(
+        self,
+        indexes: List[Tuple[int, ...]],
+        prefixes: List[Tuple[int, ...]],
+    ) -> None:
+        self._rows = array("I")  # vid -> node row, HOLE when unlabeled
+        self._metas = array("I")  # vid -> the final entry's meta word
+        self._order = array("I")  # vids in bind order; HOLE: a side vid
+        self._side: Dict[int, Tuple[int, int]] = {}  # vid -> (row, meta)
+        # the node table, shared with the factory: row -> index vector,
+        # row -> interned meta prefix
+        self._indexes = indexes
+        self._prefixes = prefixes
+
+    # ------------------------------------------------------------------
+    def __getitem__(self, vid: int) -> PackedLabel:
+        rows = self._rows
+        try:
+            if 0 <= vid < len(rows):
+                row = rows[vid]
+                return (self._indexes[row], self._prefixes[row],
+                        self._metas[vid])
+        except (IndexError, TypeError):  # a hole, or a vid that is no int
+            pass
+        row, meta = self._side[vid]
+        return (self._indexes[row], self._prefixes[row], meta)
+
+    def __contains__(self, vid: object) -> bool:
+        rows = self._rows
+        try:
+            if 0 <= vid < len(rows) and rows[vid] != HOLE:
+                return True
+        except TypeError:
+            return False
+        return vid in self._side
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def __iter__(self) -> Iterator[int]:
+        # the vids bound when iteration starts; the length is read
+        # before the side dict, which a side vid enters first
+        order = self._order
+        count = len(order)
+        if not self._side:
+            return islice(order, count)
+        return self._iter_with_side(count)
+
+    def _iter_with_side(self, count: int) -> Iterator[int]:
+        side = iter(list(self._side))
+        for vid in islice(self._order, count):
+            yield next(side) if vid == HOLE else vid
+
+    def labels_of(self, vids: Iterable[int]) -> List[PackedLabel]:
+        """The labels of ``vids`` in order, from one loop over the columns."""
+        rows = self._rows
+        metas = self._metas
+        indexes = self._indexes
+        prefixes = self._prefixes
+        size = len(rows)
+        labels: List[PackedLabel] = []
+        append = labels.append
+        for vid in vids:
+            if 0 <= vid < size:
+                try:
+                    row = rows[vid]
+                    append((indexes[row], prefixes[row], metas[vid]))
+                    continue
+                except IndexError:  # a hole
+                    pass
+            append(self[vid])
+        return labels
+
+    # ------------------------------------------------------------------
+    def _place(self, vid: int, row: int, meta: int) -> None:
+        """:meth:`PackedLabelFactory.bind` for a vid past the columns:
+        grow them to it, or keep it in the side dict."""
+        if vid in self._side:
+            raise LabelingError(f"vertex {vid} is already labeled")
+        limit = min(4 * len(self._order) + COLUMN_SLACK, HOLE)
+        if 0 <= vid < limit:
+            # grown in place: a reader holds the columns as locals
+            grow = min(limit, max(vid + 1, len(self._rows) * 5 // 4))
+            grow -= len(self._rows)
+            self._metas.extend(_ZEROS * grow)
+            self._rows.extend(_HOLES * grow)
+            self._metas[vid] = meta
+            self._rows[vid] = row
+            self._order.append(vid)
+        else:
+            self._side[vid] = (row, meta)
+            self._order.append(HOLE)
+
+
+# ---------------------------------------------------------------------------
 # the packed label factory
 # ---------------------------------------------------------------------------
 
 
 class PackedLabelFactory:
-    """Structural-sharing factory producing :data:`PackedLabel` values.
+    """Builds a session's node table and binds vertices into columns.
 
     Mirrors the reference :class:`~repro.labeling.drl.LabelFactory`
-    surface (``register_node`` / ``label`` / ``node_key``) so both DRL
-    labelers run unchanged on either factory.  Labels share structure
-    aggressively:
+    surface (``register_node`` / ``new_labels`` / ``bind`` /
+    ``node_key`` / ``forget``) so both DRL labelers run unchanged on
+    either factory.  The shared structure:
 
-    * per node, the full index vector (prefix indexes + the node's own
-      child index) is built **once** at registration and shared by
-      object identity across every vertex labeled at the node;
-    * per node, the meta words of the path above are likewise built
-      once and shared;
+    * per N node, one row of the *node table*: the full index vector
+      (prefix indexes + the node's own child index) and the meta words
+      of the path above, both built once at registration and shared by
+      every vertex labeled at the node;
+    * meta prefixes interned by value across nodes: a session has few
+      distinct ones (6 in a 2,000-event ``running-example`` run);
     * per ``(graph key, template vertex)``, the final entry's meta word
-      (skeleton id + recursion flags) is computed once and interned.
+      (skeleton id + recursion flags), computed once.
 
     After registration -- one tuple extension per parse-tree node --
-    labeling a vertex is O(1): a cached-meta dict hit and a 3-tuple
-    allocation, however deep the parse tree is.
+    binding a vertex is O(1) and allocates nothing: a cached-meta dict
+    hit and three column writes, however deep the parse tree is.
     """
 
     def __init__(
@@ -269,19 +412,33 @@ class PackedLabelFactory:
         self.skeleton = skeleton
         self.r_mode = r_mode
         self.bitsets = bitsets if bitsets is not None else SkeletonBitsets(spec)
-        # node -> full index vector, including the node's own index
-        self._indexes: Dict[ParseNode, Tuple[int, ...]] = {}
-        # node -> meta words of the path strictly above the node
-        self._metas: Dict[ParseNode, Tuple[int, ...]] = {}
+        # the node table, one row per N node: its full index vector and
+        # the interned meta words of the path strictly above it
+        self._table_indexes: List[Tuple[int, ...]] = []
+        self._table_prefixes: List[Tuple[int, ...]] = []
+        # (the parent's interned prefix, the parent's meta word) ->
+        # interned prefix.  The parent is keyed by identity, so no
+        # prefix is hashed whole; interned prefixes live as long as the
+        # factory, so an identity is never reused.
+        self._prefix_intern: Dict[Tuple[int, int], Tuple[int, ...]] = {}
+        # open N node -> (its row, its graph's meta words by template
+        # vid); open special node -> (indexes, prefix)
+        self._row: Dict[ParseNode, Tuple[int, Dict[int, int]]] = {}
+        self._special: Dict[
+            ParseNode, Tuple[Tuple[int, ...], Tuple[int, ...]]
+        ] = {}
         # node -> annotated graph key (N nodes only)
         self._key: Dict[ParseNode, GraphKey] = {}
-        # (graph key, template vid) -> interned N-entry meta word
-        self._n_meta: Dict[Tuple[GraphKey, int], int] = {}
+        # graph key -> template vid -> interned N-entry meta word
+        self._n_meta: Dict[GraphKey, Dict[int, int]] = {}
 
     # ------------------------------------------------------------------
     def _meta_for(self, key: GraphKey, template_vid: int) -> int:
         """The interned meta word of an N entry at origin ``template_vid``."""
-        cached = self._n_meta.get((key, template_vid))
+        metas = self._n_meta.get(key)
+        if metas is None:
+            metas = self._n_meta[key] = {}
+        cached = metas.get(template_vid)
         if cached is not None:
             return cached
         bitsets = self.bitsets
@@ -296,7 +453,12 @@ class PackedLabelFactory:
                 meta |= META_REC1
             if bitsets.reaches(key, recursive, template_vid):
                 meta |= META_REC2
-        self._n_meta[(key, template_vid)] = meta
+        if meta > HOLE:
+            raise LabelingError(
+                f"meta word {meta:#x} of {key!r} vertex {template_vid} "
+                "does not fit the 32-bit label column"
+            )
+        metas[template_vid] = meta
         return meta
 
     # ------------------------------------------------------------------
@@ -311,53 +473,102 @@ class PackedLabelFactory:
             raise LabelingError("N nodes must carry a graph key")
         parent = node.parent
         if parent is None:
-            self._indexes[node] = (node.index,)
-            self._metas[node] = ()
+            indexes: Tuple[int, ...] = (node.index,)
+            prefix: Tuple[int, ...] = ()
         else:
-            try:
-                parent_indexes = self._indexes[parent]
-            except KeyError:
-                raise LabelingError("node was never registered") from None
-            if parent.kind is NodeKind.N:
+            entry = self._row.get(parent)
+            if entry is not None:
+                row, metas = entry
                 if edge_template_vid is None:
                     raise LabelingError(
                         "children of non-special nodes need the edge composite"
                     )
-                parent_meta = self._meta_for(
-                    self._key[parent], edge_template_vid
-                )
+                parent_indexes = self._table_indexes[row]
+                parent_prefix = self._table_prefixes[row]
+                parent_meta = metas.get(edge_template_vid)
+                if parent_meta is None:
+                    parent_meta = self._meta_for(
+                        self._key[parent], edge_template_vid
+                    )
             else:
+                try:
+                    parent_indexes, parent_prefix = self._special[parent]
+                except KeyError:
+                    raise LabelingError("node was never registered") from None
                 parent_meta = _KIND_CODE[parent.kind]
-            self._indexes[node] = parent_indexes + (node.index,)
-            self._metas[node] = self._metas[parent] + (parent_meta,)
-        if node.kind is NodeKind.N:
-            self._key[node] = graph_key
-
-    def label(self, node: ParseNode, template_vid: int) -> PackedLabel:
-        """The packed label of vertex ``template_vid`` at ``node``: O(1)."""
-        try:
-            indexes = self._indexes[node]
-        except KeyError:
-            raise LabelingError("node was never registered") from None
+            indexes = parent_indexes + (node.index,)
+            intern_key = (id(parent_prefix), parent_meta)
+            prefix = self._prefix_intern.get(intern_key)
+            if prefix is None:
+                prefix = parent_prefix + (parent_meta,)
+                self._prefix_intern[intern_key] = prefix
         if node.kind is not NodeKind.N:
-            raise LabelingError("vertices are labeled at N nodes only")
-        return (
-            indexes,
-            self._metas[node],
-            self._meta_for(self._key[node], template_vid),
-        )
+            self._special[node] = (indexes, prefix)
+            return
+        row = len(self._table_indexes)
+        if row >= HOLE:
+            raise LabelingError(
+                f"the node table is full: {HOLE} rows fit a 32-bit column"
+            )
+        self._table_indexes.append(indexes)
+        self._table_prefixes.append(prefix)
+        metas = self._n_meta.get(graph_key)
+        if metas is None:
+            metas = self._n_meta[graph_key] = {}
+        self._row[node] = (row, metas)
+        self._key[node] = graph_key
+
+    def new_labels(self) -> PackedLabels:
+        """An empty label store over this factory's node table."""
+        return PackedLabels(self._table_indexes, self._table_prefixes)
+
+    def bind(
+        self,
+        labels: PackedLabels,
+        node: ParseNode,
+        template_vid: int,
+        vid: int,
+    ) -> None:
+        """Label vertex ``vid`` at ``node``, origin ``template_vid``: O(1).
+
+        Writes the node's row and the final meta word into ``labels``'
+        columns; builds no tuple.  Each vid is bound once -- the
+        execution labeler refuses a vid already in ``labels`` before any
+        state changes, and a derivation names each vertex once -- so the
+        column path writes without looking.
+        """
+        try:
+            row, metas = self._row[node]
+        except KeyError:
+            if node in self._special:
+                raise LabelingError(
+                    "vertices are labeled at N nodes only"
+                ) from None
+            raise LabelingError("node was never registered") from None
+        meta = metas.get(template_vid)
+        if meta is None:
+            meta = self._meta_for(self._key[node], template_vid)
+        rows = labels._rows
+        if 0 <= vid < len(rows):
+            # the meta word first: a lock-free reader that sees the row
+            # reads a written meta word
+            labels._metas[vid] = meta
+            rows[vid] = row
+            labels._order.append(vid)
+        else:
+            labels._place(vid, row, meta)
 
     def node_key(self, node: ParseNode) -> GraphKey:
         """Annotated graph key of a registered N node."""
         return self._key[node]
 
     def forget(self, node: ParseNode) -> None:
-        """Drop a node's cached prefix when nothing more is labeled under it.
+        """Drop an open node when nothing more is labeled under it.
 
-        Labels already built keep their shared tuples.
+        Its node-table row stays: labels read it.
         """
-        self._indexes.pop(node, None)
-        self._metas.pop(node, None)
+        self._row.pop(node, None)
+        self._special.pop(node, None)
         self._key.pop(node, None)
 
 
@@ -467,36 +678,48 @@ class CompactDRL(DRL):
     # ------------------------------------------------------------------
     def query_many_from(
         self,
-        labels: Dict[int, PackedLabel],
+        labels: PackedLabels,
         pairs: Sequence[Tuple[int, int]],
     ) -> List[bool]:
-        """Batch Algorithm 4: one tight loop, labels resolved inline.
+        """Batch Algorithm 4: one tight loop over the label columns.
 
         Semantically ``[self.query(labels[u], labels[v]) for u, v in
         pairs]`` with the per-call dispatch hoisted out of the loop:
-        the bitset tables are bound to locals once, the label lookup is
-        fused (no intermediate pair list), and the common cases
-        (identity, shared node, N-kind LCA) run without re-entering
-        :meth:`query`.  ``KeyError`` propagates for unlabeled vertices.
+        the columns and bitset tables are bound to locals once, no
+        label tuple is built, and the common cases (shared node, N-kind
+        LCA) run without re-entering :meth:`query`.  A pair whose vid is
+        negative, a hole or past the columns takes the slow path through
+        ``labels[vid]``, where a side vid resolves and an unlabeled one
+        raises ``KeyError``.
         """
         bitsets = self.bitsets
         key_ord = bitsets.key_ord
         vertex = bitsets.vertex
         desc = bitsets.desc
+        rows = labels._rows
+        metas = labels._metas
+        indexes = labels._indexes
+        prefixes = labels._prefixes
         slow = self.query
         answers: List[bool] = []
         append = answers.append
-        for pair in pairs:
-            label_v = labels[pair[0]]
-            label_w = labels[pair[1]]
-            if label_v is label_w:
-                append(True)
+        for v, w in pairs:
+            try:
+                if v < 0 or w < 0:
+                    append(slow(labels[v], labels[w]))
+                    continue
+                rv = rows[v]
+                rw = rows[w]
+                iv = indexes[rv]
+                iw = indexes[rw]
+            except (IndexError, TypeError):
+                append(slow(labels[v], labels[w]))
                 continue
-            iv, pv, lv = label_v
-            iw, pw, lw = label_w
             if iv is iw:
                 # same node: equal final metas mean equal labels,
                 # otherwise compare the two origins' skeletons.
+                lv = metas[v]
+                lw = metas[w]
                 if lv == lw:
                     append(True)
                     continue
@@ -506,7 +729,7 @@ class CompactDRL(DRL):
                     if key_ord[sid_v] == key_ord[sid_w]:
                         append(bool(desc[sid_v] >> vertex[sid_w] & 1))
                         continue
-                append(slow(label_v, label_w))
+                append(slow((iv, prefixes[rv], lv), (iw, prefixes[rw], lw)))
                 continue
             nv = len(iv)
             nw = len(iw)
@@ -518,33 +741,37 @@ class CompactDRL(DRL):
                 raise LabelingError(
                     "labels do not share a root; different runs?"
                 )
-            if i == limit and nv == nw and lv == lw and pv == pw:
+            if (
+                i == limit
+                and nv == nw
+                and metas[v] == metas[w]
+                and prefixes[rv] == prefixes[rw]
+            ):
                 append(True)
                 continue
             j = i - 1
-            meta_lca = pv[j] if j < nv - 1 else lv
+            meta_lca = prefixes[rv][j] if j < nv - 1 else metas[v]
             kind = meta_lca & META_KIND_MASK
             if kind == KIND_N:
-                mv = meta_lca
-                mw = pw[j] if j < nw - 1 else lw
-                if mv & mw & META_HAS_SKL:
-                    sid_v = mv >> META_SID_SHIFT
+                mw = prefixes[rw][j] if j < nw - 1 else metas[w]
+                if meta_lca & mw & META_HAS_SKL:
+                    sid_v = meta_lca >> META_SID_SHIFT
                     sid_w = mw >> META_SID_SHIFT
                     if key_ord[sid_v] == key_ord[sid_w]:
                         append(bool(desc[sid_v] >> vertex[sid_w] & 1))
                         continue
-                append(slow(label_v, label_w))
+                append(slow(labels[v], labels[w]))
             elif kind == KIND_L:
                 append(iv[i] < iw[i])
             elif kind == KIND_F:
                 append(False)
             elif iv[i] < iw[i]:
-                m = pv[i] if i < nv - 1 else lv
+                m = prefixes[rv][i] if i < nv - 1 else metas[v]
                 if not m & META_HAS_REC:
                     raise LabelingError("missing rec1 flag on R-chain entry")
                 append(bool(m & META_REC1))
             else:
-                m = pw[i] if i < nw - 1 else lw
+                m = prefixes[rw][i] if i < nw - 1 else metas[w]
                 if not m & META_HAS_REC:
                     raise LabelingError("missing rec2 flag on R-chain entry")
                 append(bool(m & META_REC2))

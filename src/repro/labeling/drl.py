@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import LabelingError
 from repro.labeling.bits import pointer_bits, uint_bits
@@ -180,6 +180,20 @@ class LabelFactory:
             raise LabelingError("node was never registered") from None
         return base + (self.entry(node, template_vid),)
 
+    def new_labels(self) -> Dict[int, Label]:
+        """An empty vid -> label store for :meth:`bind`: a dict."""
+        return {}
+
+    def bind(
+        self,
+        labels: Dict[int, Label],
+        node: ParseNode,
+        template_vid: int,
+        vid: int,
+    ) -> None:
+        """Label vertex ``vid`` at ``node``, origin ``template_vid``."""
+        labels[vid] = self.label(node, template_vid)
+
     def node_key(self, node: ParseNode) -> GraphKey:
         """Annotated graph key of a registered N node."""
         return self._key[node]
@@ -240,7 +254,7 @@ class DRL:
         """A fresh derivation-based labeler for one run."""
         return DRLDerivationLabeler(self)
 
-    def label_derivation(self, derivation: Derivation) -> Dict[int, Label]:
+    def label_derivation(self, derivation: Derivation) -> Mapping[int, Label]:
         """Label a complete recorded derivation; returns vid -> label."""
         labeler = self.labeler()
         labeler.begin(derivation.start_instance)
@@ -338,12 +352,14 @@ class DRLDerivationLabeler:
             scheme.spec, info=scheme.info, r_mode=scheme.r_mode
         )
         self.factory = scheme.make_factory()
-        self.labels: Dict[int, Label] = {}
+        self.labels: Mapping[int, Label] = self.factory.new_labels()
 
     # ------------------------------------------------------------------
     def _label_instance(self, node: ParseNode, instance: Instance) -> None:
+        bind = self.factory.bind
+        labels = self.labels
         for tv, run_vid in instance.mapping.items():
-            self.labels[run_vid] = self.factory.label(node, tv)
+            bind(labels, node, tv, run_vid)
 
     def _register(self, node: ParseNode) -> None:
         edge_tv: Optional[int] = None

@@ -26,16 +26,18 @@ arrive in topological order, and every vertex of a copy -- and of every
 expansion inside it -- reaches the copy's sink, so once the sink is
 labeled nothing can land in the copy any more.  The copy is then
 *closed*: its state, its tree node and the special nodes under it are
-dropped, and the label factory forgets them.  Labels are tuples that
-point at no parse-tree state, so closing changes no answer (labels are
-final, Theorem 3), and an insertion that names a closed copy is refused
-as malformed.  Hosted memory and the cost of name inference therefore
-follow the number of open copies, not the number of insertions seen.
+dropped, and the label factory forgets them.  Labels point at no
+parse-tree state -- a packed label's node row lives in the factory's
+node table, which forgetting keeps -- so closing changes no answer
+(labels are final, Theorem 3), and an insertion that names a closed
+copy is refused as malformed.  Hosted memory and the cost of name
+inference therefore follow the number of open copies, not the number
+of insertions seen.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple, Union
 
 from repro.errors import ExecutionError
 from repro.graphs.two_terminal import TwoTerminalGraph
@@ -111,7 +113,8 @@ class DRLExecutionLabeler:
         if mode == "name":
             check_naming_conditions(self.spec)
         self.factory = scheme.make_factory()
-        self.labels: Dict[int, Label] = {}
+        # vid -> label: a dict, or the packed factory's label columns
+        self.labels: Mapping[int, Label] = self.factory.new_labels()
         self.root: Optional[ParseNode] = None
         # name mode lookups --------------------------------------------
         # source name -> graph key (condition 2 makes this unique)
@@ -209,13 +212,11 @@ class DRLExecutionLabeler:
                 copies.append(inst)
         return inst
 
-    def _bind(self, inst: _InstanceState, tv: int, vid: int) -> Label:
-        label = self.factory.label(inst.node, tv)
+    def _bind(self, inst: _InstanceState, tv: int, vid: int) -> None:
+        self.factory.bind(self.labels, inst.node, tv, vid)
         inst.bound[tv] = vid
-        self.labels[vid] = label
         if tv == inst.template.sink:
             self._close(inst, vid)
-        return label
 
     def _close(self, inst: _InstanceState, sink: int) -> None:
         """Drop a copy whose sink ``sink`` was just labeled.
@@ -255,8 +256,11 @@ class DRLExecutionLabeler:
     # ------------------------------------------------------------------
     # main entry point
     # ------------------------------------------------------------------
-    def insert(self, insertion: Insertion) -> Label:
-        """Label one inserted vertex; the label is final immediately."""
+    def insert(self, insertion: Insertion) -> None:
+        """Label one inserted vertex; the label is final immediately.
+
+        Read it with :meth:`label` or from :attr:`labels`.
+        """
         vid, name, preds = insertion.vid, insertion.name, insertion.preds
         if vid in self.labels:
             raise ExecutionError(f"vertex {vid} inserted twice")
@@ -276,7 +280,7 @@ class DRLExecutionLabeler:
         except KeyError:
             raise ExecutionError(f"vertex {vid} was never inserted") from None
 
-    def run(self, execution: Execution) -> Dict[int, Label]:
+    def run(self, execution: Execution) -> Mapping[int, Label]:
         """Label a whole recorded execution; returns vid -> label."""
         for insertion in execution:
             self.insert(insertion)
@@ -302,7 +306,7 @@ class DRLExecutionLabeler:
             )
         return insertion.origin
 
-    def _start_run(self, insertion: Insertion) -> Label:
+    def _start_run(self, insertion: Insertion) -> None:
         """First insertion: must be the source of the start graph."""
         start_template = self.spec.graph(START_KEY)
         expected = start_template.name(start_template.source)
@@ -327,7 +331,7 @@ class DRLExecutionLabeler:
     # ------------------------------------------------------------------
     def _handle_source_logged(
         self, insertion: Insertion, key: GraphKey, token: Optional[int]
-    ) -> Label:
+    ) -> None:
         """Logged mode: the log names the composite occurrence directly."""
         if insertion.slot is None:
             raise ExecutionError(
@@ -368,7 +372,7 @@ class DRLExecutionLabeler:
         preds: FrozenSet[int],
         key: GraphKey,
         token: Optional[int],
-    ) -> Label:
+    ) -> None:
         head = self.spec.head_of(key)
         if head is None:
             raise ExecutionError(
@@ -408,7 +412,7 @@ class DRLExecutionLabeler:
 
     def _add_copy(
         self, slot: _Slot, key: GraphKey, token: Optional[int], vid: int
-    ) -> Label:
+    ) -> None:
         """Open the next copy under a loop or fork slot's special node."""
         node = ParseNode(NodeKind.N, slot.special_node)
         self.factory.register_node(node, key, None)
@@ -421,7 +425,7 @@ class DRLExecutionLabeler:
         key: GraphKey,
         vid: int,
         token: Optional[int],
-    ) -> Label:
+    ) -> None:
         """Open the parse-tree structure for a first expansion of ``slot``."""
         owner = slot.owner
         head = slot.head
@@ -471,7 +475,7 @@ class DRLExecutionLabeler:
     # ------------------------------------------------------------------
     # internal vertices
     # ------------------------------------------------------------------
-    def _handle_internal(self, insertion: Insertion) -> Label:
+    def _handle_internal(self, insertion: Insertion) -> None:
         vid, name, preds = insertion.vid, insertion.name, insertion.preds
         if self.mode == "logged":
             key, token, tv = self._require_origin(insertion)

@@ -52,7 +52,7 @@ from repro.errors import ProtocolError, ServiceError
 from repro.graphs.reachability import reaches
 from repro.loadgen.runner import LoadReport  # noqa: F401 (sibling API)
 from repro.service.client import ServiceClient
-from repro.service.sessions import resolve_spec
+from repro.datasets import resolve_spec
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 

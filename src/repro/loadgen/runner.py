@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.loadgen.driver import DriverFactory
 from repro.loadgen.scenarios import Scenario
 from repro.obs.histogram import Histogram, merge_snapshots
-from repro.service.sessions import resolve_spec
+from repro.datasets import resolve_spec
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 

@@ -10,7 +10,7 @@ accounting surface, one capability record per scheme.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import random
 
@@ -78,12 +78,17 @@ class DRLScheme(DynamicScheme):
         drl = drl_cls(spec, skeleton=skeleton)
         return cls(drl, DRLExecutionLabeler(drl, mode=mode))
 
-    def insert(self, insertion: Insertion) -> Any:
-        return self.labeler.insert(insertion)
+    def insert(self, insertion: Insertion) -> None:
+        self.labeler.insert(insertion)
 
     @property
-    def labels(self) -> Dict[int, Any]:
+    def labels(self) -> Mapping[int, Any]:
         return self.labeler.labels
+
+    def labels_of(self, vids: Sequence[int]) -> List[Any]:
+        if self.packed:
+            return self.labeler.labels.labels_of(vids)
+        return super().labels_of(vids)
 
     def reaches_labels(self, label_u: Any, label_v: Any) -> bool:
         return self.drl.query(label_u, label_v)

@@ -38,6 +38,7 @@ from typing import (
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
 )
@@ -264,7 +265,10 @@ class DynamicScheme(Scheme):
     # ------------------------------------------------------------------
     @abstractmethod
     def insert(self, insertion: Insertion) -> Any:
-        """Label one inserted vertex; returns its (final) label."""
+        """Label one inserted vertex; its label is final at once.
+
+        Read the label with :meth:`label_of`; DRL returns None here.
+        """
 
     def insert_all(self, insertions: Iterable[Insertion]) -> None:
         for insertion in insertions:
@@ -272,8 +276,13 @@ class DynamicScheme(Scheme):
 
     @property
     @abstractmethod
-    def labels(self) -> Dict[int, Any]:
+    def labels(self) -> Mapping[int, Any]:
         """The write-once vid -> label map (readable without locking)."""
+
+    def labels_of(self, vids: Sequence[int]) -> List[Any]:
+        """The labels of ``vids``, in order (a batch's fingerprint input)."""
+        labels = self.labels
+        return [labels[vid] for vid in vids]
 
     @abstractmethod
     def reaches_labels(self, label_u: Any, label_v: Any) -> bool:

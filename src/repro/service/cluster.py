@@ -85,6 +85,7 @@ import os
 import selectors
 import signal
 import socket
+import threading
 import time
 import zlib
 from collections import deque
@@ -161,10 +162,16 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
 
     Builds an ordinary single-process server (the exact code path
     ``--workers 0`` runs), binds an ephemeral loopback port, reports it
-    through ``conn``, and serves until a ``shutdown`` request arrives.
+    through ``conn``, and serves until a ``shutdown`` request arrives
+    or the router goes away.
     A durable worker replays its WALs inside
     ``ReproService.__init__`` before the port is ever reported, so the
     router never routes to a half-recovered worker.
+
+    The router holds the other end of ``conn`` for as long as it lives
+    and never writes to it, so EOF on ``conn`` means the router has
+    ended -- by ``shutdown``, a signal or a crash -- and a daemon thread
+    then shuts the worker down: no worker outlives its router.
     """
     # the router owns lifecycle; a terminal Ctrl-C must not race it
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -186,7 +193,8 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
         conn.close()
         return
     conn.send(("ready", server.port))
-    conn.close()
+    threading.Thread(target=_stop_at_eof, args=(conn, server),
+                     name="repro-router-watch", daemon=True).start()
     try:
         server.serve_forever(poll_interval=0.1)
     finally:
@@ -194,15 +202,27 @@ def _worker_main(index: int, conn, config: Dict[str, Any]) -> None:
         service.close()
 
 
+def _stop_at_eof(conn, server) -> None:
+    """Shut ``server`` down once the router's end of ``conn`` closes."""
+    try:
+        conn.recv()
+    except (EOFError, OSError):
+        pass
+    server.shutdown()
+
+
 class _Worker:
     """The supervisor's handle on one worker process and on every
     open channel to it."""
 
-    __slots__ = ("index", "process", "port", "restarts", "channels")
+    __slots__ = ("index", "process", "pipe", "port", "restarts",
+                 "channels")
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.process: Optional[multiprocessing.process.BaseProcess] = None
+        # the router's end of the boot pipe, open while the worker lives
+        self.pipe: Optional[multiprocessing.connection.Connection] = None
         self.port: int = 0
         self.restarts: int = 0
         self.channels: Set[_Channel] = set()
@@ -434,8 +454,8 @@ class ClusterSupervisor:
         multiprocessing.connection.Connection,
     ]:
         """Start one worker process; returns it and the pipe on which
-        it will report its port."""
-        parent, child = self._mp.Pipe(duplex=False)
+        it will report its port (and watch for the router's end)."""
+        parent, child = self._mp.Pipe()
         config = dict(self._config)
         config["data_dir"] = self._worker_dir(worker.index)
         process = self._mp.Process(
@@ -456,7 +476,8 @@ class ClusterSupervisor:
         deadline: float,
     ) -> None:
         """Learn a launched worker's port by ``deadline`` (a
-        ``time.monotonic()`` instant) and watch its death."""
+        ``time.monotonic()`` instant) and watch its death.  The pipe
+        stays open while the worker lives: the worker stops at its EOF."""
         try:
             if not pipe.poll(max(0.0, deadline - time.monotonic())):
                 process.terminate()
@@ -465,14 +486,17 @@ class ClusterSupervisor:
                     f"{WORKER_BOOT_TIMEOUT}s"
                 )
             status, payload = pipe.recv()
-        finally:
+        except BaseException:
             pipe.close()
+            raise
         if status != "ready":
+            pipe.close()
             process.join(timeout=5)
             raise ServiceError(
                 f"worker {worker.index} failed to boot: {payload}"
             )
         worker.process = process
+        worker.pipe = pipe
         worker.port = payload
         # the sentinel becomes readable the instant the process dies --
         # faster and more reliable than noticing a socket EOF
@@ -555,6 +579,9 @@ class ClusterSupervisor:
                 if worker.process.is_alive():
                     worker.process.terminate()
                     worker.process.join(timeout=5)
+            if worker.pipe is not None:
+                worker.pipe.close()
+                worker.pipe = None
         for sock in (self._listener, self._wakeup_r, self._wakeup_w):
             if sock is not None:
                 sock.close()
@@ -935,6 +962,8 @@ class ClusterSupervisor:
         for channel in list(worker.channels):
             self._drop_channel(channel, exc)
         worker.process.join(timeout=5)
+        worker.pipe.close()
+        worker.pipe = None
         if self._stopping:
             return  # expected: workers exit after a shutdown broadcast
         log_event(
@@ -968,23 +997,33 @@ class ClusterSupervisor:
     def _finish_gather(self, gather: _Gather) -> None:
         if gather.client.closed:
             return
+        request = gather.request
         failure = next(
             (r for r in gather.replies if r is not None and not r.ok),
             None,
         )
-        if failure is not None:
-            response = Response(
-                ok=False, error=failure.error, code=failure.code,
-                id=gather.request.id, trace_id=gather.request.trace_id,
-            )
-        else:
-            results = [r.result for r in gather.replies]
-            merged = self._merge(gather.op, gather.request, results)
-            response = Response(ok=True, result=merged,
-                                id=gather.request.id,
-                                trace_id=gather.request.trace_id)
-        self._emit(gather.client, gather.slot,
-                   encode_response(response).encode("utf-8"))
+        try:
+            if failure is not None:
+                response = Response(
+                    ok=False, error=failure.error, code=failure.code,
+                    id=request.id, trace_id=request.trace_id,
+                )
+            else:
+                results = [r.result for r in gather.replies]
+                response = Response(
+                    ok=True, result=self._merge(gather.op, request, results),
+                    id=request.id, trace_id=request.trace_id,
+                )
+            line = encode_response(response)
+        except Exception as exc:
+            # replies the router cannot merge fail this one request,
+            # never the loop that serves every client
+            log_event(_cluster_logger, logging.ERROR, "merge-failed",
+                      op=gather.op, error=f"{type(exc).__name__}: {exc}")
+            line = encode_response(error_response(ServiceError(
+                f"the router could not merge the workers' {gather.op!r} "
+                f"replies: {type(exc).__name__}: {exc}"), request.id))
+        self._emit(gather.client, gather.slot, line.encode("utf-8"))
 
     def _merge(self, op: str, request: Request,
                results: List[Any]) -> Any:
@@ -1000,10 +1039,12 @@ class ClusterSupervisor:
         if op == "shutdown":
             return {"stopping": True, "workers": self.workers}
         if op == "sync":
-            return {
-                "synced": sum(r.get("synced", 0) for r in results),
-                "fsync": results[0].get("fsync"),
-            }
+            # each worker names the sessions it fsynced; the in-process
+            # server answers the sorted names, and so does the router
+            synced: List[str] = []
+            for result in results:
+                synced.extend(result["synced"])
+            return {"synced": sorted(synced), "fsync": results[0]["fsync"]}
         if op == "recover_info":
             # surface every torn WAL tail any worker dropped at boot --
             # with the per-record forensics (bytes dropped, last good

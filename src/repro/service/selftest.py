@@ -358,7 +358,7 @@ def run_selftest_all_dynamic(
 
 def client_spec(spec_name: str):
     """The same specification the server will instantiate."""
-    from repro.service.sessions import resolve_spec
+    from repro.datasets import resolve_spec
 
     return resolve_spec(spec_name)
 

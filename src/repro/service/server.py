@@ -394,9 +394,9 @@ class ReproService:
             )
         session = self.manager.get(name)
         end = self.store.log_length_at(session, as_of)
-        # the labeler binds a vertex's label last, so the label map's
-        # first ``end`` keys are the prefix's vertices; the set is built
-        # in one C call, which no ingest thread can interleave
+        # labels iterate in bind order, one vertex per applied event,
+        # so the first ``end`` are the prefix's vertices; an ingest
+        # running beside this only binds past them
         prefix = set(islice(session.scheme.labels, end))
         for pair in pairs:
             for vid in pair:

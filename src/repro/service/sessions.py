@@ -42,10 +42,9 @@ import marshal
 import threading
 import time
 import zlib
-from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.datasets import spec_by_name
+from repro.datasets import resolve_spec
 from repro.errors import FormatError, ServiceError, SessionNotFoundError
 from repro.io.jsonio import insertion_from_json
 from repro.labeling.drl import Label
@@ -183,36 +182,6 @@ def record_text(
     return text + "}\n"
 
 
-def resolve_spec(spec: SpecLike) -> Specification:
-    """Turn a spec argument into a :class:`Specification`.
-
-    Accepts an already-built specification, the name of a bundled
-    dataset (``bioaid``, ``running-example``, ``synthetic``, ...) or a
-    path to a ``.json`` / ``.xml`` spec file.
-    """
-    if isinstance(spec, Specification):
-        return spec
-    try:
-        return spec_by_name(spec)
-    except KeyError:
-        pass
-    path = Path(spec)
-    if not path.exists():
-        from repro.datasets import builtin_spec_names
-
-        raise ServiceError(
-            f"spec {spec!r} is neither a file nor one of "
-            f"{builtin_spec_names()}"
-        )
-    if path.suffix == ".xml":
-        from repro.io import load_specification_xml
-
-        return load_specification_xml(path)
-    from repro.io import load_specification_json
-
-    return load_specification_json(path)
-
-
 class Session:
     """One hosted run: a spec, a live dynamic scheme, its insertion log."""
 
@@ -325,8 +294,9 @@ class Session:
         replayed: Optional[Replayed],
     ) -> None:
         """Log an applied batch and hand it to :attr:`on_ingest`."""
-        labels = self.scheme.labels
-        crc = label_crc([labels[insertion.vid] for insertion in applied])
+        crc = label_crc(
+            self.scheme.labels_of([insertion.vid for insertion in applied])
+        )
         start = len(self) - len(applied)
         if replayed is None:
             trace = current_trace()

@@ -20,10 +20,15 @@ The routing invariants the cluster stands on:
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +47,7 @@ from repro.service.protocol import (
     error_response,
     insertions_to_wire,
 )
+from repro.service.server import ReproService
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 
@@ -1027,3 +1033,122 @@ class TestPerClientChannels:
                 assert row["replication"]["replicas"] == {}
         finally:
             stop_cluster(supervisor, thread)
+
+
+# ---------------------------------------------------------------------------
+# no request stops the router, and the fleet stops with it
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+class TestRouterSurvivesEveryReply:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_session_less_sync_answers_like_the_in_process_server(
+        self, tmp_path, workers
+    ):
+        single = ReproService(data_dir=str(tmp_path / "single"))
+        try:
+            for name in (BETA, ALPHA):
+                single.handle_line(json.dumps(
+                    {"op": "create_session", "name": name,
+                     "spec": "running-example"}))
+            expected = json.loads(single.handle_line('{"op": "sync"}'))
+        finally:
+            single.close()
+        assert expected["result"]["synced"] == [ALPHA, BETA]
+
+        supervisor, thread = start_cluster(
+            workers=workers, data_dir=str(tmp_path / "cluster"),
+            fsync="always")
+        try:
+            with ServiceClient("127.0.0.1", supervisor.port) as c:
+                c.create_session(BETA, "running-example")
+                c.create_session(ALPHA, "running-example")
+            sync, ping = _raw_lines(supervisor.port, [
+                json.dumps({"op": "sync"}), json.dumps({"op": "ping"}),
+            ])
+            assert sync["ok"] is True, sync
+            assert sync["result"] == expected["result"]
+            assert ping["ok"] is True and ping["result"]["pong"] is True
+        finally:
+            stop_cluster(supervisor, thread)
+
+    def test_a_merge_that_raises_fails_only_its_request(self):
+        supervisor, thread = start_cluster(workers=1)
+
+        def broken_merge(op, request, results):
+            raise TypeError(f"cannot merge {op}")
+
+        try:
+            supervisor._merge = broken_merge
+            stats, ping = _raw_lines(supervisor.port, [
+                json.dumps({"op": "stats", "id": 7}),
+                json.dumps({"op": "cluster_info"}),
+            ])
+            assert stats["ok"] is False and stats["code"] == "service"
+            assert stats["id"] == 7
+            assert "cannot merge stats" in stats["error"]
+            assert ping["ok"] is True and ping["result"]["cluster"] is True
+        finally:
+            stop_cluster(supervisor, thread)
+
+
+def _live_group_members(pgid):
+    """The pids of process group ``pgid`` that are running (not zombies)."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        state, _ppid, group = stat.rsplit(")", 1)[1].split()[:3]
+        if int(group) == pgid and state != "Z":
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process groups from /proc")
+class TestFleetStopsWithItsRouter:
+    @pytest.mark.parametrize("stop", [signal.SIGTERM, signal.SIGKILL])
+    def test_no_process_of_the_group_outlives_the_router(
+        self, tmp_path, stop
+    ):
+        # stdout is a file, as under a process manager: block-buffered
+        # unless the banner is flushed, so the environment must not
+        # unbuffer it
+        env = {key: value for key, value in os.environ.items()
+               if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(SRC)
+        out = tmp_path / "out"
+        with open(out, "w") as stdout:
+            router = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--workers", "1",
+                 "--port", "0", "--data-dir", str(tmp_path / "data")],
+                stdout=stdout, env=env, start_new_session=True,
+            )
+        try:
+            _wait_for(lambda: "listening" in out.read_text()
+                      or router.poll() is not None,
+                      "the router's banner")
+            banner = out.read_text()
+            assert "repro cluster listening" in banner, banner
+            port = int(banner.split(":")[1].split()[0])
+            (ping,) = _raw_lines(port, [json.dumps({"op": "ping"})])
+            assert ping["ok"] is True
+            # the router, its worker and the multiprocessing tracker
+            assert len(_live_group_members(router.pid)) >= 2
+            router.send_signal(stop)
+            router.wait(timeout=20)
+            _wait_for(lambda: not _live_group_members(router.pid),
+                      "the fleet to stop with its router", timeout=10)
+        finally:
+            try:
+                os.killpg(router.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            router.wait(timeout=10)

@@ -79,6 +79,18 @@ def test_server_loads_no_cluster_client_or_tooling_code():
     ]) == []
 
 
+def test_info_loads_no_serving_code():
+    # a one-shot command resolves its spec argument in repro.datasets
+    modules = loaded_after(
+        "import contextlib, io, repro.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert repro.cli.main(['info', 'bioaid']) == 0"
+    )
+    assert "repro.datasets" in modules
+    assert matching(modules, ["repro.service", "repro.labeling",
+                              "repro.schemes"]) == []
+
+
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
 def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)

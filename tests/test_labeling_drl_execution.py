@@ -256,7 +256,8 @@ class TestOpenFrontier:
             factory = labeler.factory
             caches = [
                 getattr(factory, name)
-                for name in ("_prefix", "_indexes", "_metas", "_key")
+                for name in ("_prefix", "_indexes", "_metas", "_key",
+                             "_row", "_special")
                 if hasattr(factory, name)
             ]
             assert caches and all(cache == {} for cache in caches)
