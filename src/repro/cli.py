@@ -22,8 +22,8 @@ an in-process engine or, with ``--port``, a live server over TCP.
 ``serve --data-dir`` makes the service durable -- sessions recovered on
 boot by replaying their write-ahead logs, every ingest logged under
 ``--fsync`` before it is acknowledged -- and ``loadgen crash-recovery``
-SIGKILLs such a server mid-ingest and verifies that recovery loses no
-acknowledged insertion.
+SIGKILLs such a server twice mid-ingest and verifies that recovery loses
+no acknowledged insertion.
 
 Observability: ``serve --metrics-port`` exposes the server's latency
 histograms and counters as a Prometheus text endpoint
@@ -523,59 +523,33 @@ def cmd_loadgen(args) -> int:
         scenarios,
     )
 
-    from repro.loadgen.crash import (
-        KILL_PRIMARY_SCENARIO,
-        KILL_PRIMARY_SUMMARY,
-        KILL_WORKER_SCENARIO,
-        KILL_WORKER_SUMMARY,
-        SCENARIO_NAME as CRASH_SCENARIO,
-        SCENARIO_SUMMARY as CRASH_SUMMARY,
-        run_crash_recovery,
-        run_kill_primary,
-        run_kill_worker,
-    )
+    from repro.loadgen.crash import PRESETS, run_fault
 
     if args.list:
         for name, scenario in sorted(scenarios().items()):
             print(f"{name:<24} {scenario.summary}")
-        print(f"{CRASH_SCENARIO:<24} {CRASH_SUMMARY}")
-        print(f"{KILL_WORKER_SCENARIO:<24} {KILL_WORKER_SUMMARY}")
-        print(f"{KILL_PRIMARY_SCENARIO:<24} {KILL_PRIMARY_SUMMARY}")
+        for name, (_, _, summary) in PRESETS.items():
+            print(f"{name:<24} {summary}")
         return 0
-    if args.scenario in (CRASH_SCENARIO, KILL_WORKER_SCENARIO,
-                         KILL_PRIMARY_SCENARIO):
-        # not a closed-loop scenario: it owns its server subprocess
+    if args.scenario in PRESETS:
+        topology, kill, _ = PRESETS[args.scenario]
+        # not a closed-loop scenario: it owns its server subprocesses
         if args.port:
             raise SystemExit(
                 f"{args.scenario} manages its own server; drop --port"
             )
         try:
-            if args.scenario == KILL_WORKER_SCENARIO:
-                report = run_kill_worker(
-                    data_dir=args.data_dir,
-                    fsync=args.fsync,
-                    kill_after=max(0.2, args.duration / 2),
-                    seed=args.seed,
-                    workers=args.cluster_workers,
-                    verbose=not args.json,
-                )
-            elif args.scenario == KILL_PRIMARY_SCENARIO:
-                report = run_kill_primary(
-                    data_dir=args.data_dir,
-                    fsync=args.fsync,
-                    kill_after=max(0.2, args.duration / 2),
-                    seed=args.seed,
-                    replicas=args.replicas,
-                    verbose=not args.json,
-                )
-            else:
-                report = run_crash_recovery(
-                    data_dir=args.data_dir,
-                    fsync=args.fsync,
-                    kill_after=max(0.2, args.duration / 2),
-                    seed=args.seed,
-                    verbose=not args.json,
-                )
+            report = run_fault(
+                topology,
+                kill=kill,
+                size=(args.replicas if topology == "replicated"
+                      else args.cluster_workers),
+                data_dir=args.data_dir,
+                fsync=args.fsync,
+                kill_after=max(0.2, args.duration / 2),
+                seed=args.seed,
+                verbose=not args.json,
+            )
         except ReproError as exc:
             raise SystemExit(str(exc)) from None
         if args.json:
@@ -588,18 +562,8 @@ def cmd_loadgen(args) -> int:
                 f"{'PASSED' if report.ok else 'FAILED'} "
                 f"-- {report.acknowledged} acknowledged, "
                 f"{len(report.lost)} lost, {report.verified_pairs} "
-                f"answers BFS-verified ({report.wrong_answers} wrong)"
-                + (
-                    f", {report.worker_restarts} worker restart(s)"
-                    if args.scenario == KILL_WORKER_SCENARIO
-                    else ""
-                )
-                + (
-                    f", promoted port {report.promoted_port} at "
-                    f"epoch {report.promoted_epoch}"
-                    if args.scenario == KILL_PRIMARY_SCENARIO
-                    else ""
-                )
+                f"answers BFS-verified ({report.wrong_answers} wrong), "
+                f"{len(report.faults)} fault(s)"
             )
         return 0 if report.ok else 1
     try:
@@ -789,7 +753,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="list the scenario catalog and exit")
     p.add_argument("--duration", type=float, default=5.0,
-                   help="seconds of closed-loop load per worker")
+                   help="seconds of closed-loop load per worker (a fault "
+                        "scenario kills no later than half this after "
+                        "each recovery)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker threads (default: the scenario's "
                         "session count)")
@@ -804,15 +770,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check every answer against BFS ground truth "
                         "(slow; smoke tests)")
     p.add_argument("--data-dir", default=None,
-                   help="crash-recovery only: durable data dir for the "
-                        "spawned server (default: a temp dir)")
+                   help="fault scenarios: durable data dir for the "
+                        "spawned servers (default: a temp dir)")
     p.add_argument("--fsync", choices=["always", "batch", "never"],
                    default="always",
-                   help="crash-recovery only: the spawned server's WAL "
+                   help="fault scenarios: the spawned servers' WAL "
                         "fsync policy")
     p.add_argument("--cluster-workers", type=int, default=2,
                    help="kill-worker only: worker processes in the "
-                        "spawned cluster (>= 2)")
+                        "spawned cluster (>= 1)")
     p.add_argument("--replicas", type=int, default=2,
                    help="kill-primary only: read replicas following "
                         "the spawned primary (>= 1)")

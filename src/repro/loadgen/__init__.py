@@ -12,9 +12,14 @@ and every error the service returned.
 Entry points: ``repro loadgen`` on the command line, and
 :func:`run_scenario` / :func:`scenarios` from code (the worker-scaling
 section of ``benchmarks/bench_service.py`` is built on them).
+:func:`run_fault` is the fault harness: a seeded ingest against a
+single server, a cluster or a replicated fleet under a SIGKILL or an
+armed failpoint, checked for zero acknowledged loss and BFS-equal
+answers (``repro loadgen crash-recovery``, ``kill-worker`` and
+``kill-primary`` are its presets).
 """
 
-from repro.loadgen.crash import CrashReport, run_crash_recovery
+from repro.loadgen.crash import CrashReport, run_fault
 from repro.loadgen.driver import (
     ClientDriver,
     EngineDriver,
@@ -31,7 +36,7 @@ __all__ = [
     "LoadReport",
     "run_scenario",
     "CrashReport",
-    "run_crash_recovery",
+    "run_fault",
     "EngineDriver",
     "ClientDriver",
     "engine_driver_factory",

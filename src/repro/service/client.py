@@ -503,28 +503,40 @@ class ServiceClient:
         epoch: int = 0,
         replica_id: Optional[str] = None,
         wait: float = 1.0,
+        token: Optional[List[int]] = None,
     ) -> Dict[str, Any]:
         """Long-poll the primary's replication stream from a position.
 
-        Returns either ``{"records": [...], "seq", "epoch"}`` or, when
-        ``from_seq`` fell off the primary's in-memory ring (or is
-        negative), ``{"reset": true, "seq", "epoch", "snapshot"}`` --
-        a full-state resync point.  Used by the replica applier; also
-        handy for tailing the stream in tooling.
+        Returns either ``{"records": [...], "seq", "epoch", "token"}``
+        or, when ``from_seq`` fell off the primary's in-memory ring, is
+        negative, or ``token`` is not the primary's current hub token,
+        ``{"reset": true, "seq", "epoch", "token", "snapshot"}`` -- a
+        full-state resync point.  Positions count from 0 in each hub
+        lifetime, so pass the ``token`` of the answer a position came
+        from.  Used by the replica applier; also handy for tailing the
+        stream in tooling.
         """
         params: Dict[str, Any] = {
             "from_seq": from_seq, "epoch": epoch, "wait": wait,
         }
         if replica_id is not None:
             params["replica_id"] = replica_id
+        if token is not None:
+            params["token"] = token
         return self.call("repl_subscribe", **params)
 
     def repl_ack(
-        self, replica_id: str, seq: int, epoch: int = 0
+        self,
+        replica_id: str,
+        seq: int,
+        epoch: int = 0,
+        token: Optional[List[int]] = None,
     ) -> Dict[str, Any]:
-        """Report a replica's applied position to the primary."""
+        """Report a replica's applied position to the primary; the
+        primary counts it only under its current hub ``token``."""
         return self.call(
-            "repl_ack", replica_id=replica_id, seq=seq, epoch=epoch
+            "repl_ack", replica_id=replica_id, seq=seq, epoch=epoch,
+            token=token,
         )
 
     def promote(self, epoch: Optional[int] = None) -> Dict[str, Any]:

@@ -712,8 +712,8 @@ class ClusterSupervisor:
             else:
                 self._send(client, self._owner_of(request), slot, raw)
         except Exception as exc:
-            self._emit(client, slot, encode_response(
-                error_response(exc, request.id)).encode("utf-8"))
+            self._emit(client, slot, encode_response(error_response(
+                exc, request.id, request.trace_id)).encode("utf-8"))
 
     def _answer(self, client: _ClientConn, slot: _Slot,
                 request: Request, result: Any) -> None:
@@ -1022,7 +1022,8 @@ class ClusterSupervisor:
                       op=gather.op, error=f"{type(exc).__name__}: {exc}")
             line = encode_response(error_response(ServiceError(
                 f"the router could not merge the workers' {gather.op!r} "
-                f"replies: {type(exc).__name__}: {exc}"), request.id))
+                f"replies: {type(exc).__name__}: {exc}"), request.id,
+                request.trace_id))
         self._emit(gather.client, gather.slot, line.encode("utf-8"))
 
     def _merge(self, op: str, request: Request,

@@ -24,8 +24,8 @@ Operations::
     ping
     shutdown
     cluster_info     (process topology: workers, pids, ports, restarts)
-    repl_subscribe   from_seq[, epoch, replica_id, wait]  (ship WAL records)
-    repl_ack         replica_id, seq[, epoch]  (replica coverage ack)
+    repl_subscribe   from_seq[, epoch, replica_id, wait, token]  (ship WAL records)
+    repl_ack         replica_id, seq[, epoch, token]  (replica coverage ack)
     promote          [epoch]  (replica -> primary; fences older epochs)
 
 ``scheme`` selects the session's labeling backend by registry name
@@ -310,13 +310,16 @@ def exception_for_code(code: Optional[str], message: str) -> ReproError:
     return cls(message)
 
 
-def error_response(exc: BaseException, request_id: Any = None) -> Response:
+def error_response(
+    exc: BaseException, request_id: Any = None, trace_id: Optional[str] = None
+) -> Response:
     """The failure response reporting ``exc`` to the client."""
     return Response(
         ok=False,
         error=str(exc),
         code=code_for_exception(exc),
         id=request_id,
+        trace_id=trace_id,
     )
 
 

@@ -10,7 +10,10 @@ Topology
 One **primary** (a durable server) owns a :class:`ReplicationHub`: a
 bounded in-memory ring of recently appended WAL records, each stamped
 with a monotone global *ship position* (one sequence across every
-session, unlike the per-session WAL seqs).  The
+session, unlike the per-session WAL seqs).  Positions count from 0 in
+each hub lifetime, so they travel with the hub's *token*, ``[epoch,
+lifetime]``: a subscriber with another token is reset, and an ack with
+another token is not counted.  The
 hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
 so the shipped stream is always a prefix of the durable log.  A ringed
@@ -26,7 +29,9 @@ primary and replays each shipped record through the same path as boot
 recovery (:func:`repro.service.wal.replay_records`): start contiguity,
 relabeling, the label fingerprint.  The replica's session keeps the
 record's version and text, so its own WAL line is the primary's, byte
-for byte.  It reports coverage with ``repl_ack``.  A replica whose
+for byte.  It persists its token and position, then reports coverage
+with ``repl_ack``; after a restart it reports and resumes from the
+persisted position.  A replica whose
 position fell off the primary's ring (or that never bootstrapped)
 receives ``reset`` plus a full snapshot instead: each session's WAL
 header and lines, replayed the same way, keeping every batch's version
@@ -38,11 +43,13 @@ overlaps it in part, or does not replay, resyncs from a snapshot.
 Zero acked loss
 ---------------
 With ``--repl-min-acks N`` the primary acknowledges an ingest only
-once >= N replicas have acked a ship position covering it
-(:meth:`ReplicationHub.wait_covered`).  Coverage is prefix-based, so
-at promotion time the most-caught-up replica holds *every* write the
-primary ever acknowledged -- the invariant the ``kill-primary`` chaos
-scenario asserts mechanically.
+once >= N replicas have acked, under its hub's token, a ship position
+covering it (:meth:`ReplicationHub.wait_covered`).  Coverage is
+prefix-based within a lifetime, and a later lifetime's replica was
+reset from a primary holding every earlier write, so the replica
+:func:`choose_promotion_target` ranks first holds *every* write the
+primary ever acknowledged -- the invariant the ``kill-primary``
+scenario asserts mechanically, across two failovers.
 
 Epoch fencing
 -------------
@@ -150,6 +157,10 @@ class ReplicationHub:
         self._seq = 0       # next ship position to assign
         self._min_seq = 0   # position of the oldest record still ringed
         self._acks: Dict[str, int] = {}
+        # positions count from 0 in every hub lifetime, so one is only
+        # meaningful beside the token of the lifetime that assigned it.
+        # The epoch orders promotions, the lifetime a primary's restarts.
+        self.token = [store.epoch, store.next_lifetime()]
         store.on_append = self.publish
 
     @property
@@ -212,11 +223,15 @@ class ReplicationHub:
         epoch: int = 0,
         replica_id: Optional[str] = None,
         wait: float = DEFAULT_POLL_WAIT,
+        token: Optional[List[int]] = None,
     ) -> Dict[str, Any]:
         """One long-poll turn: records past ``from_seq``, or a reset.
 
         A negative ``from_seq`` always requests a reset (the replica
-        has no position yet, or detected it cannot apply the stream).
+        has no position yet, or detected it cannot apply the stream),
+        and so does a ``token`` other than this hub's: that position
+        was assigned by another lifetime (a restarted or a former
+        primary) and names nothing here.
         A subscriber proving a *higher* epoch fences this node (see the
         module docstring); a subscriber on a lower epoch is told the
         current one in the response and adopts it.
@@ -229,7 +244,8 @@ class ReplicationHub:
             )
         wait = min(max(0.0, float(wait)), self.MAX_WAIT)
         with self._cond:
-            reset = from_seq < 0 or from_seq < self._min_seq
+            reset = (from_seq < 0 or from_seq < self._min_seq
+                     or token != self.token)
             if not reset:
                 deadline = time.monotonic() + wait
                 while self._seq <= from_seq:
@@ -249,6 +265,7 @@ class ReplicationHub:
                 "records": shipped,
                 "seq": seq,
                 "epoch": self.store.epoch,
+                "token": self.token,
             }
         # reset path: assemble the snapshot WITHOUT the hub lock (the
         # session locks it takes are the ones publish() holds *before*
@@ -258,6 +275,7 @@ class ReplicationHub:
             "reset": True,
             "seq": seq,
             "epoch": self.store.epoch,
+            "token": self.token,
             "snapshot": self._snapshot_all(),
         }
 
@@ -285,9 +303,14 @@ class ReplicationHub:
         return snapshots
 
     def ack(
-        self, replica_id: str, seq: int, epoch: int = 0
+        self,
+        replica_id: str,
+        seq: int,
+        epoch: int = 0,
+        token: Optional[List[int]] = None,
     ) -> Dict[str, Any]:
-        """Record a replica's covered ship position."""
+        """Record a replica's covered ship position; one that carries
+        another lifetime's ``token`` is ignored."""
         if epoch > self.store.epoch:
             self.store.fence()
             raise ServiceError(
@@ -295,10 +318,11 @@ class ReplicationHub:
                 f"local {self.store.epoch}"
             )
         with self._cond:
-            previous = self._acks.get(replica_id, 0)
-            self._acks[replica_id] = max(previous, int(seq))
-            self._cond.notify_all()
-            return {"acked": self._acks[replica_id], "seq": self._seq}
+            if token == self.token:
+                previous = self._acks.get(replica_id, 0)
+                self._acks[replica_id] = max(previous, int(seq))
+                self._cond.notify_all()
+            return {"acked": self._acks.get(replica_id, 0), "seq": self._seq}
 
     def wait_covered(
         self, seq: int, timeout: Optional[float] = None
@@ -337,6 +361,7 @@ class ReplicationHub:
             seq = self._seq
             return {
                 "seq": seq,
+                "token": self.token,
                 "min_acks": self.min_acks,
                 "replicas": {
                     replica: {"acked": acked, "behind": seq - acked}
@@ -384,10 +409,12 @@ class ReplicaApplier(threading.Thread):
         self.retry_interval = retry_interval
         self._halt = threading.Event()
         self._lock = threading.Lock()
-        # next ship position to request; -1 = no position yet, which
-        # forces an initial snapshot (local recovered state, if any, is
-        # absorbed by the prefix-idempotent snapshot apply)
-        self._position = -1
+        # the hub token and ship position last acknowledged, persisted
+        # before each ack: a restarted replica reports what its WAL
+        # holds and resumes from there.  -1 = no position, which forces
+        # a snapshot (local recovered state, if any, is absorbed by the
+        # prefix-idempotent snapshot apply), as does another hub's token
+        self._token, self._position = store.replica_position()
         self.errors: List[str] = []
 
     # ------------------------------------------------------------------
@@ -401,6 +428,7 @@ class ReplicaApplier(threading.Thread):
         with self._lock:
             return {
                 "applied": self._position,
+                "token": self._token,
                 "epoch": self.store.epoch,
                 "role": "replica",
             }
@@ -436,11 +464,14 @@ class ReplicaApplier(threading.Thread):
     def _follow(self, client) -> None:
         """Drain one healthy connection until it fails or we stop."""
         while not self._halt.is_set():
+            with self._lock:
+                token, position = self._token, self._position
             response = client.repl_subscribe(
-                from_seq=self.position,
+                from_seq=position,
                 epoch=self.store.epoch,
                 replica_id=self.replica_id,
                 wait=self.poll_wait,
+                token=token,
             )
             epoch = int(response.get("epoch", 0))
             if epoch > self.store.epoch:
@@ -452,20 +483,27 @@ class ReplicaApplier(threading.Thread):
                     self._apply_snapshot(response)
                 else:
                     self._apply_records(response.get("records", []))
-                    with self._lock:
-                        self._position = max(
-                            self._position, int(response.get("seq", 0))
-                        )
             except _ResetNeeded as exc:
                 self._note(str(exc))
-                with self._lock:
-                    self._position = -1
+                self._settle(None, -1)
                 continue
+            token = response.get("token")
+            self._settle(token, int(response.get("seq", 0)))
             client.repl_ack(
                 replica_id=self.replica_id,
                 seq=self.position,
                 epoch=self.store.epoch,
+                token=token,
             )
+
+    def _settle(self, token: Optional[List[int]], position: int) -> None:
+        """Adopt (and first persist) the position to report and ack."""
+        with self._lock:
+            if (token, position) == (self._token, self._position):
+                return
+        self.store.save_replica_position(token, position)
+        with self._lock:
+            self._token, self._position = token, position
 
     def _apply_records(self, records: List[Dict[str, Any]]) -> None:
         for record in records:
@@ -488,8 +526,6 @@ class ReplicaApplier(threading.Thread):
                 ) from exc
             _h_apply.record(time.perf_counter() - apply_started)
             _c_applied.inc()
-            with self._lock:
-                self._position = int(record["pos"]) + 1
             FAILPOINTS.hit("repl.post_apply")
 
     def _apply_create(self, record: Dict[str, Any]) -> None:
@@ -566,8 +602,6 @@ class ReplicaApplier(threading.Thread):
                 self._apply_close(name)
         for entry in snapshot:
             self._apply_snapshot_entry(entry)
-        with self._lock:
-            self._position = int(response.get("seq", 0))
 
     def _apply_snapshot_entry(self, entry: Dict[str, Any]) -> None:
         """Replay one session's shipped WAL header and lines.
@@ -671,18 +705,21 @@ def choose_promotion_target(
 ) -> Optional[Tuple[str, int]]:
     """The most-caught-up live replica among ``endpoints``.
 
-    Prefix coverage means the replica with the highest applied ship
-    position holds a superset of every other's acknowledged state, so
-    promoting it can never lose an acknowledged write that any replica
+    Replicas rank by the token of the hub lifetime their position
+    belongs to, then by the position.  Within one lifetime coverage is
+    prefix-based, so the higher position holds a superset; a position
+    in a later lifetime was reached through a reset snapshot of a
+    primary that held everything acknowledged before it.  So promoting
+    the top one can never lose an acknowledged write that any replica
     still holds.
     """
     best: Optional[Tuple[str, int]] = None
-    best_key = (-1, -1)
+    best_key: Tuple[Tuple[int, ...], int] = ((), -1)
     for endpoint in endpoints:
         info = probe_replication(endpoint)
         if info is None or info.get("role") != "replica":
             continue
-        key = (int(info.get("epoch", 0)), int(info.get("applied", 0)))
-        if key > best_key:
+        key = (tuple(info.get("token") or ()), int(info.get("applied", -1)))
+        if best is None or key > best_key:
             best, best_key = endpoint, key
     return best

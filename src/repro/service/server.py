@@ -217,7 +217,7 @@ class ReproService:
         echoes the trace id so the client can join logs and traces.
         """
         trace = self.tracer.start(request.op, trace_id=request.trace_id)
-        trace.session = request.params.get("session")
+        session = trace.session = request.params.get("session")
         instruments = self._op_instruments.get(
             request.op, self._op_instruments["unknown"]
         )
@@ -228,6 +228,8 @@ class ReproService:
                 handler = self._ops.get(request.op)
                 if handler is None:
                     raise ProtocolError(f"unknown op {request.op!r}")
+                if session is not None and not isinstance(session, str):
+                    raise ProtocolError("'session' must be a session name")
                 response = Response(
                     ok=True, result=handler(request), id=request.id
                 )
@@ -436,8 +438,6 @@ class ReproService:
                 "server is not durable (started without --data-dir)"
             )
         name = request.params.get("session")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError("'session' must be a session name")
         if name is not None:
             self.manager.get(name)  # map unknown names to no-session
         synced = self.store.sync(name)
@@ -546,6 +546,7 @@ class ReproService:
             epoch=int(request.params.get("epoch", 0)),
             replica_id=request.params.get("replica_id"),
             wait=float(request.params.get("wait", 1.0)),
+            token=request.params.get("token"),
         )
 
     def _op_repl_ack(self, request: Request) -> Dict[str, Any]:
@@ -557,7 +558,8 @@ class ReproService:
         if not isinstance(seq, int) or isinstance(seq, bool):
             raise ProtocolError("'seq' must be an integer position")
         return hub.ack(
-            replica_id, seq, epoch=int(request.params.get("epoch", 0))
+            replica_id, seq, epoch=int(request.params.get("epoch", 0)),
+            token=request.params.get("token"),
         )
 
     def _op_promote(self, request: Request) -> Dict[str, Any]:

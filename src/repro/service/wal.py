@@ -118,6 +118,8 @@ _CLOSED = "CLOSED"
 _OLD_GENERATION_PREFIX = "ckpt-"
 _DIR_PREFIX = "s-"
 _EPOCH = "EPOCH"
+_LIFETIME = "LIFETIME"
+_REPLICA = "REPLICA"
 # the first document of the older four-document checkpoint format
 _OLD_CHECKPOINT_MANIFEST = "manifest.json"
 
@@ -676,7 +678,9 @@ class DurableStore:
     ``EPOCH`` at the data-dir root persists the replication fencing
     epoch; once :meth:`fence` is called (a peer proved a higher epoch
     exists) every ingest is rejected, so a zombie primary can no longer
-    acknowledge writes.
+    acknowledge writes.  ``LIFETIME`` counts the replication hubs this
+    data dir has started, and a replica keeps in ``REPLICA`` the hub
+    token and ship position it last acknowledged.
     """
 
     def __init__(
@@ -692,7 +696,7 @@ class DurableStore:
         self._lock = threading.Lock()
         self._entries: Dict[str, _Entry] = {}
         self.recovery: List[Dict[str, Any]] = []  # boot-time reports
-        self.epoch = self._read_epoch()
+        self.epoch = self._read_int(_EPOCH)
         self.fenced = False
         # replication publish hook: the primary's hub, when serving as
         # one.  Called after (and only after) the WAL append succeeded,
@@ -723,13 +727,23 @@ class DurableStore:
         self._lock_handle.flush()
 
     # ------------------------------------------------------------------
-    # fencing epochs
+    # replication state: fencing epoch, hub lifetimes, replica position
     # ------------------------------------------------------------------
-    def _read_epoch(self) -> int:
+    def _read_int(self, name: str) -> int:
         try:
-            return int((self.root / _EPOCH).read_text().strip())
+            return int((self.root / name).read_text().strip())
         except (FileNotFoundError, ValueError):
             return 0
+
+    def _replace(self, name: str, text: str, durable: bool = True) -> None:
+        """Atomically replace the small state file ``name``."""
+        staged = self.root / (name + ".tmp")
+        staged.write_text(text)
+        if durable:
+            fsync_file(staged)
+        os.replace(staged, self.root / name)
+        if durable:
+            fsync_dir(self.root)
 
     def set_epoch(self, epoch: int) -> None:
         """Durably adopt a (higher) fencing epoch."""
@@ -737,12 +751,38 @@ class DurableStore:
             raise ServiceError(
                 f"epoch may only advance ({epoch} < {self.epoch})"
             )
-        staged = self.root / (_EPOCH + ".tmp")
-        staged.write_text(f"{epoch}\n")
-        fsync_file(staged)
-        os.replace(staged, self.root / _EPOCH)
-        fsync_dir(self.root)
+        self._replace(_EPOCH, f"{epoch}\n")
         self.epoch = epoch
+
+    def next_lifetime(self) -> int:
+        """Durably count one more replication hub started on this data
+        dir; the count orders one primary's restarts within an epoch."""
+        lifetime = self._read_int(_LIFETIME) + 1
+        self._replace(_LIFETIME, f"{lifetime}\n")
+        return lifetime
+
+    def replica_position(self) -> Tuple[Optional[List[int]], int]:
+        """The ``(token, position)`` a replica last acknowledged, or
+        ``(None, -1)`` when it never acknowledged one."""
+        try:
+            state = json.loads((self.root / _REPLICA).read_text())
+            return state["token"], int(state["applied"])
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            return None, -1
+
+    def save_replica_position(
+        self, token: Optional[List[int]], applied: int
+    ) -> None:
+        """Persist a replica's position before it is acknowledged.
+
+        The applied records are in the WAL first (and fsynced, under
+        ``always``), so the position never claims more than the WAL
+        holds.  It is not fsynced itself: a power loss can only leave an
+        older position, or none, which ranks the replica lower."""
+        self._replace(
+            _REPLICA, json.dumps({"token": token, "applied": applied}),
+            durable=False,
+        )
 
     def fence(self) -> None:
         """Reject all further ingests: a higher epoch exists elsewhere."""

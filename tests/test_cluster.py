@@ -309,6 +309,16 @@ class TestClusterRouting:
         assert reply["code"] == "protocol"
         assert "single session name" in reply["error"]
 
+    def test_replies_the_router_makes_echo_the_trace_id(self, cluster):
+        replies = _raw_lines(cluster.port, [
+            json.dumps({"op": "promote", "trace_id": "feed0001"}),
+            json.dumps({"op": "query_batch", "session": [ALPHA, BETA],
+                        "pairs": [[0, 0]], "trace_id": "feed0002"}),
+        ])
+        assert [reply["ok"] for reply in replies] == [False, False]
+        assert [reply["trace_id"] for reply in replies] == [
+            "feed0001", "feed0002"]
+
     def test_errors_route_back_structured(self, cluster, client):
         with pytest.raises(ServiceError):
             client.ingest("never-created", [])

@@ -949,7 +949,8 @@ class TestCollectorFootprint:
         assert wal_path.read_text().splitlines(keepends=True)[1:] == [
             f'{{"seq": {seq}, {text}' for seq, text in enumerate(log)
         ]
-        shipped = self.handle(service, "repl_subscribe", from_seq=0)
+        shipped = self.handle(service, "repl_subscribe", from_seq=0,
+                              token=service.hub.token)
         assert [
             r["text"] for r in shipped["records"] if r["kind"] == "ingest"
         ] == log
@@ -1380,31 +1381,15 @@ class TestEventRows:
 
 
 # ---------------------------------------------------------------------------
-# the crash-recovery loadgen scenario (subprocess SIGKILL)
+# the fault scenarios (run as the fault matrix in tests/test_faults.py)
 # ---------------------------------------------------------------------------
 
 
 class TestCrashRecoveryScenario:
-    def test_sigkill_mid_ingest_loses_nothing_acknowledged(self, tmp_path):
-        from repro.loadgen import run_crash_recovery
-
-        report = run_crash_recovery(
-            data_dir=str(tmp_path / "data"),
-            run_size=250,
-            chunk=4,
-            kill_after=20.0,  # progress-triggered long before this
-            queries=150,
-            verbose=False,
-        )
-        assert report.errors == []
-        assert report.lost == []
-        assert report.wrong_answers == 0
-        assert 0 < report.acknowledged
-        assert report.recovered_vertices >= report.acknowledged
-
     def test_cli_lists_the_scenario(self, capsys):
         from repro.cli import main
 
         assert main(["loadgen", "--list"]) == 0
         out = capsys.readouterr().out
-        assert "crash-recovery" in out
+        for name in ("crash-recovery", "kill-worker", "kill-primary"):
+            assert name in out

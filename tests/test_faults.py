@@ -4,11 +4,18 @@ The registry's contract: unarmed hits are free no-ops with no
 behavioral effect; arming is validated against the frozen catalog;
 ``raise`` fires :class:`FailpointError` exactly on the N-th hit and
 then disarms itself (one-shot), so a recovery path re-entering the
-same site never re-fires.  The ``crash`` action (``os._exit(170)``)
-is exercised against real subprocesses in ``tests/test_replication.py``.
+same site never re-fires.
+
+The fault matrix runs the harness (:func:`repro.loadgen.run_fault`)
+over every topology: real server processes SIGKILLed at two progress
+marks, or crashed (``os._exit(170)``) at an armed failpoint, recover by
+one rule, finish the run, and lose no acknowledged insertion.
 """
 
 from __future__ import annotations
+
+import signal
+from collections import Counter
 
 import pytest
 
@@ -160,3 +167,95 @@ class TestCatalog:
 
     def test_global_registry_starts_unarmed(self):
         assert FAILPOINTS.armed() == {}
+
+
+# ---------------------------------------------------------------------------
+# the fault matrix: topology x fault, one harness, one checker
+# ---------------------------------------------------------------------------
+
+KILLED = -signal.SIGKILL
+CRASHED = 170  # a failpoint's os._exit
+
+#: id -> (run_fault arguments, the least faults that must land, by
+#: (role, exit status); a cluster worker's exit is its supervisor's)
+FAULT_MATRIX = {
+    "single-sigkill": (
+        dict(topology="single", kill="server"),
+        {("server", KILLED): 2},
+    ),
+    **{
+        f"single-{name}": (
+            dict(topology="single", failpoint=f"{name}=crash@4",
+                 armed_in="server"),
+            {("server", CRASHED): 1},
+        )
+        for name in ("wal.pre_append", "wal.pre_fsync", "wal.post_append")
+    },
+    "cluster-sigkill": (
+        dict(topology="cluster", kill="worker"),
+        {("worker", None): 2},
+    ),
+    "cluster-wal.post_append": (
+        dict(topology="cluster", failpoint="wal.post_append=crash@4",
+             armed_in="workers"),
+        {("worker", None): 2},
+    ),
+    "cluster-pre_respawn": (
+        dict(topology="cluster", kill="worker",
+             failpoint="cluster.pre_respawn=crash", armed_in="router"),
+        {("router", CRASHED): 1, ("worker", None): 1},
+    ),
+    "replicated-sigkill": (
+        dict(topology="replicated", kill="primary"),
+        {("primary", KILLED): 2},
+    ),
+    **{
+        f"replicated-{name}": (
+            dict(topology="replicated", failpoint=f"{name}=crash@4",
+                 armed_in="replica"),
+            {("replica", CRASHED): 1},
+        )
+        for name in ("repl.pre_apply", "repl.post_apply")
+    },
+    "replicated-pre_promote": (
+        dict(topology="replicated", kill="primary",
+             failpoint="repl.pre_promote=crash", armed_in="replicas"),
+        {("primary", KILLED): 2, ("replica", CRASHED): 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(FAULT_MATRIX))
+def test_fault_matrix_loses_no_acknowledged_insertion(row, tmp_path):
+    from repro.loadgen import run_fault
+
+    arguments, least = FAULT_MATRIX[row]
+    report = run_fault(
+        **arguments, size=2, data_dir=str(tmp_path / "data"),
+        run_size=100, kill_after=30.0, queries=100, verbose=False,
+    )
+    assert report.errors == []
+    assert report.lost == [] and report.wrong_answers == 0
+    assert report.acknowledged == report.run_size >= 80
+    landed = Counter(
+        (fault["role"], fault.get("exit")) for fault in report.faults
+    )
+    assert all(landed[key] >= count for key, count in least.items()), (
+        report.faults
+    )
+
+
+@pytest.mark.parametrize("arguments", [
+    dict(topology="ring"),
+    dict(topology="single", kill="primary"),
+    dict(topology="cluster", size=0),
+    dict(topology="replicated", failpoint="repl.pre_apply=crash"),
+    dict(topology="single", failpoint="wal.pre_append=crash",
+         armed_in="replica"),
+], ids=["topology", "kill", "size", "unarmed", "armed_in"])
+def test_a_fault_run_refuses_what_its_topology_cannot_take(arguments):
+    from repro.errors import ServiceError
+    from repro.loadgen import run_fault
+
+    with pytest.raises(ServiceError, match="a fault run takes"):
+        run_fault(**arguments, verbose=False)

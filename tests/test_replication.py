@@ -8,11 +8,15 @@ The contract under test, end to end:
 * promotion bumps the epoch durably before the first write, and the
   fenced old primary can never acknowledge a write again (no zombie
   acks, no two primaries on one epoch);
+* ship positions and acks count only within the hub lifetime that
+  assigned them, and a restarted replica ranks for promotion by the
+  position it persisted;
 * ``as_of`` answers, for every acknowledged version, equal BFS on the
   prefix graph that version covered; torn-tail recovery reports the
-  bytes dropped;
-* the failpoint crash matrix: a real server crashed *at every
-  registered WAL failpoint* recovers every acknowledged insertion.
+  bytes dropped.
+
+Real processes crashed at every failpoint, on every topology, are the
+fault matrix in ``tests/test_faults.py``.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ def call(service, op, **params):
     )
 
 
-def start_server(service):
-    server = ReproServer(("127.0.0.1", 0), service)
+def start_server(service, port=0):
+    server = ReproServer(("127.0.0.1", port), service)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
@@ -83,13 +87,33 @@ def applied_position(port):
     return int(info.get("applied", -1))
 
 
-def replica_service(data_dir, primary):
+def replica_service(data_dir, primary, peers=(), min_acks=0):
     return ReproService(
         data_dir=str(data_dir),
         fsync="never",
         replicate_from=("127.0.0.1", primary.port),
+        repl_peers=[("127.0.0.1", peer.port) for peer in peers],
+        repl_min_acks=min_acks,
         replica_id=data_dir.name,
     )
+
+
+def semi_sync_primary(data_dir, port=0):
+    return start_server(
+        ReproService(data_dir=str(data_dir), fsync="never", repl_min_acks=1),
+        port=port,
+    )
+
+
+def ingest_chunks(port, session, events, chunk=4):
+    with ServiceClient("127.0.0.1", port) as writer:
+        for lo in range(0, len(events), chunk):
+            writer.ingest(session, events[lo:lo + chunk])
+
+
+def held(server, session):
+    manager = server.service.manager
+    return len(manager.get(session)) if session in manager else 0
 
 
 def as_of_answers(port, session, events, version):
@@ -155,16 +179,21 @@ class TestReplicationHub:
             session="s",
             insertions=insertions_to_wire(execution.insertions[:10]),
         )
-        result = call(service, "repl_subscribe", from_seq=0)
+        token = service.hub.token
+        result = call(service, "repl_subscribe", from_seq=0, token=token)
         kinds = [record["kind"] for record in result["records"]]
         assert kinds == ["create", "ingest"]
         assert result["seq"] == 2
         assert result["epoch"] == service.store.epoch
+        assert result["token"] == token
         # a caught-up subscriber long-polls and times out empty
         again = call(
-            service, "repl_subscribe", from_seq=result["seq"], wait=0.05
+            service, "repl_subscribe", from_seq=result["seq"], wait=0.05,
+            token=token,
         )
         assert again["records"] == []
+        # a position without this hub's token names nothing here
+        assert call(service, "repl_subscribe", from_seq=0)["reset"] is True
 
     def test_fallen_off_the_ring_forces_reset_with_snapshot(
         self, service, running_spec
@@ -193,8 +222,12 @@ class TestReplicationHub:
         )
         with pytest.raises(ServiceError, match="replica"):
             hub.wait_covered(0, timeout=0.05)
-        assert hub.ack("r1", 3)["acked"] == 3
-        hub.ack("r1", 1)  # acks are monotone: a stale ack never regresses
+        token = hub.token
+        assert hub.ack("r1", 3, token=token)["acked"] == 3
+        # acks are monotone: a stale ack never regresses
+        hub.ack("r1", 1, token=token)
+        # and one under another hub lifetime's token is not counted
+        hub.ack("r1", 9, token=[token[0], token[1] - 1])
         assert hub.lag_table()["replicas"]["r1"]["acked"] == 3
         hub.wait_covered(3, timeout=0.05)  # returns, no raise
         with pytest.raises(ServiceError):
@@ -320,9 +353,11 @@ class TestReplicaServesReads:
     def test_restarted_replica_keeps_its_prefix_on_reset(
         self, pair, running_spec, tmp_path
     ):
-        """A restarted replica recovers its own WAL, then resets: it
-        replays only the shipped lines past what it holds, rebuilding
-        nothing, and answers ``as_of`` like the primary."""
+        """A restarted replica recovers its own WAL, then resumes from
+        the position it persisted: it applies only the shipped records
+        past what it holds, rebuilding nothing, and answers ``as_of``
+        like the primary.  (A reset, under a new primary's token, keeps
+        the prefix the same way; see TestPositionsBelongToOneHubLifetime.)"""
         primary, _ = pair
         _, execution = make_execution(running_spec, size=80, seed=5)
         events = execution.insertions[:60]
@@ -339,7 +374,7 @@ class TestReplicaServesReads:
         try:
             (report,) = replica.service.store.recovery
             assert report["vertices"] == 40
-            # the reset covers create + three ingests: position 4
+            # create + three ingests: position 4
             assert wait_until(lambda: applied_position(replica.port) >= 4)
             assert len(replica.service.manager.get("run")) == 60
             for version in range(4):
@@ -506,6 +541,99 @@ class TestPromotion:
         )
 
 
+class TestPositionsBelongToOneHubLifetime:
+    """Ship positions count from 0 in every hub lifetime, at a primary's
+    boot and at a promotion: a replica's position, and its ack, mean
+    something only under the token of the lifetime that assigned them.
+    Under ``--repl-min-acks 1`` an acknowledged ingest is therefore held
+    by a replica, and no lag row reads a negative ``behind``."""
+
+    def acks_wait_for_a_replica(self, port, replica, events, start):
+        with ServiceClient("127.0.0.1", port) as writer:
+            for lo in range(0, len(events), 4):
+                writer.ingest("s", events[lo:lo + 4])
+                assert held(replica, "s") >= start + lo + 4
+        table = probe_replication(("127.0.0.1", port))
+        assert table["replicas"]
+        assert all(row["behind"] >= 0 for row in table["replicas"].values())
+
+    def test_a_restarted_primary_counts_only_its_own_positions(
+        self, running_spec, tmp_path
+    ):
+        _, execution = make_execution(running_spec, size=80, seed=21)
+        events = execution.insertions
+        primary = semi_sync_primary(tmp_path / "pri")
+        replica = start_server(replica_service(tmp_path / "rep", primary))
+        port = primary.port
+        try:
+            with ServiceClient("127.0.0.1", port) as writer:
+                writer.create_session("s", "running-example")
+            ingest_chunks(port, "s", events[:40])
+            assert applied_position(replica.port) == 11
+            stop_server(primary)
+            primary = semi_sync_primary(tmp_path / "pri", port=port)
+            self.acks_wait_for_a_replica(port, replica, events[40:48], 40)
+            assert not list((tmp_path / "rep").glob("*.closed.*"))
+        finally:
+            stop_server(replica)
+            stop_server(primary)
+
+    def test_a_retargeted_replica_counts_only_the_new_primarys_positions(
+        self, running_spec, tmp_path
+    ):
+        _, execution = make_execution(running_spec, size=80, seed=22)
+        events = execution.insertions
+        primary = semi_sync_primary(tmp_path / "pri")
+        a = start_server(replica_service(tmp_path / "a", primary, min_acks=1))
+        b = start_server(replica_service(tmp_path / "b", primary, peers=[a]))
+        try:
+            with ServiceClient("127.0.0.1", primary.port) as writer:
+                writer.create_session("s", "running-example")
+            ingest_chunks(primary.port, "s", events[:40])
+            assert wait_until(lambda: applied_position(b.port) == 11)
+            stop_server(primary)
+            with ServiceClient("127.0.0.1", a.port) as client:
+                client.promote()
+            self.acks_wait_for_a_replica(a.port, b, events[40:48], 40)
+        finally:
+            stop_server(b)
+            stop_server(a)
+
+
+class TestRestartedReplicaRanksByItsWal:
+    def test_promotion_picks_the_replica_that_holds_most_after_its_restart(
+        self, running_spec, tmp_path
+    ):
+        """A replica persists the position it acknowledges, so after a
+        restart it ranks by what its WAL holds, not last: promoting the
+        choice loses no acknowledged event, though a partitioned
+        replica stayed up far behind."""
+        _, execution = make_execution(running_spec, size=100, seed=23)
+        events = execution.insertions[:80]
+        primary = semi_sync_primary(tmp_path / "pri")
+        a = start_server(replica_service(tmp_path / "a", primary))
+        b = start_server(replica_service(tmp_path / "b", primary, peers=[a]))
+        try:
+            with ServiceClient("127.0.0.1", primary.port) as writer:
+                writer.create_session("s", "running-example")
+            ingest_chunks(primary.port, "s", events[:8])
+            assert wait_until(lambda: applied_position(b.port) == 3)
+            b.service.applier.stop()  # partitioned: up, but 72 behind
+            ingest_chunks(primary.port, "s", events[8:])
+            stop_server(primary)
+            stop_server(a)
+            a = start_server(replica_service(tmp_path / "a", primary, [b]))
+            endpoints = [("127.0.0.1", a.port), ("127.0.0.1", b.port)]
+            assert choose_promotion_target(endpoints) == endpoints[0]
+            with ServiceClient("127.0.0.1", a.port) as client:
+                client.promote()
+                vids = [event.vid for event in events]
+                assert all(client.query_batch("s", [(v, v) for v in vids]))
+        finally:
+            stop_server(b)
+            stop_server(a)
+
+
 # ---------------------------------------------------------------------------
 # time travel
 # ---------------------------------------------------------------------------
@@ -650,92 +778,3 @@ class TestTornTailDetails:
             assert report["torn_last_good_seq"] == 0
         finally:
             revived.close()
-
-
-# ---------------------------------------------------------------------------
-# the failpoint crash matrix: crash a real server at every registered
-# WAL failpoint; recovery must hold every acknowledged write
-# ---------------------------------------------------------------------------
-
-
-CRASH_MATRIX = [
-    "wal.pre_append=crash@4",
-    "wal.pre_fsync=crash@4",
-    "wal.post_append=crash@4",
-]
-
-
-class TestFailpointCrashMatrix:
-    @pytest.mark.parametrize(
-        "spec", CRASH_MATRIX, ids=[s.split("=")[0] for s in CRASH_MATRIX]
-    )
-    def test_crash_at_failpoint_loses_no_acknowledged_write(
-        self, spec, tmp_path, running_spec
-    ):
-        from repro.loadgen.crash import (
-            _free_port,
-            _spawn_server,
-            _wait_ready,
-        )
-
-        run, execution = make_execution(running_spec, size=80, seed=13)
-        events = execution.insertions
-        data_dir = str(tmp_path / "data")
-        port = _free_port()
-        process = _spawn_server(
-            port, data_dir, "always", extra=["--failpoints", spec]
-        )
-        acked = []
-        session_acked = False
-        try:
-            _wait_ready(port, process)
-            try:
-                with ServiceClient("127.0.0.1", port, timeout=10.0,
-                                   reconnect=False) as client:
-                    client.create_session("s", "running-example")
-                    session_acked = True
-                    for lo in range(0, len(events), 4):
-                        batch = events[lo:lo + 4]
-                        client.ingest("s", batch)
-                        acked.extend(event.vid for event in batch)
-            except (OSError, ProtocolError, ServiceError):
-                pass  # the armed crash severed the connection
-            assert wait_until(lambda: process.poll() is not None, 15.0), \
-                f"failpoint {spec} never crashed the server"
-            assert process.returncode == 170  # os._exit, not an error
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=10)
-
-        # restart over the same data dir with nothing armed: every
-        # acknowledged write must have survived the crash
-        port = _free_port()
-        revived = _spawn_server(port, data_dir, "always")
-        try:
-            _wait_ready(port, revived)
-            with ServiceClient("127.0.0.1", port, timeout=10.0) as client:
-                if not session_acked:
-                    return
-                assert "s" in client.list_sessions()
-                if acked:
-                    present = client.query_batch(
-                        "s", [(vid, vid) for vid in acked]
-                    )
-                    lost = [
-                        vid for vid, ok in zip(acked, present) if not ok
-                    ]
-                    assert lost == [], f"acked writes lost: {lost}"
-                    # answers over the acked prefix stay BFS-correct
-                    rng = random.Random(14)
-                    probe = [
-                        (rng.choice(acked), rng.choice(acked))
-                        for _ in range(50)
-                    ]
-                    answers = client.query_batch("s", probe)
-                    assert answers == [
-                        reaches(run.graph, a, b) for a, b in probe
-                    ]
-        finally:
-            revived.terminate()
-            revived.wait(timeout=15)

@@ -822,6 +822,19 @@ class TestServerRobustness:
         assert "explode" in replies[0]["error"]
         assert replies[1]["ok"] is True
 
+    def test_a_session_that_is_not_a_name_is_a_protocol_error(self, server):
+        ops = ("query_batch", "ingest", "snapshot", "close", "sync")
+        replies = _raw_lines(
+            server.port,
+            [json.dumps({"op": op, "session": ["a", "b"], "id": op})
+             for op in ops],
+            expect=len(ops),
+        )
+        for reply in replies:
+            assert reply["ok"] is False, reply
+            assert reply["code"] == "protocol", reply
+            assert reply["error"] == "'session' must be a session name"
+
     def test_oversized_query_batch(self, small_batch_server, running_spec):
         _, execution = make_execution(running_spec, size=60, seed=19)
         with ServiceClient(
