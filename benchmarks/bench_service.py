@@ -35,9 +35,10 @@ import os
 import random
 import tempfile
 import time
+from dataclasses import asdict
 
 from repro.datasets import running_example
-from repro.loadgen import Scenario, engine_driver_factory, run_scenario
+from repro.loadgen import Workload, run
 from repro.obs import NULL
 from repro.service import DurableStore, QueryEngine, SessionManager
 from repro.workflow.derivation import sample_run
@@ -54,7 +55,7 @@ OUTPUT = "BENCH_service.json"
 
 # pure read load: everything ingested at prefill, every query drawn
 # from a small hot set of each session's vertices
-READ_SCENARIO = Scenario(
+READ_SCENARIO = Workload(
     name="read-scaling",
     summary="pure reads, one hot session per worker",
     spec="running-example",
@@ -122,7 +123,6 @@ def _worker_scaling_row(workers, duration=SCALING_DURATION, seed=0):
     """
     import threading
 
-    from repro.loadgen import client_driver_factory
     from repro.service.cluster import ClusterSupervisor
 
     supervisor = ClusterSupervisor(workers=workers, port=0).start()
@@ -130,11 +130,10 @@ def _worker_scaling_row(workers, duration=SCALING_DURATION, seed=0):
                               daemon=True)
     thread.start()
     try:
-        report = run_scenario(
+        report = run(
             READ_SCENARIO,
-            client_driver_factory("127.0.0.1", supervisor.port),
+            server=("127.0.0.1", supervisor.port),
             duration=duration,
-            workers=SCALING_WORKERS,
             seed=seed,
         )
     finally:
@@ -398,7 +397,7 @@ def main() -> int:
             "driver_threads": SCALING_WORKERS,
             "batch_pairs": READ_SCENARIO.batch_pairs,
             "duration": SCALING_DURATION,
-            "scenario": READ_SCENARIO.to_dict(),
+            "scenario": asdict(READ_SCENARIO),
             "rows": worker_rows,
             "qps_4_workers_over_1": worker_4x,
         },

@@ -14,11 +14,11 @@ Subcommands::
     python -m repro stats [--watch]                # a live server's telemetry
     python -m repro lint [PATH...]                 # AST invariant lint suite
 
-``label`` and ``serve`` take ``--scheme`` to pick any registered
-*dynamic* labeling backend (``drl`` by default; see ``repro schemes``);
-``query`` reads the scheme back from the label store, which records it.
+``label`` takes ``--scheme`` to pick any registered *dynamic*
+labeling backend (``drl`` by default; see ``repro schemes``); ``query``
+reads the scheme back from the label store, which records it.
 ``loadgen`` replays a named scenario (``repro loadgen --list``) against
-an in-process engine or, with ``--port``, a live server over TCP.
+a server it spawns and checks it, or, with ``--port``, a live server.
 ``serve --data-dir`` makes the service durable -- sessions recovered on
 boot by replaying their write-ahead logs, every ingest logged under
 ``--fsync`` before it is acknowledged -- and ``loadgen crash-recovery``
@@ -61,11 +61,11 @@ def _builtin_or_file(name: str) -> Specification:
         raise SystemExit(str(exc)) from None
 
 
-def _check_dynamic_scheme(name: str, *extra: str) -> None:
-    """Exit unless ``name`` is a registered dynamic scheme or in ``extra``."""
+def _check_dynamic_scheme(name: str) -> None:
+    """Exit unless ``name`` is a registered dynamic scheme."""
     from repro.schemes import registry
 
-    valid = registry.available(dynamic=True) + list(extra)
+    valid = registry.available(dynamic=True)
     if name not in valid:
         raise SystemExit(
             f"unknown dynamic scheme {name!r}; expected one of {valid}"
@@ -263,20 +263,6 @@ def cmd_serve(args) -> int:
         raise SystemExit(str(exc)) from None
     # stderr always: stdout may be the protocol stream under --stdio
     configure_logging(level=args.log_level, fmt=args.log_format)
-    if args.selftest:
-        from repro.service.selftest import run_selftest, run_selftest_all_dynamic
-
-        _check_dynamic_scheme(args.scheme, "all")
-        if args.scheme == "all":
-            return run_selftest_all_dynamic(
-                size=args.size, seed=args.seed,
-                metrics_port=args.metrics_port, workers=args.workers,
-            )
-        return run_selftest(
-            spec_name=args.spec, size=args.size, seed=args.seed,
-            scheme=args.scheme, metrics_port=args.metrics_port,
-            workers=args.workers,
-        )
     if args.workers:
         import signal
 
@@ -514,105 +500,75 @@ def cmd_lint(args) -> int:
 
 def cmd_loadgen(args) -> int:
     import json
+    from dataclasses import replace
 
-    from repro.loadgen import (
-        client_driver_factory,
-        engine_driver_factory,
-        get_scenario,
-        run_scenario,
-        scenarios,
-    )
-
-    from repro.loadgen.crash import PRESETS, run_fault
+    from repro.loadgen import get_workload, run, workloads
+    from repro.loadgen.workload import FAULTS
 
     if args.list:
-        for name, scenario in sorted(scenarios().items()):
-            print(f"{name:<24} {scenario.summary}")
-        for name, (_, _, summary) in PRESETS.items():
-            print(f"{name:<24} {summary}")
+        for name, workload in workloads().items():
+            print(f"{name:<24} {workload.summary}")
         return 0
-    if args.scenario in PRESETS:
-        topology, kill, _ = PRESETS[args.scenario]
-        # not a closed-loop scenario: it owns its server subprocesses
-        if args.port:
-            raise SystemExit(
-                f"{args.scenario} manages its own server; drop --port"
-            )
-        try:
-            report = run_fault(
-                topology,
-                kill=kill,
-                size=(args.replicas if topology == "replicated"
-                      else args.cluster_workers),
-                data_dir=args.data_dir,
-                fsync=args.fsync,
-                kill_after=max(0.2, args.duration / 2),
-                seed=args.seed,
-                verbose=not args.json,
-            )
-        except ReproError as exc:
-            raise SystemExit(str(exc)) from None
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            for error in report.errors:
-                print(f"loadgen: ERROR {error}")
-            print(
-                f"loadgen: {args.scenario} "
-                f"{'PASSED' if report.ok else 'FAILED'} "
-                f"-- {report.acknowledged} acknowledged, "
-                f"{len(report.lost)} lost, {report.verified_pairs} "
-                f"answers BFS-verified ({report.wrong_answers} wrong), "
-                f"{len(report.faults)} fault(s)"
-            )
-        return 0 if report.ok else 1
+    # a fault preset fixes its topology; any other scenario drives the
+    # live server at --port, or spawns one (a cluster or a replicated
+    # fleet under --cluster-workers or --replicas)
+    topology, kill, _ = FAULTS.get(args.scenario, (None, None, None))
+    if topology and args.port:
+        raise SystemExit(f"{args.scenario} manages its own server; drop --port")
+    if not (topology or args.port):
+        topology = ("cluster" if args.cluster_workers is not None
+                    else "replicated" if args.replicas is not None
+                    else "single")
+    size = args.replicas if topology == "replicated" else args.cluster_workers
     try:
-        scenario = get_scenario(args.scenario)
-    except ReproError as exc:
-        raise SystemExit(str(exc)) from None
-    if args.port:
-        factory = client_driver_factory(args.host, args.port)
-        where = f"tcp://{args.host}:{args.port}"
-    else:
-        from repro.service import QueryEngine, SessionManager
-
-        engine = QueryEngine(SessionManager())
-        factory = engine_driver_factory(engine)
-        where = "in-process"
-    if not args.json:
-        print(
-            f"loadgen: scenario {scenario.name!r} for {args.duration:.1f}s "
-            f"against {where}"
+        workload = get_workload(args.scenario)
+        if args.workers is not None:
+            workload = replace(workload, sessions=args.workers)
+        report = run(
+            workload,
+            topology=topology,
+            size=2 if size is None else size,
+            kill=kill,
+            server=(args.host, args.port) if args.port else None,
+            data_dir=args.data_dir,
+            fsync=args.fsync,
+            duration=None if kill else args.duration,
+            kill_after=max(0.2, args.duration / 2),
+            seed=args.seed,
+            verify=args.verify,
+            verbose=not args.json,
         )
-    report = run_scenario(
-        scenario,
-        factory,
-        duration=args.duration,
-        workers=args.workers,
-        seed=args.seed,
-        verify=args.verify,
-    )
+    except (ReproError, ValueError) as exc:
+        raise SystemExit(str(exc)) from None
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(
-            f"loadgen: {report.operations} ops in {report.elapsed:.2f}s -- "
-            f"{report.qps:,.0f} queries/sec ({report.queries} queries), "
-            f"{report.ingest_eps:,.0f} events/sec ({report.ingested} "
-            f"events), {report.sessions_created} sessions"
-        )
-        for kind, latency in (
-            ("query", report.query_latency),
-            ("ingest", report.ingest_latency),
-        ):
-            if latency.get("count"):
-                print(
-                    f"loadgen: {kind} latency p50={_ms(latency['p50'])} "
-                    f"p95={_ms(latency['p95'])} p99={_ms(latency['p99'])} "
-                    f"max={_ms(latency['max'])}"
-                )
-        for error in report.errors:
-            print(f"loadgen: ERROR {error}")
+        return 0 if report.ok else 1
+    print(
+        f"loadgen: {report.operations} ops in {report.elapsed:.2f}s -- "
+        f"{report.qps:,.0f} queries/sec ({report.queries} queries), "
+        f"{report.ingest_eps:,.0f} events/sec ({report.ingested} "
+        f"events), {report.sessions_created} sessions"
+    )
+    for kind, latency in (
+        ("query", report.query_latency),
+        ("ingest", report.ingest_latency),
+    ):
+        if latency.get("count"):
+            print(
+                f"loadgen: {kind} latency p50={_ms(latency['p50'])} "
+                f"p95={_ms(latency['p95'])} p99={_ms(latency['p99'])} "
+                f"max={_ms(latency['max'])}"
+            )
+    for error in report.errors:
+        print(f"loadgen: ERROR {error}")
+    print(
+        f"loadgen: {args.scenario} "
+        f"{'PASSED' if report.ok else 'FAILED'} "
+        f"-- {report.acknowledged} acknowledged, "
+        f"{len(report.lost)} lost, {report.verified_pairs} "
+        f"answers BFS-verified ({report.wrong_answers} wrong), "
+        f"{len(report.faults)} fault(s)"
+    )
     return 0 if report.ok else 1
 
 
@@ -720,8 +676,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p.add_argument("--metrics-port", type=int, default=None,
                    help="expose Prometheus text metrics on this HTTP "
-                        "port (0 picks an ephemeral one); with "
-                        "--selftest, also scrape-validate the endpoint")
+                        "port (0 picks an ephemeral one)")
     p.add_argument("--log-level", choices=list(LOG_LEVELS), default="info",
                    help="structured event log verbosity (on stderr)")
     p.add_argument("--log-format", choices=list(LOG_FORMATS), default="text",
@@ -731,19 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="requests slower than this many seconds are "
                         "dumped to the slow-query log with their full "
                         "span timeline")
-    p.add_argument("--selftest", action="store_true",
-                   help="run one scripted session end-to-end and exit")
-    p.add_argument("--scheme", default="drl",
-                   help="selftest: dynamic scheme to exercise "
-                        "('all' sweeps every registered one; see "
-                        "'repro schemes')")
-    p.add_argument("--spec", default=None,
-                   help="selftest: spec to exercise (default: one the "
-                        "chosen scheme supports)")
-    p.add_argument("--size", type=int, default=300,
-                   help="selftest: run size in vertices")
-    p.add_argument("--seed", type=int, default=0,
-                   help="selftest: RNG seed")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("loadgen",
@@ -754,34 +696,33 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the scenario catalog and exit")
     p.add_argument("--duration", type=float, default=5.0,
                    help="seconds of closed-loop load per worker (a fault "
-                        "scenario kills no later than half this after "
-                        "each recovery)")
+                        "scenario runs its whole run, and kills no later "
+                        "than half this after each recovery)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default: the scenario's "
-                        "session count)")
+                   help="sessions, each driven by its own worker thread "
+                        "(default: the scenario's session count)")
     p.add_argument("--host", default="127.0.0.1",
                    help="drive a live server at this host (with --port)")
     p.add_argument("--port", type=int, default=0,
-                   help="drive a live server over TCP instead of an "
-                        "in-process engine (0 = in-process)")
+                   help="drive a live server over TCP instead of a "
+                        "spawned one (0 = spawn)")
     p.add_argument("--seed", type=int, default=0,
                    help="workload synthesis RNG seed")
     p.add_argument("--verify", action="store_true",
                    help="check every answer against BFS ground truth "
                         "(slow; smoke tests)")
     p.add_argument("--data-dir", default=None,
-                   help="fault scenarios: durable data dir for the "
-                        "spawned servers (default: a temp dir)")
+                   help="durable data dir for the spawned servers "
+                        "(default: a temp dir)")
     p.add_argument("--fsync", choices=["always", "batch", "never"],
                    default="always",
-                   help="fault scenarios: the spawned servers' WAL "
-                        "fsync policy")
-    p.add_argument("--cluster-workers", type=int, default=2,
-                   help="kill-worker only: worker processes in the "
-                        "spawned cluster (>= 1)")
-    p.add_argument("--replicas", type=int, default=2,
-                   help="kill-primary only: read replicas following "
-                        "the spawned primary (>= 1)")
+                   help="the spawned servers' WAL fsync policy")
+    p.add_argument("--cluster-workers", type=int, default=None,
+                   help="spawn a cluster of this many worker processes "
+                        "(>= 1; kill-worker: default 2)")
+    p.add_argument("--replicas", type=int, default=None,
+                   help="spawn a primary with this many read replicas "
+                        "(>= 1; kill-primary: default 2)")
     p.add_argument("--json", action="store_true",
                    help="emit the full report as JSON")
     p.set_defaults(func=cmd_loadgen)

@@ -1,44 +1,29 @@
-"""Replay/load generation for the provenance query service.
+"""Load generation and the fault harness for the provenance service.
 
-``repro.loadgen`` synthesizes mixed scenario workloads -- ingest-heavy,
-query-heavy, hot-key skew, many small churning sessions, one sweep per
-registered dynamic labeling scheme -- and drives them through a
-closed-loop worker pool against either an in-process
-:class:`~repro.service.engine.QueryEngine` or a live server over TCP
-(using the pipelined ``query_batch`` fast path).  The result is a
-:class:`~repro.loadgen.runner.LoadReport`: throughput, per-op counts,
-and every error the service returned.
+``repro.loadgen`` drives one seeded workload model
+(:class:`Workload`: sessions, ingest chunks of sampled runs, query
+batches with hot or cold pairs) through one closed run loop against a
+live server or a fleet it spawns -- a durable single server, a cluster
+or a replicated primary, under SIGKILLs or armed failpoints and one
+recovery rule -- and checks the result once: zero acknowledged loss,
+BFS-equal answers, the required metrics.  The outcome is a
+:class:`Report`: throughput, latency, faults and every error.
 
-Entry points: ``repro loadgen`` on the command line, and
-:func:`run_scenario` / :func:`scenarios` from code (the worker-scaling
-section of ``benchmarks/bench_service.py`` is built on them).
-:func:`run_fault` is the fault harness: a seeded ingest against a
-single server, a cluster or a replicated fleet under a SIGKILL or an
-armed failpoint, checked for zero acknowledged loss and BFS-equal
-answers (``repro loadgen crash-recovery``, ``kill-worker`` and
-``kill-primary`` are its presets).
+Entry points: ``repro loadgen`` on the command line (its scenarios,
+the fault presets ``crash-recovery``, ``kill-worker`` and
+``kill-primary`` among them, are the rows of :func:`workloads`), and
+:func:`run` from code (the worker-scaling section of
+``benchmarks/bench_service.py`` and the fault matrix in
+``tests/test_faults.py`` are built on it).
 """
 
-from repro.loadgen.crash import CrashReport, run_fault
-from repro.loadgen.driver import (
-    ClientDriver,
-    EngineDriver,
-    client_driver_factory,
-    engine_driver_factory,
-)
-from repro.loadgen.runner import LoadReport, run_scenario
-from repro.loadgen.scenarios import Scenario, get_scenario, scenarios
+from repro.loadgen.runner import Report, run
+from repro.loadgen.workload import Workload, get_workload, workloads
 
 __all__ = [
-    "Scenario",
-    "scenarios",
-    "get_scenario",
-    "LoadReport",
-    "run_scenario",
-    "CrashReport",
-    "run_fault",
-    "EngineDriver",
-    "ClientDriver",
-    "engine_driver_factory",
-    "client_driver_factory",
+    "Workload",
+    "workloads",
+    "get_workload",
+    "Report",
+    "run",
 ]

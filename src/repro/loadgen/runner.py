@@ -1,60 +1,70 @@
-"""The closed-loop load runner: scenario in, :class:`LoadReport` out.
+"""One run: a workload driven closed-loop, then checked once.
 
-Each worker owns one live session and loops until the deadline: with
-probability ``scenario.query_fraction`` it issues a query batch over
-the vertices it has inserted so far (optionally skewed onto a hot set),
-otherwise it ingests the next chunk of its synthesized run.  A run that
-reaches its end closes the session and opens a fresh one -- so
-ingest-heavy scenarios naturally exercise session churn, and every
-insertion stream is a *real* execution of the scenario's workflow spec
-(synthesized via :func:`repro.workflow.derivation.sample_run`), never
-random garbage the labeler would reject.
+:func:`run` drives a :class:`~repro.loadgen.workload.Workload` against a
+live server, or against a fleet it spawns
+(:class:`~repro.loadgen.fleet.Fleet`).  Every stream's session is
+created first; then one worker thread per stream, on its own
+connection, sends query batches over the stream's acknowledged vids
+and ingest chunks of its run, in the workload's mix.  Closed loop: one
+request in flight per worker, so throughput is honest capacity at the
+offered concurrency.  A run stops at a deadline (``duration``), a
+stream whose run completed closing its session and opening a fresh
+one, or, without a deadline, once every stream's run is acknowledged
+(fixed work).
 
-Closed loop means each worker has one operation in flight: measured
-throughput is honest end-to-end capacity at the offered concurrency,
-not an open-loop arrival fantasy.  Any exception -- a failure response
-over TCP, an engine error in process, an answer that contradicts BFS
-ground truth under ``verify`` -- is captured in ``LoadReport.errors``
-(the run keeps going on the other workers; the failed worker stops).
+Without a fleet, any failure is recorded and ends its worker.  With
+one, a failed request goes through the fleet's one recovery rule, once
+per fault: an interrupted ingest chunk is then probed and resent only
+if its atomic WAL record did not land, a query is sent again, and a
+failure where nothing died is an error.  The checker then runs once:
+every acknowledged vid is on the entry point and on every caught-up
+replica, a fixed-work run acknowledged its whole run, sampled pairs
+answer like BFS (with ``verify``, every answer of the run too), and the
+entry point's metrics hold the required series.
 """
 
 from __future__ import annotations
 
-import random
+import contextlib
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import urllib.request
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.loadgen.driver import DriverFactory
-from repro.loadgen.scenarios import Scenario
-from repro.obs.histogram import Histogram, merge_snapshots
-from repro.datasets import resolve_spec
-from repro.workflow.derivation import sample_run
-from repro.workflow.execution import execution_from_derivation
+from repro.errors import ReproError, ServiceError
+from repro.loadgen.fleet import ROLES, Fleet, missing, poll
+from repro.loadgen.workload import Stream, Workload
+from repro.obs.histogram import Histogram
+from repro.obs.metrics import parse_prometheus_text
+from repro.obs.names import (
+    ENGINE_STAGE_SECONDS,
+    OP_LATENCY_SECONDS,
+    WAL_FSYNC_SECONDS,
+    series_count,
+)
+from repro.service.client import ServiceClient
+
+CHECK_PAIRS = 400  # pairs the checker answers against BFS, over all streams
 
 
 @dataclass
-class LoadReport:
-    """Aggregated outcome of one scenario run.
+class Report:
+    """The outcome of one :func:`run`.
 
-    ``elapsed`` is the measurement window the rates divide by: the
-    longest per-worker closed-loop phase, which *excludes* session
-    setup and prefill (every worker starts its own clock after setup).
-    ``wall_seconds`` is the full wall time including setup/teardown.
-
-    ``query_latency``/``ingest_latency`` are per-operation latency
-    summaries (count/sum/mean/min/max and p50/p95/p99, in seconds)
-    merged exactly from each worker's :class:`repro.obs.Histogram` --
-    one query_batch or ingest round trip per sample, so over TCP they
-    include the wire.
+    ``elapsed`` is the window the rates divide by: the longest worker's
+    closed-loop phase, after its session's first ingest.  ``faults``
+    holds a row per fault that landed: the ``role`` that died,
+    ``acked`` events by then, and its ``pid`` and ``exit`` status, a
+    worker's ``respawns`` or a primary's ``promoted`` port and epoch.
+    ``query_latency`` and ``ingest_latency`` summarize the round trips.
     """
 
     scenario: str
-    transport: str
-    workers: int
-    requested_duration: float
-    elapsed: float
+    topology: Optional[str]  # None: a live server was driven
+    sessions: int
+    elapsed: float = 0.0
     wall_seconds: float = 0.0
     operations: int = 0
     queries: int = 0
@@ -62,6 +72,14 @@ class LoadReport:
     ingested: int = 0
     sessions_created: int = 0
     sessions_closed: int = 0
+    run_size: int = 0  # events in every stream's run
+    acknowledged: int = 0  # events in the ledgers checked
+    lost: List[int] = field(default_factory=list)  # acked vids missing
+    verified_pairs: int = 0
+    wrong_answers: int = 0
+    interrupted_chunks: int = 0
+    resent_chunks: int = 0
+    faults: List[Dict[str, Any]] = field(default_factory=list)
     errors: List[str] = field(default_factory=list)
     stats: Dict[str, Any] = field(default_factory=dict)
     query_latency: Dict[str, Any] = field(default_factory=dict)
@@ -69,7 +87,7 @@ class LoadReport:
 
     @property
     def ok(self) -> bool:
-        return not self.errors
+        return not self.errors and not self.lost and not self.wrong_answers
 
     @property
     def qps(self) -> float:
@@ -80,244 +98,316 @@ class LoadReport:
         return self.ingested / self.elapsed if self.elapsed else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "transport": self.transport,
-            "workers": self.workers,
-            "requested_duration": self.requested_duration,
-            "elapsed": self.elapsed,
-            "wall_seconds": self.wall_seconds,
-            "operations": self.operations,
-            "queries": self.queries,
-            "query_batches": self.query_batches,
-            "ingested": self.ingested,
-            "sessions_created": self.sessions_created,
-            "sessions_closed": self.sessions_closed,
-            "qps": self.qps,
-            "ingest_eps": self.ingest_eps,
-            "ok": self.ok,
-            "errors": list(self.errors),
-            "stats": dict(self.stats),
-            "query_latency": dict(self.query_latency),
-            "ingest_latency": dict(self.ingest_latency),
-        }
+        return {**asdict(self), "ok": self.ok, "qps": self.qps,
+                "ingest_eps": self.ingest_eps}
 
 
-class _Worker:
-    """One closed-loop worker: a session, its run, its RNG."""
+class _Driver:
+    """One connection to the entry point, under the recovery rule."""
 
-    def __init__(
-        self,
-        index: int,
-        scenario: Scenario,
-        driver,
-        prefix: str,
-        seed: int,
-        verify: bool,
-    ) -> None:
-        self.index = index
-        self.scenario = scenario
-        self.driver = driver
-        self.prefix = prefix
-        self.rng = random.Random(f"{scenario.name}:{seed}:{index}")
-        self.verify = verify
-        run = sample_run(
-            resolve_spec(scenario.spec),
-            scenario.run_size,
-            random.Random(f"{scenario.name}:{seed}:{index}:run"),
-        )
-        self.graph = run.graph
-        self.events = execution_from_derivation(run).insertions
-        self.generation = 0
-        self.session: Optional[str] = None
-        self.cursor = 0
-        self.seen: List[int] = []
-        # counters, harvested by the runner after join
-        self.operations = 0
-        self.queries = 0
-        self.query_batches = 0
-        self.ingested = 0
-        self.sessions_created = 0
-        self.sessions_closed = 0
-        self.busy_seconds = 0.0  # closed-loop phase only, not setup
-        self.errors: List[str] = []
-        # per-operation latency, merged across workers by the runner
-        self.query_hist = Histogram()
-        self.ingest_hist = Histogram()
+    def __init__(self, fleet: Optional[Fleet],
+                 server: Optional[Tuple[str, int]]) -> None:
+        self.fleet = fleet
+        self.client = (ServiceClient(*server, timeout=30.0)
+                       if fleet is None else None)
+        self.generation = -1  # the fleet generation it connected under
 
-    # -- session lifecycle ---------------------------------------------
-    def open_session(self) -> None:
-        self.generation += 1
-        self.session = f"{self.prefix}-w{self.index}-g{self.generation}"
-        self.driver.create_session(
-            self.session, self.scenario.spec, self.scenario.scheme
-        )
-        self.sessions_created += 1
-        self.cursor = 0
-        self.seen = []
-        self.ingest_chunk(max(2, self.scenario.prefill))
+    def send(self, request: Callable[[ServiceClient], Any],
+             session: Optional[str] = None) -> Any:
+        """``request(client)``'s answer, or None once the fleet recovered
+        from a fault that interrupted it.  ``session`` marks an ingest:
+        a due kill lands while it is in flight."""
+        fleet = self.fleet
+        if fleet is None:
+            return request(self.client)
+        seen = fleet.generation
+        killer = failure = answer = None
+        try:
+            if seen != self.generation:  # a fault broke the connection
+                self.close()
+                self.client, self.generation = fleet.client(), seen
+            if session is not None:
+                killer = fleet.kill_due(session)
+            answer = request(self.client)
+        except (OSError, ReproError) as exc:
+            failure = exc
+        if killer is not None:
+            killer.join()
+        if killer is not None or failure is not None:
+            fleet.recover(failure, killed=killer is not None, seen=seen)
+        return answer
 
-    def close_session(self) -> None:
-        if self.session is not None:
-            self.driver.close_session(self.session)
-            self.sessions_closed += 1
-            self.session = None
+    def close(self) -> None:
+        if self.client is not None:
+            with contextlib.suppress(OSError):
+                self.client.close()
+            self.client = None
 
-    # -- operations ----------------------------------------------------
-    def ingest_chunk(self, size: Optional[int] = None) -> None:
-        if self.cursor >= len(self.events):
-            # the run completed: churn to a fresh session
-            self.close_session()
-            self.open_session()
-            return
-        size = size or self.scenario.ingest_chunk
-        chunk = self.events[self.cursor : self.cursor + size]
-        started = time.perf_counter()
-        self.driver.ingest(self.session, chunk)
-        self.ingest_hist.record(time.perf_counter() - started)
-        self.cursor += len(chunk)
-        self.seen.extend(event.vid for event in chunk)
-        self.ingested += len(chunk)
 
-    def sample_pairs(self) -> List[Tuple[int, int]]:
-        scenario, rng, seen = self.scenario, self.rng, self.seen
-        hot = seen[: max(1, int(len(seen) * scenario.hot_keys))]
-        pairs = []
-        for _ in range(scenario.batch_pairs):
-            pool = (
-                hot
-                if scenario.hot_fraction
-                and rng.random() < scenario.hot_fraction
-                else seen
-            )
-            pairs.append((rng.choice(pool), rng.choice(pool)))
-        return pairs
+class _Run:
+    """The shared state of one run: streams, report, timings."""
 
-    def query_once(self) -> None:
-        pairs = self.sample_pairs()
-        started = time.perf_counter()
-        answers = self.driver.query_batch(self.session, pairs)
+    def __init__(self, workload: Workload, streams: List[Stream],
+                 fleet: Optional[Fleet], server, duration: Optional[float],
+                 seed: int, verify: bool, report: Report) -> None:
+        self.workload, self.streams, self.fleet = workload, streams, fleet
+        self.server, self.duration, self.verify = server, duration, verify
+        self.prefix = f"{workload.name}-{seed}"
+        self.report = report
+        self.lock = threading.Lock()  # the report's counters
+        self.query_hist, self.ingest_hist = Histogram(), Histogram()
+
+    def count(self, **counters: int) -> None:
+        with self.lock:
+            for name, value in counters.items():
+                setattr(self.report, name, getattr(self.report, name) + value)
+
+    def open(self, driver: _Driver, stream: Stream) -> None:
+        """Create the stream's next session; an interrupted create is
+        abandoned for a fresh name."""
+        workload = self.workload
+        while True:
+            stream.opened += 1
+            name = f"{self.prefix}-{stream.index}-{stream.opened}"
+            if driver.send(lambda c: c.create_session(
+                    name, workload.spec, scheme=workload.scheme)) is not None:
+                stream.begin(name)
+                self.count(sessions_created=1)
+                return
+
+    def ingest(self, driver: _Driver, stream: Stream) -> None:
+        """Send the stream's next chunk until it is acknowledged."""
+        batch, name = stream.chunk(), stream.session
+        while True:
+            started = time.perf_counter()
+            if driver.send(lambda c: c.ingest(name, batch), name) is not None:
+                self.ingest_hist.record(time.perf_counter() - started)
+                break
+            self.count(interrupted_chunks=1)
+            landed = None
+            while landed is None:  # the probe may be interrupted too
+                landed = driver.send(
+                    lambda c: not missing(c, name, [batch[0].vid]))
+            if landed:
+                break
+            self.count(resent_chunks=1)
+        stream.acked.extend(event.vid for event in batch)
+        self.count(ingested=len(batch))
+        if self.fleet is not None:
+            self.fleet.acknowledge(len(batch))
+
+    def query(self, driver: _Driver, stream: Stream) -> None:
+        pairs = stream.pairs(self.workload.batch_pairs)
+        answers = None
+        while answers is None:
+            started = time.perf_counter()
+            answers = driver.send(
+                lambda c: c.query_batch(stream.session, pairs))
         self.query_hist.record(time.perf_counter() - started)
-        self.query_batches += 1
-        self.queries += len(pairs)
+        self.count(queries=len(pairs), query_batches=1)
         if self.verify:
-            from repro.graphs.reachability import reaches
+            self.judge(stream, pairs, answers)
 
-            for (a, b), answer in zip(pairs, answers):
-                if answer != reaches(self.graph, a, b):
-                    raise AssertionError(
-                        f"answer {a}~>{b} = {answer} contradicts BFS"
-                    )
+    def judge(self, stream: Stream, pairs, answers) -> None:
+        self.count(verified_pairs=len(pairs),
+                   wrong_answers=stream.wrong(pairs, answers))
 
-    # -- the loop ------------------------------------------------------
-    def run(self, duration: float) -> None:
-        """Set up, then issue closed-loop ops for ``duration`` seconds.
-
-        The clock starts *after* session setup so every worker gets the
-        full measurement window regardless of how long synthesis and
-        prefill took on its thread.
-        """
+    def work(self, stream: Stream) -> None:
+        """One worker thread: the first ingest, then the closed loop."""
+        driver = _Driver(self.fleet, self.server)
+        workload, rng = self.workload, stream.rng
         try:
-            self.open_session()
-            loop_started = time.monotonic()
-            deadline = loop_started + duration
+            self.ingest(driver, stream)
+            started = time.monotonic()
             try:
-                while time.monotonic() < deadline:
-                    if (
-                        len(self.seen) >= 2
-                        and self.rng.random() < self.scenario.query_fraction
-                    ):
-                        self.query_once()
+                while (time.monotonic() < started + self.duration
+                       if self.duration else not stream.complete):
+                    if rng.random() < workload.query_fraction:
+                        self.query(driver, stream)
+                    elif stream.complete:  # churn to a fresh session
+                        driver.send(lambda c: c.close_session(stream.session))
+                        self.count(sessions_closed=1)
+                        self.open(driver, stream)
+                        self.ingest(driver, stream)
                     else:
-                        self.ingest_chunk()
-                    self.operations += 1
+                        self.ingest(driver, stream)
+                    self.count(operations=1)
             finally:
-                self.busy_seconds = time.monotonic() - loop_started
-            self.close_session()
+                busy = time.monotonic() - started
+                with self.lock:
+                    self.report.elapsed = max(self.report.elapsed, busy)
         except Exception as exc:
-            self.errors.append(
-                f"worker {self.index} ({type(exc).__name__}): {exc}"
-            )
+            self.report.errors.append(
+                f"worker {stream.index} ({type(exc).__name__}): {exc}")
         finally:
-            try:
-                self.driver.finish()
-            except Exception:  # pragma: no cover  # repro: noqa[broad-except] -- teardown is best-effort; worker errors were already recorded above
-                pass
+            driver.close()
 
+    # -- the checker ---------------------------------------------------
+    def check(self, client: ServiceClient) -> None:
+        report, fleet = self.report, self.fleet
+        streams = [stream for stream in self.streams if stream.session]
+        report.acknowledged = sum(len(stream.acked) for stream in streams)
+        if self.duration is None and report.acknowledged != report.run_size:
+            report.errors.append(f"{report.acknowledged} of "
+                                 f"{report.run_size} insertions acknowledged")
+        for stream in streams:
+            lost = set(missing(client, stream.session, stream.acked))
+            report.lost += sorted(lost)
+            present = [vid for vid in stream.acked if vid not in lost]
+            if present:
+                pairs = stream.pairs(max(1, CHECK_PAIRS // len(streams)),
+                                     present)
+                answers = client.query_batch(stream.session, pairs)
+                answers.append(client.query(stream.session, *pairs[0]))
+                self.judge(stream, pairs + pairs[:1], answers)
+        for index in fleet.replicas() if fleet else ():
+            with fleet.client(index) as reader:
+                # until it caught up with the primary
+                left = poll(lambda: [vid for stream in streams for vid in
+                                     missing(reader, stream.session,
+                                             stream.acked)])
+                if left:
+                    report.errors.append(
+                        f"replica node-{index} lacks {len(left)} "
+                        f"acknowledged insertions, e.g. {left[:5]}")
+                if reader.last_replica_lag is None:
+                    report.errors.append(
+                        f"replica node-{index} answered without replica_lag")
+        if fleet is not None:
+            self.check_metrics(client)
 
-def run_scenario(
-    scenario: Scenario,
-    driver_factory: DriverFactory,
-    duration: float = 5.0,
-    workers: Optional[int] = None,
-    seed: int = 0,
-    session_prefix: Optional[str] = None,
-    verify: bool = False,
-) -> LoadReport:
-    """Drive ``scenario`` through a worker pool; returns the report.
-
-    ``workers`` defaults to the scenario's session count (one live
-    session per worker).  ``session_prefix`` namespaces the session
-    names so concurrent runs against one shared server cannot collide.
-    ``verify`` checks every answer against BFS ground truth on the
-    synthesized run graph (slow; for smoke tests, not throughput runs).
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    count = workers if workers is not None else scenario.sessions
-    if count < 1:
-        raise ValueError("workers must be >= 1")
-    prefix = session_prefix or f"loadgen-{scenario.name}-{seed}"
-    pool = [
-        _Worker(index, scenario, driver_factory(), prefix, seed, verify)
-        for index in range(count)
-    ]
-    threads = [
-        threading.Thread(target=worker.run, args=(duration,), daemon=True)
-        for worker in pool
-    ]
-    begun = time.monotonic()
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=duration + 60.0)
-    wall = time.monotonic() - begun
-    # rates divide by the longest closed-loop phase, so per-worker
-    # setup/prefill (which runs before each worker starts its clock)
-    # cannot deflate the reported throughput
-    measured = max((worker.busy_seconds for worker in pool), default=0.0)
-    report = LoadReport(
-        scenario=scenario.name,
-        transport=getattr(pool[0].driver, "transport", "unknown"),
-        workers=count,
-        requested_duration=duration,
-        elapsed=measured,
-        wall_seconds=wall,
-    )
-    for thread in threads:
-        if thread.is_alive():  # pragma: no cover - hang diagnostics
-            report.errors.append("worker failed to stop before the join "
-                                 "timeout")
-    for worker in pool:
-        report.operations += worker.operations
-        report.queries += worker.queries
-        report.query_batches += worker.query_batches
-        report.ingested += worker.ingested
-        report.sessions_created += worker.sessions_created
-        report.sessions_closed += worker.sessions_closed
-        report.errors.extend(worker.errors)
-    report.query_latency = merge_snapshots(
-        worker.query_hist.snapshot() for worker in pool
-    ).to_dict()
-    report.ingest_latency = merge_snapshots(
-        worker.ingest_hist.snapshot() for worker in pool
-    ).to_dict()
-    try:
-        snapshotter = driver_factory()
+    def check_metrics(self, client: ServiceClient) -> None:
+        """The router's merged ``metrics`` op, or a strict parse of the
+        single server's or primary's ``/metrics``."""
+        fleet, errors = self.fleet, self.report.errors
+        if fleet.topology == "cluster":
+            metrics = client.metrics()
+            absent = {OP_LATENCY_SECONDS, ENGINE_STAGE_SECONDS} - {
+                row["name"] for row in metrics["histograms"]}
+            if absent:
+                errors.append(f"metrics op lacks {sorted(absent)}")
+            if not metrics.get("traces", {}).get("finished"):
+                errors.append("metrics op reports no finished trace")
+            return
+        client.sync()  # an fsync under every policy
+        url = f"http://127.0.0.1:{fleet.metrics_ports[fleet.primary]}/metrics"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            text = response.read().decode("utf-8")
         try:
-            report.stats = snapshotter.stats()
+            series = parse_prometheus_text(text)
+        except ValueError as exc:
+            errors.append(f"{url} is malformed: {exc}")
+            return
+        required = [(series_count(OP_LATENCY_SECONDS), op)
+                    for op in ("query", "query_batch", "ingest")]
+        required.append((series_count(WAL_FSYNC_SECONDS), None))
+        for name, op in required:
+            if not any(sample["value"] > 0
+                       and sample["labels"].get("op") == op
+                       for sample in series.get(name, [])):
+                errors.append(f"{url} has no populated {name} series"
+                              + (f" for op {op!r}" if op else ""))
+
+
+def run(
+    workload: Workload,
+    topology: Optional[str] = None,
+    size: int = 2,
+    kill: Optional[str] = None,
+    failpoint: Optional[str] = None,
+    armed_in: Optional[str] = None,
+    server: Optional[Tuple[str, int]] = None,
+    data_dir: Optional[str] = None,
+    fsync: str = "always",
+    duration: Optional[float] = None,
+    kill_after: float = 2.0,
+    seed: int = 0,
+    verify: bool = False,
+    verbose: bool = False,
+) -> Report:
+    """Drive ``workload`` against a fleet or a live server; check it.
+
+    ``topology`` spawns a fleet (:data:`~repro.loadgen.fleet.ROLES`) of
+    ``size`` cluster workers or replicas, durable under ``data_dir``
+    (default: a temporary directory) with ``fsync``; ``server`` is the
+    ``(host, port)`` of a live server instead.  ``kill`` names the role
+    SIGKILLed at each mark, or ``kill_after`` seconds after the last
+    recovery if that comes first; ``failpoint`` is a
+    :mod:`repro.faults` spec armed in the role ``armed_in`` names
+    (``replica`` is the first one).  ``duration`` sets a deadline;
+    without one the run is fixed work.  ``verify`` checks every answer
+    of the run against BFS.
+    """
+    kill_role, arm_roles = ROLES.get(topology, (None, ()))
+    if ((server is None) == (topology is None)
+            or topology is not None and kill_role is None
+            or kill not in (None, kill_role) or size < 1
+            or (failpoint is None) != (armed_in is None)
+            or armed_in not in (None, *arm_roles)):
+        raise ServiceError(
+            f"a run takes a live server or a topology in {sorted(ROLES)} "
+            f"of size >= 1 (got {server}, {topology!r}, {size}), a SIGKILL "
+            f"of its {kill_role!r} and a failpoint armed in one of "
+            f"{arm_roles}")
+    if duration is not None and duration <= 0:
+        raise ValueError("duration must be positive")
+    if workload.sessions < 1:
+        raise ValueError("a workload needs at least one session")
+    if duration is None and workload.query_fraction >= 1:
+        raise ValueError("fixed work needs ingests: query_fraction < 1")
+    report = Report(scenario=workload.name, topology=topology,
+                    sessions=workload.sessions)
+
+    def say(message: str) -> None:
+        if verbose:
+            print(f"{topology}: {message}")
+
+    streams = [Stream(workload, index, seed)
+               for index in range(workload.sessions)]
+    report.run_size = sum(len(stream.events) for stream in streams)
+    begun = time.monotonic()
+    with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as scratch:
+        fleet = None if topology is None else Fleet(
+            topology, size, data_dir or scratch, fsync, kill, kill_after,
+            report, say)
+        state = _Run(workload, streams, fleet, server, duration, seed,
+                     verify, report)
+        try:
+            if fleet is not None:
+                say(f"starting on ports {fleet.ports} under {fsync} fsync; "
+                    f"kill {kill}, failpoint {failpoint} in {armed_in}")
+                fleet.start(failpoint, armed_in, report.run_size)
+            # every session first, so no kill lands on an unshipped create
+            opener = _Driver(fleet, server)
+            try:
+                for stream in streams:
+                    state.open(opener, stream)
+            finally:
+                opener.close()
+            threads = [threading.Thread(target=state.work, args=(stream,),
+                                        daemon=True) for stream in streams]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            if fleet is not None:
+                fleet.recover()  # a dead replica failed no request
+            with (fleet.client() if fleet else ServiceClient(*server)
+                  ) as client:
+                state.check(client)
+                for stream in streams:
+                    if stream.session:
+                        client.close_session(stream.session)
+                        report.sessions_closed += 1
+                report.stats = client.stats()
+            if fleet is not None:
+                fleet.stop()
+        except (OSError, ReproError) as exc:
+            report.errors.append(f"{type(exc).__name__}: {exc}")
         finally:
-            snapshotter.finish()
-    except Exception as exc:  # pragma: no cover - stats best effort
-        report.errors.append(f"stats snapshot failed: {exc}")
+            if fleet is not None:
+                fleet.kill()
+    report.wall_seconds = time.monotonic() - begun
+    report.query_latency = state.query_hist.snapshot().to_dict()
+    report.ingest_latency = state.ingest_hist.snapshot().to_dict()
     return report

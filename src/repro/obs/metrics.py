@@ -357,10 +357,11 @@ class MetricsExporter:
 def parse_prometheus_text(text: str) -> Dict[str, List[Dict[str, Any]]]:
     """Parse exposition text into ``{metric name: [samples]}``.
 
-    A deliberately strict little parser used by the selftest and CI to
-    validate that the endpoint's output is well-formed: every
-    non-comment line must be ``name[{labels}] value`` with quoted label
-    values and a float-parsable value.  Raises ``ValueError`` on the
+    A deliberately strict little parser the load harness's checker
+    (:mod:`repro.loadgen`) uses to validate that the endpoint's output
+    is well-formed: every non-comment line must be
+    ``name[{labels}] value`` with quoted label values and a
+    float-parsable value.  Raises ``ValueError`` on the
     first malformed line.
     """
     series: Dict[str, List[Dict[str, Any]]] = {}

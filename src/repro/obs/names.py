@@ -83,7 +83,7 @@ SPAN_REPL_APPLY = "repl_apply"
 #: the structured slow-query log (see repro.obs.trace)
 SLOW_QUERY_LOGGER = "repro.obs.slow"
 
-#: every histogram series name above (selftest/scrape validation)
+#: every histogram series name above (scrape validation)
 HISTOGRAM_NAMES = (
     OP_LATENCY_SECONDS,
     ENGINE_STAGE_SECONDS,

@@ -551,6 +551,14 @@ class ServiceClient:
         return self.call("promote", epoch=epoch)
 
     # ------------------------------------------------------------------
+    def abort(self) -> None:
+        """Shut the connection from another thread: a call blocked on it
+        sees the connection closed at once."""
+        try:
+            self._sock.shutdown(socket.SHUT_RDWR)
+        except OSError:  # already closed
+            pass
+
     def close(self) -> None:
         """Close the connection (the server keeps running)."""
         for stream in (self._reader, self._writer):

@@ -18,9 +18,10 @@ hub is fed by :attr:`DurableStore.on_append` -- records enter the ring
 only after their WAL append succeeded, still under the session lock,
 so the shipped stream is always a prefix of the durable log.  A ringed
 ingest record holds the batch's record text, the very ``str`` the
-session logged and the WAL wrote, and ``repl_subscribe`` ships it as
-it is.  Being text in the WAL's own spelling, it binds primary and
-replicas to one release.
+session logged and the WAL wrote, a ringed ``create`` the session's
+WAL header as text, and ``repl_subscribe`` ships both as they are.
+Being text in the WAL's own spelling, they bind primary and replicas
+to one release.
 
 Each **replica** is itself a durable server (its own data dir and
 WALs) started read-only with ``--replicate-from``.  Its
@@ -64,6 +65,7 @@ write the new timeline does not contain.
 
 from __future__ import annotations
 
+import json
 import logging
 import threading
 import time
@@ -73,7 +75,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError, ServiceError, SessionNotFoundError
 from repro.faults import FAILPOINTS
-from repro.io.jsonio import specification_from_json, specification_to_json
 from repro.obs.logs import log_event
 from repro.obs.metrics import default_registry
 from repro.obs.names import (
@@ -157,6 +158,7 @@ class ReplicationHub:
         self._seq = 0       # next ship position to assign
         self._min_seq = 0   # position of the oldest record still ringed
         self._acks: Dict[str, int] = {}
+        self._closed = False  # set once: long-polls answer at once
         # positions count from 0 in every hub lifetime, so one is only
         # meaningful beside the token of the lifetime that assigned it.
         # The epoch orders promotions, the lifetime a primary's restarts.
@@ -193,19 +195,18 @@ class ReplicationHub:
             self._append_locked(record)
 
     def publish_control(self, kind: str, session: Session) -> None:
-        """Ring a session lifecycle record (``create`` / ``close``)."""
-        doc: Dict[str, Any] = {
-            "kind": kind,
-            "session": session.name,
-        }
+        """Ring a session lifecycle record (``create`` / ``close``).
+
+        A ``create`` holds the session's WAL header as text, one flat
+        object like an ingest record's, decoded only by a replica that
+        applies it.
+        """
+        record: Dict[str, Any] = {"kind": kind, "session": session.name}
         if kind == "create":
-            doc["spec"] = specification_to_json(session.spec)
-            doc["scheme"] = session.scheme_name
-            doc["skeleton"] = session.skeleton
-            doc["mode"] = session.mode
+            record["text"] = json.dumps(wal_header(session))
         with self._cond:
-            doc["pos"] = self._seq
-            self._append_locked(doc)
+            record["pos"] = self._seq
+            self._append_locked(record)
 
     def _append_locked(self, record: Dict[str, Any]) -> None:
         self._ring.append(record)  # a full deque drops the oldest
@@ -248,7 +249,7 @@ class ReplicationHub:
                      or token != self.token)
             if not reset:
                 deadline = time.monotonic() + wait
-                while self._seq <= from_seq:
+                while self._seq <= from_seq and not self._closed:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         break
@@ -278,6 +279,13 @@ class ReplicationHub:
             "token": self.token,
             "snapshot": self._snapshot_all(),
         }
+
+    def close(self) -> None:
+        """End every parked ``subscribe`` long-poll, and every later one,
+        at once with what the ring holds: its server is closing."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
     def _snapshot_all(self) -> List[Dict[str, Any]]:
         """Every session's WAL header and lines, as a data dir holds
@@ -409,6 +417,7 @@ class ReplicaApplier(threading.Thread):
         self.retry_interval = retry_interval
         self._halt = threading.Event()
         self._lock = threading.Lock()
+        self._client = None  # the connection a long-poll may block on
         # the hub token and ship position last acknowledged, persisted
         # before each ack: a restarted replica reports what its WAL
         # holds and resumes from there.  -1 = no position, which forces
@@ -434,7 +443,12 @@ class ReplicaApplier(threading.Thread):
             }
 
     def stop(self, timeout: float = 10.0) -> None:
-        self._halt.set()
+        """Stop at once: shutting the connection ends a parked long-poll."""
+        with self._lock:
+            self._halt.set()
+            client = self._client
+        if client is not None:
+            client.abort()
         if self.is_alive():
             self.join(timeout=timeout)
 
@@ -451,6 +465,10 @@ class ReplicaApplier(threading.Thread):
                     host, port, timeout=max(5.0, self.poll_wait * 4),
                     reconnect=False,
                 ) as client:
+                    with self._lock:
+                        if self._halt.is_set():
+                            return
+                        self._client = client
                     self._follow(client)
             except ReproError as exc:
                 self._note(f"replication stream error: {exc}")
@@ -532,14 +550,9 @@ class ReplicaApplier(threading.Thread):
         name = record["session"]
         if name in self.manager:
             return  # idempotent: a rewind re-shipped the create
-        spec = specification_from_json(record["spec"])
-        session = self.manager.create(
-            name,
-            spec,
-            scheme=record.get("scheme", "drl"),
-            skeleton=record.get("skeleton", "tcl"),
-            mode=record.get("mode", "logged"),
-        )
+        session = open_session(name, json.loads(record["text"]),
+                               "shipped create")
+        self.manager.adopt(session)
         self.store.register(session)
 
     def _apply_close(self, name: str) -> None:

@@ -652,7 +652,7 @@ class ReproServer(socketserver.ThreadingTCPServer):
     one handler thread per connection, each ended by :meth:`server_close`."""
 
     allow_reuse_address = True
-    #: server_close's wait for the handlers: a long-poll may take this long
+    #: server_close's wait for the handlers to answer what is in flight
     CLOSE_TIMEOUT = ReplicationHub.MAX_WAIT + 1.0
 
     def __init__(self, address, service: Optional[ReproService] = None):
@@ -673,11 +673,20 @@ class ReproServer(socketserver.ThreadingTCPServer):
             self._handlers.pop(request, None)
             super().shutdown_request(request)
 
+    def serve_forever(self, poll_interval: float = 0.05) -> None:
+        """Serve until :meth:`shutdown`, which returns within
+        ``poll_interval`` seconds (socketserver's default is 0.5)."""
+        super().serve_forever(poll_interval)
+
     def server_close(self) -> None:
-        """Close the listener, then each open connection's read side: its
+        """Close the listener, end every parked ``repl_subscribe``
+        long-poll, then close each open connection's read side: its
         handler answers the request in flight, reads EOF and exits.
         Waits up to :attr:`CLOSE_TIMEOUT` for all of them."""
         super().server_close()
+        hub = self.service.hub
+        if hub is not None:
+            hub.close()
         with self._handlers_lock:
             handlers = list(self._handlers.items())
             for request, _ in handlers:

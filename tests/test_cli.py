@@ -140,7 +140,8 @@ class TestSchemeCheck:
     @pytest.mark.parametrize("argv", [
         ["label", "running-example", "run.json", "-o", "labels.json",
          "--scheme", "grail"],
-        ["serve", "--selftest", "--scheme", "no-such-scheme"],
+        ["label", "running-example", "run.json", "-o", "labels.json",
+         "--scheme", "no-such-scheme"],
     ])
     def test_a_scheme_that_is_not_dynamic_is_refused(self, argv):
         from repro.schemes import registry
@@ -156,6 +157,11 @@ class TestSchemeCheck:
 class TestRetiredFlags:
     @pytest.mark.parametrize("argv", [
         ["serve", "--shards", "2"],
+        ["serve", "--selftest"],
+        ["serve", "--scheme", "drl"],
+        ["serve", "--spec", "running-example"],
+        ["serve", "--size", "150"],
+        ["serve", "--seed", "1"],
         ["loadgen", "--shards", "2"],
         ["lint", "--jobs", "2"],
         ["lint", "--graph", "out.dot"],

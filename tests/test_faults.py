@@ -6,16 +6,19 @@ behavioral effect; arming is validated against the frozen catalog;
 then disarms itself (one-shot), so a recovery path re-entering the
 same site never re-fires.
 
-The fault matrix runs the harness (:func:`repro.loadgen.run_fault`)
-over every topology: real server processes SIGKILLed at two progress
-marks, or crashed (``os._exit(170)``) at an armed failpoint, recover by
-one rule, finish the run, and lose no acknowledged insertion.
+The fault matrix runs the harness (:func:`repro.loadgen.run`) over
+every topology: real server processes SIGKILLed at two progress marks,
+or crashed (``os._exit(170)``) at an armed failpoint, recover by one
+rule, finish the run, and lose no acknowledged insertion.  The ``mixed``
+rows run several sessions with reads between the writes, every answer
+checked against BFS.
 """
 
 from __future__ import annotations
 
 import signal
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -176,8 +179,9 @@ class TestCatalog:
 KILLED = -signal.SIGKILL
 CRASHED = 170  # a failpoint's os._exit
 
-#: id -> (run_fault arguments, the least faults that must land, by
-#: (role, exit status); a cluster worker's exit is its supervisor's)
+#: id -> (:func:`repro.loadgen.run` arguments, the least faults that
+#: must land, by (role, exit status); a cluster worker's exit is its
+#: supervisor's)
 FAULT_MATRIX = {
     "single-sigkill": (
         dict(topology="single", kill="server"),
@@ -224,19 +228,36 @@ FAULT_MATRIX = {
     ),
 }
 
-
-@pytest.mark.parametrize("row", sorted(FAULT_MATRIX))
-def test_fault_matrix_loses_no_acknowledged_insertion(row, tmp_path):
-    from repro.loadgen import run_fault
-
-    arguments, least = FAULT_MATRIX[row]
-    report = run_fault(
-        **arguments, size=2, data_dir=str(tmp_path / "data"),
-        run_size=100, kill_after=30.0, queries=100, verbose=False,
+#: the multi-session rows: three ``mixed`` sessions of about 100 events
+#: each, reads between the writes, under SIGKILLs on every topology
+MIXED_MATRIX = {
+    f"mixed-{topology}-sigkill": (
+        dict(topology=topology, kill=role, verify=True),
+        {(role, KILLED if topology != "cluster" else None): 2},
     )
+    for topology, role in (("single", "server"), ("cluster", "worker"),
+                           ("replicated", "primary"))
+}
+
+
+@pytest.mark.parametrize("row", sorted({**FAULT_MATRIX, **MIXED_MATRIX}))
+def test_fault_matrix_loses_no_acknowledged_insertion(row, tmp_path):
+    from repro.loadgen import get_workload, run
+
+    if row in MIXED_MATRIX:
+        arguments, least = MIXED_MATRIX[row]
+        workload = replace(get_workload("mixed"), sessions=3, run_size=100)
+    else:
+        arguments, least = FAULT_MATRIX[row]
+        workload = replace(get_workload("crash-recovery"), run_size=100)
+    report = run(workload, **arguments, size=2,
+                 data_dir=str(tmp_path / "data"), kill_after=30.0)
     assert report.errors == []
     assert report.lost == [] and report.wrong_answers == 0
-    assert report.acknowledged == report.run_size >= 80
+    assert report.acknowledged == report.run_size >= 80 * workload.sessions
+    if row in MIXED_MATRIX:  # every answer of the run was checked too
+        assert report.queries > 0
+        assert report.verified_pairs > report.queries
     landed = Counter(
         (fault["role"], fault.get("exit")) for fault in report.faults
     )
@@ -252,10 +273,11 @@ def test_fault_matrix_loses_no_acknowledged_insertion(row, tmp_path):
     dict(topology="replicated", failpoint="repl.pre_apply=crash"),
     dict(topology="single", failpoint="wal.pre_append=crash",
          armed_in="replica"),
-], ids=["topology", "kill", "size", "unarmed", "armed_in"])
+    dict(topology="single", server=("127.0.0.1", 7464)),
+], ids=["topology", "kill", "size", "unarmed", "armed_in", "server"])
 def test_a_fault_run_refuses_what_its_topology_cannot_take(arguments):
     from repro.errors import ServiceError
-    from repro.loadgen import run_fault
+    from repro.loadgen import get_workload, run
 
-    with pytest.raises(ServiceError, match="a fault run takes"):
-        run_fault(**arguments, verbose=False)
+    with pytest.raises(ServiceError, match="a run takes"):
+        run(get_workload("crash-recovery"), **arguments)

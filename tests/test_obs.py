@@ -26,8 +26,7 @@ import urllib.request
 import pytest
 
 from repro.errors import LabelingError
-from repro.loadgen import get_scenario, run_scenario
-from repro.loadgen.driver import engine_driver_factory
+from repro.loadgen import get_workload, run
 from repro.obs import (
     NULL,
     Histogram,
@@ -813,14 +812,11 @@ def server_fixture():
 
 
 class TestLoadgenLatency:
-    def test_report_latency_percentiles_monotonic(self):
-        scenario = get_scenario("mixed")
-        engine = QueryEngine(SessionManager())
-        report = run_scenario(
-            scenario,
-            engine_driver_factory(engine),
+    def test_report_latency_percentiles_monotonic(self, server_fixture):
+        report = run(
+            dataclasses.replace(get_workload("mixed"), sessions=2),
+            server=("127.0.0.1", server_fixture.port),
             duration=0.4,
-            workers=2,
             seed=1,
         )
         assert report.ok, report.errors

@@ -21,6 +21,7 @@ fault matrix in ``tests/test_faults.py``.
 
 from __future__ import annotations
 
+import json
 import random
 import re
 import threading
@@ -42,6 +43,7 @@ from repro.service.replication import (
     probe_replication,
 )
 from repro.service.server import ReproServer, ReproService
+from repro.service.wal import wal_header
 from repro.workflow.derivation import sample_run
 from repro.workflow.execution import execution_from_derivation
 
@@ -265,6 +267,27 @@ class TestReplicaServesReads:
             assert reader.last_replica_lag is not None
             assert reader.last_replica_lag["role"] == "replica"
             assert reader.last_replica_lag["applied"] >= 2
+        assert answers == [reaches(run.graph, a, b) for a, b in pairs]
+
+    def test_a_ringed_create_is_one_str_the_replica_opens(
+        self, pair, running_spec
+    ):
+        primary, replica = pair
+        run, execution = make_execution(running_spec, size=60, seed=8)
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.create_session("demo", "running-example", scheme="naive")
+            writer.ingest("demo", execution.insertions)
+        session = primary.service.manager.get("demo")
+        assert list(primary.service.hub._ring)[0] == {
+            "pos": 0, "kind": "create", "session": "demo",
+            "text": json.dumps(wal_header(session)),
+        }
+        assert wait_until(lambda: held(replica, "demo") == len(execution))
+        assert replica.service.manager.get("demo").scheme_name == "naive"
+        vids = sorted(run.graph.vertices())
+        pairs = [(a, b) for a in vids[:10] for b in vids[-10:]]
+        with ServiceClient("127.0.0.1", replica.port) as reader:
+            answers = reader.query_batch("demo", pairs)
         assert answers == [reaches(run.graph, a, b) for a, b in pairs]
 
     def test_replica_refuses_writes(self, pair, running_spec):
@@ -778,3 +801,25 @@ class TestTornTailDetails:
             assert report["torn_last_good_seq"] == 0
         finally:
             revived.close()
+
+
+class TestPromptClose:
+    def test_a_primary_and_its_parked_replica_each_close_at_once(
+        self, tmp_path
+    ):
+        primary = start_server(
+            ReproService(data_dir=str(tmp_path / "pri"), fsync="never")
+        )
+        replica = start_server(replica_service(tmp_path / "rep", primary))
+        # the applier's next long-poll parks this long on the primary
+        replica.service.applier.poll_wait = 5.0
+        with ServiceClient("127.0.0.1", primary.port) as writer:
+            writer.create_session("s", "running-example")
+        assert wait_until(lambda: "s" in replica.service.manager)
+        time.sleep(0.3)  # applied, acked and parked in the next poll
+        took = []
+        for server in (replica, primary):
+            started = time.monotonic()
+            stop_server(server)
+            took.append(time.monotonic() - started)
+        assert max(took) < 0.3, took

@@ -957,16 +957,6 @@ class TestPipelinedClient:
             listener.close()
 
 
-class TestSelftest:
-    def test_cli_selftest_passes(self, capsys):
-        from repro.cli import main
-
-        assert main(["serve", "--selftest", "--size", "150"]) == 0
-        out = capsys.readouterr().out
-        assert "all checks passed" in out
-        assert "pipelined query_batch verified" in out
-
-
 # ---------------------------------------------------------------------------
 # concurrency soak
 # ---------------------------------------------------------------------------
