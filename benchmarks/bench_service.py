@@ -19,11 +19,7 @@ speedup.  Every section of ``BENCH_service.json`` records
 ``cpu_count`` and an explicit ``single_core`` flag so numbers collected
 on one core are never misread as parallel speedups.
 
-Run under pytest-benchmark::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_service.py --benchmark-only
-
-or standalone for a plain-text report plus ``BENCH_service.json``::
+Run standalone for a plain-text report plus ``BENCH_service.json``::
 
     PYTHONPATH=src python benchmarks/bench_service.py
 """
@@ -203,79 +199,6 @@ def durable_ingest_rows(repeat=3, chunk=DURABLE_CHUNK):
             }
         )
     return rows
-
-
-def test_service_ingest_throughput(benchmark):
-    spec, run, execution = _prepared_run()
-    manager = SessionManager()
-    engine = QueryEngine(manager)
-    counter = iter(range(10 ** 9))
-
-    def ingest():
-        name = f"run-{next(counter)}"
-        manager.create(name, spec)
-        engine.ingest(name, execution.insertions)
-        manager.close(name)
-
-    benchmark(ingest)
-    events = len(execution)
-    benchmark.extra_info["events_per_round"] = events
-    benchmark.extra_info["events_per_sec"] = events / benchmark.stats["mean"]
-
-
-def test_service_batch_query(benchmark):
-    engine, run, _ = _loaded_engine()
-    pairs = _pairs(run, BATCH)
-    benchmark(lambda: engine.query_many("bench", pairs))
-    benchmark.extra_info["qps"] = BATCH / benchmark.stats["mean"]
-
-
-def test_service_multi_session_queries(benchmark):
-    spec, run, execution = _prepared_run(size=500)
-    manager = SessionManager()
-    engine = QueryEngine(manager)
-    names = [f"s{i}" for i in range(8)]
-    for name in names:
-        manager.create(name, spec)
-        engine.ingest(name, execution.insertions)
-    pairs = _pairs(run, BATCH // len(names))
-
-    def fan_out():
-        for name in names:
-            engine.query_many(name, pairs)
-
-    benchmark(fan_out)
-    total = len(names) * len(pairs)
-    benchmark.extra_info["qps"] = total / benchmark.stats["mean"]
-
-
-def test_durable_ingest_rows(benchmark):
-    rows = benchmark.pedantic(
-        lambda: durable_ingest_rows(repeat=1), rounds=1, iterations=1
-    )
-    benchmark.extra_info["rows"] = [
-        {k: str(v) for k, v in row.items()} for row in rows
-    ]
-    assert [row["fsync"] for row in rows] == [
-        "none", "always", "batch", "never",
-    ]
-    for row in rows:
-        assert row["events_per_sec"] > 0
-
-
-def test_worker_scaling_rows(benchmark):
-    rows = benchmark.pedantic(
-        lambda: [_worker_scaling_row(w, duration=0.3) for w in (1, 2)],
-        rounds=1, iterations=1,
-    )
-    benchmark.extra_info["rows"] = [
-        {k: str(v) for k, v in row.items()} for row in rows
-    ]
-    assert [row["workers"] for row in rows] == [1, 2]
-    for row in rows:
-        assert not row["errors"]
-        assert row["qps"] > 0
-        assert row["qps_per_worker"] == row["qps"] / row["workers"]
 
 
 # ---------------------------------------------------------------------------

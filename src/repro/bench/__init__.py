@@ -1,14 +1,15 @@
 """Benchmark harness: regenerates every table and figure of Section 7.
 
-Each ``fig*`` / ``tab*`` function in :mod:`repro.bench.figures` runs one
-experiment and returns a :class:`~repro.bench.harness.Table` whose rows
-mirror the series the paper plots.  ``python -m repro.bench`` runs them
-all and prints the tables; ``benchmarks/`` wraps the same experiment
-functions in pytest-benchmark timers.
+Each experiment of :mod:`repro.bench.figures` is one driver that returns
+a :class:`~repro.bench.harness.Table` whose rows mirror the series the
+paper plots, paired in ``EXPERIMENTS`` with the paper's claim and the
+rule that turns the rows into one verdict.  ``repro bench`` (or
+``python -m repro.bench``) runs them and prints the tables; ``--output``
+writes them, with their verdicts and provenance, as a JSON record.
 
-Scale knob: the environment variable ``REPRO_SCALE`` (default ``1.0``)
-multiplies the largest run size; ``REPRO_SAMPLES`` overrides the number
-of sampled runs per configuration.
+Scale knobs: ``REPRO_SCALE`` (default ``1.0``) multiplies the largest
+run size; ``REPRO_SAMPLES`` and ``REPRO_QUERIES`` override the sampled
+runs per configuration and the query pairs per timing.
 """
 
 from repro.bench.harness import (

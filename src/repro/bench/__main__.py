@@ -1,63 +1,96 @@
-"""CLI: regenerate the paper's tables and figures.
+"""``python -m repro.bench``: the same command as ``repro bench``.
 
 Usage::
 
-    python -m repro.bench                # run everything
-    python -m repro.bench fig14 fig20    # run selected experiments
-    python -m repro.bench --output results.md   # also write to a file
-    REPRO_SCALE=0.25 python -m repro.bench   # smaller run-size ladder
+    repro bench                              # run every experiment
+    repro bench fig14 fig20                  # run selected experiments
+    repro bench --output BENCH_paper.json    # also write the JSON record
+    REPRO_SCALE=0.25 repro bench             # smaller run-size ladder
 
-Prints each experiment as an aligned text table.
+Prints each experiment as an aligned table with its claim, rule and
+verdict.  Only ``--output`` writes a file: the JSON record of every
+experiment run (rows, claim, rule, measured values, verdict) with its
+provenance (git sha, Python version, core count, config).  An
+experiment whose answers disagree across kernels exits 1.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import platform
+import subprocess
 import sys
-import time
+from dataclasses import asdict
+from typing import Optional, Sequence
 
-from repro.bench.figures import ALL_DRIVERS
-from repro.bench.harness import default_config, format_table
+from repro.bench.harness import REPEATS, default_config, format_table
+from repro.errors import LabelingError
 
 
-def main(argv) -> int:
-    config = default_config()
-    args = list(argv[1:])
-    output_path = None
-    if "--output" in args:
-        at = args.index("--output")
-        try:
-            output_path = args[at + 1]
-        except IndexError:
-            print("--output needs a file path", file=sys.stderr)
-            return 2
-        del args[at : at + 2]
-    requested = args or list(ALL_DRIVERS)
-    unknown = [name for name in requested if name not in ALL_DRIVERS]
+def _git_sha() -> str:
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, timeout=30,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return described.stdout.strip() or "unknown"
+
+
+def run(names: Sequence[str], output: Optional[str] = None) -> int:
+    """Run the named experiments (all when empty); 0 on success, 1 when
+    an experiment's kernels disagree, 2 on an unknown name."""
+    from repro.bench.figures import EXPERIMENTS
+
+    names = list(names) or list(EXPERIMENTS)
+    unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiments: {unknown}", file=sys.stderr)
-        print(f"available: {sorted(ALL_DRIVERS)}", file=sys.stderr)
+        print(f"available: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    chunks = [
-        f"# repro bench -- scale={config.scale} samples={config.samples} "
-        f"queries={config.queries}"
-    ]
-    print(chunks[0])
-    for name in requested:
-        start = time.perf_counter()
-        table = ALL_DRIVERS[name](config)
-        elapsed = time.perf_counter() - start
-        rendered = format_table(table)
-        chunks.append("")
-        chunks.append(rendered)
+    config = default_config()
+    print(f"# repro bench -- scale={config.scale} samples={config.samples} "
+          f"queries={config.queries} repeats={REPEATS}")
+    entries = {}
+    for name in names:
+        experiment = EXPERIMENTS[name]
+        try:
+            table = experiment.driver(config)
+        except LabelingError as exc:
+            print(f"{name} FAILED: {exc}")
+            return 1
+        entry = entries[name] = {
+            "title": table.title,
+            "claim": experiment.claim,
+            "rule": experiment.rule,
+            "columns": list(table.columns),
+            "rows": table.rows,
+            **experiment.verdict(table.rows),
+        }
         print()
-        print(rendered)
-        print(f"[{name} completed in {elapsed:.1f}s]")
-    if output_path is not None:
-        with open(output_path, "w") as handle:
-            handle.write("\n".join(chunks) + "\n")
-        print(f"\nwrote {output_path}")
+        print(format_table(table))
+        print(f"claim: {experiment.claim}")
+        print(f"rule: {experiment.rule}")
+        print(f"verdict: {entry['verdict']} {entry['measured']}")
+    if output is not None:
+        record = {
+            "git_sha": _git_sha(),
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "config": {**asdict(config), "repeats": REPEATS},
+            "experiments": entries,
+        }
+        with open(output, "w") as handle:
+            json.dump(record, handle, indent=1)
+            handle.write("\n")
+        print(f"\nwrote {output}")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv))
+    from repro.cli import main
+
+    raise SystemExit(main(["bench", *sys.argv[1:]]))

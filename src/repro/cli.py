@@ -8,7 +8,7 @@ Subcommands::
     python -m repro query SPEC LABELS A B          # reachability from labels
     python -m repro schemes                        # list labeling backends
     python -m repro normalize SPEC -o OUT          # Section 5.3 rewriting
-    python -m repro bench [EXPERIMENT...]          # Section 7 tables
+    python -m repro bench [EXPERIMENT...]          # Section 7 verdicts
     python -m repro serve [--port P | --stdio]     # provenance query service
     python -m repro loadgen [SCENARIO]             # drive a load scenario
     python -m repro stats [--watch]                # a live server's telemetry
@@ -199,12 +199,9 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from repro.bench.__main__ import main as bench_main
+    from repro.bench.__main__ import run
 
-    argv = ["bench"] + args.experiments
-    if args.output is not None:
-        argv += ["--output", args.output]
-    return bench_main(argv)
+    return run(args.experiments, args.output)
 
 
 def _parse_endpoint(value: str, flag: str):
@@ -622,9 +619,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_normalize)
 
     p = sub.add_parser("bench", help="regenerate the paper's tables")
-    p.add_argument("experiments", nargs="*")
+    p.add_argument("experiments", nargs="*",
+                   help="experiment ids (default: all)")
     p.add_argument("--output", default=None, metavar="FILE",
-                   help="also write the tables to FILE")
+                   help="write the JSON record (rows, verdicts, "
+                        "provenance) to FILE")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("serve", help="run the provenance query service")

@@ -33,7 +33,7 @@ from repro.errors import (
 from repro.faults import ENV_VAR
 from repro.service.client import ServiceClient
 from repro.service.cluster import session_worker
-from repro.service.replication import choose_promotion_target
+from repro.service.replication import choose_promotion_target, probe_replication
 
 MARKS = (1 / 3, 2 / 3)  # shares of the run acknowledged when a kill lands
 GONE_TIMEOUT = 10.0
@@ -184,6 +184,13 @@ class Fleet:
                       for index in nodes]
         for index in nodes:
             self._ready(index)
+        for index in self.replicas() if self.topology == "replicated" else ():
+            # a replica that first subscribes after the writes takes them
+            # from a reset snapshot, where no apply failpoint fires
+            if poll(lambda: (probe_replication(("127.0.0.1", self.ports[index]))
+                             or {}).get("token") is None, 30.0):
+                raise ServiceError(f"replica on port {self.ports[index]} "
+                                   "never subscribed to the primary")
         self.recovered_at = time.monotonic()
 
     def _spawn(self, index: int, failpoint: Optional[str] = None,

@@ -338,8 +338,10 @@ class MetricsExporter:
 
     def start(self) -> "MetricsExporter":
         """Serve scrapes on a daemon thread; returns self."""
+        # a 0.05 s poll, not socketserver's 0.5 s: stop() waits for it
         self._thread = threading.Thread(
             target=self._server.serve_forever,
+            args=(0.05,),
             name="repro-metrics-exporter",
             daemon=True,
         )

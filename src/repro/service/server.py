@@ -310,8 +310,12 @@ class ReproService:
             except Exception:
                 self.manager.close(session.name)
                 raise
-        if self.hub is not None:
-            self.hub.publish_control("create", session)
+        hub = self.hub
+        if hub is not None:
+            hub.publish_control("create", session)
+            # semi-sync, as for an ingest: a create no replica holds is
+            # not acknowledged, so a failover cannot lose the session
+            hub.wait_covered(hub.seq)
         return {
             "session": session.name,
             "spec": session.spec.name,

@@ -449,7 +449,6 @@ class WriteAheadLog:
         self.policy = check_fsync_policy(policy)
         self.batch_records = max(1, batch_records)
         self.lock = threading.Lock()
-        self.header = dict(header)
         self.closed = False
         self.failed = False
         self._unsynced = 0
@@ -457,7 +456,7 @@ class WriteAheadLog:
             # the initial file is staged whole and renamed into place: a
             # crash leaves either no log (an unacknowledged create) or
             # every line of it
-            _write_wal(self.path, self.header, _log)
+            _write_wal(self.path, header, _log)
             self._handle = open(self.path, "a")
             self._next_seq = self._records = len(_log)
             self._events = _events

@@ -127,13 +127,12 @@ class TestBench:
         monkeypatch.setenv("REPRO_SCALE", "0.05")
         monkeypatch.setenv("REPRO_SAMPLES", "1")
         monkeypatch.setenv("REPRO_QUERIES", "500")
-        target = tmp_path / "tables.md"
+        target = tmp_path / "record.json"
         code, out = run_cli(capsys, "bench", "tab2", "--output", str(target))
         assert code == 0
         assert f"wrote {target}" in out
-        written = target.read_text()
-        assert written.startswith("# repro bench")
-        assert "tab2" in written
+        record = json.loads(target.read_text())
+        assert list(record["experiments"]) == ["tab2"]
 
 
 class TestSchemeCheck:

@@ -245,6 +245,34 @@ class TestWriteAheadLog:
         assert replay.events == 3
         assert replay.header["session"] == "live"
 
+    def test_a_wal_keeps_no_copy_of_its_header(self, tmp_path):
+        """An open WAL (created or resumed) holds the same traced memory
+        whatever its specification: the header's spec tree is written
+        to the file, not kept."""
+        retained = {}
+        for spec in ("running-example", "bioaid"):
+            session = SessionManager().create("live", spec)
+            path = tmp_path / f"{spec}.jsonl"
+            WriteAheadLog.create(path, session).close()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                wals = [WriteAheadLog.resume(path, replay_wal(path))
+                        for _ in range(5)]
+                wals += [WriteAheadLog.create(tmp_path / f"{spec}-{i}.jsonl",
+                                              session) for i in range(5)]
+                gc.collect()
+                retained[spec] = (
+                    tracemalloc.get_traced_memory()[0] - before) / len(wals)
+            finally:
+                tracemalloc.stop()
+            for wal in wals:
+                wal.close()
+        # bioaid's spec JSON is ~20 KB larger than the running example's
+        assert abs(retained["bioaid"] - retained["running-example"]) < 2048, (
+            retained)
+
     def test_torn_tail_is_dropped_and_reported(self, session, tmp_path):
         path = tmp_path / "wal.jsonl"
         wal = WriteAheadLog.create(path, session)

@@ -303,6 +303,13 @@ class TestMetricsRegistry:
         finally:
             exporter.stop()
 
+    def test_exporter_stops_within_its_poll_interval(self):
+        exporter = MetricsExporter(MetricsRegistry().render_prometheus).start()
+        time.sleep(0.1)  # serve_forever is parked in its poll
+        started = time.monotonic()
+        exporter.stop()
+        assert time.monotonic() - started < 0.2
+
 
 class TestCollectorPauses:
     def pauses(self, generation):

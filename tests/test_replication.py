@@ -235,6 +235,19 @@ class TestReplicationHub:
         with pytest.raises(ServiceError):
             hub.wait_covered(4, timeout=0.05)
 
+    def test_a_semi_sync_create_waits_for_a_replica(self, tmp_path):
+        """A create no replica holds is not acknowledged, as an ingest
+        is not: a failover before the first ingest would lose it."""
+        service = ReproService(data_dir=str(tmp_path / "d"), fsync="never",
+                               repl_min_acks=1)
+        service.hub.ack_timeout = 0.1
+        try:
+            with pytest.raises(ServiceError, match="replication timeout"):
+                call(service, "create_session", name="s",
+                     spec="running-example")
+        finally:
+            service.close()
+
     def test_higher_epoch_ack_fences_the_node(self, service):
         hub = ReplicationHub(service.manager, service.store)
         with pytest.raises(ServiceError, match="fenced"):
